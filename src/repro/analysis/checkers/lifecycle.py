@@ -1,8 +1,8 @@
 """MP6xx — resource lifecycle over the interprocedural model.
 
-The dataplane hands out three kinds of process-spanning resources:
+The block plane hands out three kinds of process-spanning resources:
 ``/dev/shm`` tuple-block attachments (:func:`repro.runtime.buffers
-.attach_block` / ``open_block``), resident spill blocks
+.attach_block` / ``open_block``), resident disk-plane blocks
 (:func:`repro.runtime.spill.resident_spill` / raw ``read_spill``
 handles), and telemetry spool writers
 (:class:`repro.telemetry.spool.SpoolWriter`).  MP501/MP502 already
@@ -14,7 +14,7 @@ context-managed or ownership demonstrably escapes (returned, yielded,
 or stored on an owning object).
 
 * **MP601** — shared-memory attachment leaked (`shm` kind)
-* **MP602** — spill residency or raw spill handle leaked (`spill` kind)
+* **MP602** — disk-plane residency or raw spill handle leaked (`spill` kind)
 * **MP603** — telemetry spool writer leaked (`spool` kind)
 * **MP604** — network socket leaked (`socket` kind: the block plane's
   :func:`repro.runtime.transport.connect_with_retry` or a raw
@@ -24,7 +24,7 @@ The pass is interprocedural in both directions: a binding is traced to
 an acquirer *through* thin wrappers (a helper whose return value flows
 from an acquirer call makes its callers the owners — the
 ``returns-acquired`` fixpoint below), and the defining modules of each
-dataplane API are exempt (they implement the lifecycle the rule
+plane's API are exempt (they implement the lifecycle the rule
 enforces everywhere else).
 """
 
@@ -47,7 +47,7 @@ from repro.analysis.project import Project
 #: kind -> (rule id, human phrase)
 KIND_RULES = {
     "shm": ("MP601", "shared-memory attachment"),
-    "spill": ("MP602", "resident spill block"),
+    "spill": ("MP602", "resident disk-plane block"),
     "spool": ("MP603", "telemetry spool writer"),
     "socket": ("MP604", "network socket"),
 }
@@ -55,7 +55,7 @@ KIND_RULES = {
 #: kind -> exempt modules/prefixes (the implementations of the lifecycle)
 KIND_EXEMPT = {
     "shm": ("runtime/buffers.py",),
-    "spill": ("runtime/spill.py", "core/checkpoint.py"),
+    "spill": ("runtime/spill.py",),
     "spool": ("telemetry/",),
     # connect_with_retry itself wraps socket.create_connection and is
     # obliged to return the live socket to its caller

@@ -12,9 +12,10 @@ exit warning is the only witness.  One rule, two triggers:
 * **MP501** — a ``SharedMemory`` segment is *created*
   (``create=True``) outside the buffer-pool module.  Creation is the
   pool's exclusive privilege — routing through
-  :func:`~repro.runtime.buffers.create_buffer_pool` is what makes the
-  crash-sweep guarantee airtight, so out-of-pool creation is flagged
-  even when the author remembered a ``finally``.
+  :class:`~repro.runtime.buffers.SharedMemoryBufferPool` (the shm block
+  plane's backing) is what makes the crash-sweep guarantee airtight, so
+  out-of-pool creation is flagged even when the author remembered a
+  ``finally``.
 * **MP501** — a ``SharedMemory`` *attachment* (no ``create=True``)
   whose object is neither context-managed (``with``), nor released
   (``close``/``unlink``/``cleanup``) in a ``finally`` block, nor handed
@@ -23,15 +24,16 @@ exit warning is the only witness.  One rule, two triggers:
 
 The buffer-pool module itself is exempt — it *is* the API whose
 discipline this rule enforces, and its lifecycle invariants are pinned
-by the dataplane crash-safety tests rather than by syntax.
+by the block-plane crash-safety tests rather than by syntax.
 
-**MP502** extends the same discipline to the out-of-core dataplane
+**MP502** extends the same discipline to the disk block plane
 (:mod:`repro.runtime.spill`): spill files carry the tupleblock wire
-format and live in crash-swept spill directories, and both guarantees
-hold only while every access routes through the spill module's
-hygiene-managed helpers (``write_spill``/``read_spill``/
-``write_spill_region``/``resident_spill``/``SpillManager``).  Outside
-that module, MP502 flags
+format and live in the plane's crash-swept spill directory, and both
+guarantees hold only while every access routes through the spill
+module's hygiene-managed helpers (``write_spill``/``read_spill``, and
+for ``DiskBlockTransport`` blocks ``write_spill_region``/
+``map_spill_ids``/``seal_spill``/``resident_spill``).  Outside that
+module, MP502 flags
 
 * a ``read_table``/``write_table``/``preallocate_table``/
   ``table_layout`` call handed the tupleblock schema (the
@@ -40,7 +42,7 @@ that module, MP502 flags
   format that the torn-write and publish guarantees do not cover;
 * an ``open()`` call whose path argument is a string constant
   containing ``.spill`` — raw I/O against a spill file, bypassing the
-  fsync'd temp-then-rename publish and the residency accounting.
+  fsync'd temp-then-rename seal and the residency accounting.
 """
 
 from __future__ import annotations
@@ -220,8 +222,8 @@ def _check_module(module: SourceModule) -> List[Finding]:
         flag(
             call,
             "SharedMemory segment created outside the buffer-pool API; "
-            "allocate through repro.runtime.buffers.create_buffer_pool() "
-            "so crash sweep and unlink-on-exit cover it",
+            "allocate through repro.runtime.buffers.SharedMemoryBufferPool "
+            "(the shm block plane) so crash sweep and unlink-on-exit cover it",
         )
 
     for call, name in scanner.loose:
@@ -264,8 +266,8 @@ def _check_spill_hygiene(module: SourceModule) -> List[Finding]:
                     message=(
                         f"{func_name}() handed the tupleblock spill schema "
                         "outside repro.runtime.spill; use write_spill/"
-                        "read_spill (or the region helpers) so torn-write "
-                        "detection and the publish protocol cover the file"
+                        "read_spill (or a disk-plane block) so torn-write "
+                        "detection and the seal protocol cover the file"
                     ),
                 )
             )
@@ -283,8 +285,8 @@ def _check_spill_hygiene(module: SourceModule) -> List[Finding]:
                     message=(
                         "raw open() on a spill file outside "
                         "repro.runtime.spill; spill files are only valid "
-                        "through the hygiene-managed helpers "
-                        "(resident_spill/write_spill_region/SpillManager)"
+                        "through the disk block plane (DiskBlockTransport "
+                        "handles via write_block_region/resolve_block)"
                     ),
                 )
             )

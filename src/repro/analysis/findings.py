@@ -83,16 +83,16 @@ RULES = {
         "attached without a finally/context-managed release"
     ),
     "MP502": (
-        "spill file or tupleblock spill schema accessed outside the "
-        "hygiene-managed helpers of repro.runtime.spill"
+        "spill file or tupleblock spill schema accessed outside "
+        "repro.runtime.spill (the disk block plane's file operations)"
     ),
     "MP601": (
         "shared-memory attachment not released on every path (including "
         "exception edges) and not context-managed"
     ),
     "MP602": (
-        "spill residency or raw spill handle not released on every path "
-        "(including exception edges) and not context-managed"
+        "disk-plane residency or raw spill handle not released on every "
+        "path (including exception edges) and not context-managed"
     ),
     "MP603": (
         "telemetry spool writer not closed on every path (including "

@@ -9,15 +9,17 @@ produces exactly the same partition of reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-import networkx as nx
 import numpy as np
 
 from repro.cc.dsf import DisjointSetForest
 from repro.kmers.engine import enumerate_canonical_kmers
 from repro.kmers.filter import FrequencyFilter
 from repro.seqio.records import ReadBatch
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def compact_labels(parent: np.ndarray) -> np.ndarray:
@@ -85,8 +87,12 @@ def build_read_graph(
     """Explicit read graph: vertices are global read ids; an edge joins two
     reads sharing a canonical k-mer whose total frequency passes ``kfilter``.
 
-    Quadratic-ish and memory hungry by design — reference only.
+    Quadratic-ish and memory hungry by design — reference only (and the
+    only user of networkx, a test-extra dependency imported on demand so
+    ``metaprep run`` never pays for it).
     """
+    import networkx as nx
+
     tuples = enumerate_canonical_kmers(batch, k)
     graph = nx.Graph()
     graph.add_nodes_from(np.unique(batch.read_ids).tolist())
@@ -114,6 +120,8 @@ def reference_components_networkx(
 ) -> List[frozenset]:
     """Connected components of the explicit read graph, as frozensets of
     global read ids, sorted descending by size then by min id."""
+    import networkx as nx
+
     graph = build_read_graph(batch, k, kfilter)
     comps = [frozenset(int(v) for v in comp) for comp in nx.connected_components(graph)]
     return sorted(comps, key=lambda c: (-len(c), min(c)))

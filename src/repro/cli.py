@@ -105,7 +105,6 @@ def cmd_run(args) -> int:
         executor=args.executor,
         max_workers=args.workers,
         worker_addresses=tuple(args.worker or ()),
-        dataplane=args.dataplane,
         telemetry_dir=args.telemetry,
         spill=args.spill,
         spill_dir=args.spill_dir,
@@ -602,7 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "process", "distributed"),
         help="execution backend: inline (serial), a multiprocessing "
         "pool (process), or metaprep worker daemons (distributed); "
-        "results are bit-identical",
+        "results are bit-identical.  The engine also decides where "
+        "in-memory exchange blocks live (heap, shared memory, the "
+        "workers' stores)",
     )
     p.add_argument(
         "--workers",
@@ -620,13 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         "distributed; repeat once per worker",
     )
     p.add_argument(
-        "--dataplane",
-        default="auto",
-        choices=("auto", "heap", "shared"),
-        help="tuple-buffer backing: heap ndarrays, shared-memory "
-        "segments, or auto (pick per executor)",
-    )
-    p.add_argument(
         "--telemetry",
         default=None,
         metavar="DIR",
@@ -637,9 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill",
         default="auto",
         choices=("auto", "never", "always"),
-        help="out-of-core mode: spill per-owner tuple blocks to disk "
-        "between stage barriers (auto: only passes whose in-memory "
-        "residency exceeds --budget-mb)",
+        help="which passes keep their per-owner tuple blocks in spill "
+        "files on disk instead of memory (auto: only passes whose "
+        "in-memory residency exceeds --budget-mb)",
     )
     p.add_argument(
         "--spill-dir",

@@ -31,29 +31,6 @@ _LOG = get_logger("core.checkpoint")
 _SCHEMA = "metaprep/checkpoint"
 
 
-def save_block_spill(path: str | os.PathLike, block, length: int | None = None) -> None:
-    """Spill a :class:`~repro.runtime.buffers.TupleBlock` to disk.
-
-    Thin alias for :func:`repro.runtime.spill.write_spill`, which owns
-    the block-spill wire format (the out-of-core pipeline and this
-    checkpoint path share it byte for byte).
-    """
-    from repro.runtime.spill import write_spill
-
-    write_spill(path, block, length)
-
-
-def load_block_spill(path: str | os.PathLike, pool):
-    """Load a spilled TupleBlock into a fresh block from ``pool``.
-
-    Thin alias for :func:`repro.runtime.spill.read_spill`; returns the
-    filled block (capacity == spilled length).
-    """
-    from repro.runtime.spill import read_spill
-
-    return read_spill(path, pool)
-
-
 def payload_fingerprint(payload: dict) -> str:
     """Stable 32-hex-digit digest of a JSON-serializable payload.
 
@@ -84,9 +61,6 @@ def payload_fingerprint(payload: dict) -> str:
 #: * ``n_passes`` / ``memory_budget_per_task`` / ``n_chunks`` — the
 #:   pass/chunk decomposition; the merge step makes labels independent of
 #:   how work was split (verified by the pass-count invariance tests);
-#: * ``dataplane`` — selects the TupleBlock backing (heap ndarrays vs
-#:   shared-memory segments); both backings carry identical bytes through
-#:   identical stage code, enforced by the dataplane property tests.
 #: * ``telemetry`` / ``telemetry_dir`` — observability only: spans and
 #:   counters record what the run did, never feed back into it (and the
 #:   telemetry package is wall-clock-free by the MP2xx determinism lint).
@@ -110,7 +84,6 @@ PARTITION_IRRELEVANT_FIELDS = frozenset(
         "n_passes",
         "memory_budget_per_task",
         "n_chunks",
-        "dataplane",
         "telemetry",
         "telemetry_dir",
         "spill",

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.kmers.codec import MAX_K_TWO_LIMB, KmerCodec
 from repro.kmers.filter import FrequencyFilter
-from repro.runtime.buffers import DATAPLANE_NAMES
 from repro.runtime.executor import EXECUTOR_NAMES
 from repro.runtime.spill import SPILL_NAMES
 from repro.util.validation import check_in_range, check_positive
@@ -61,13 +60,16 @@ class PipelineConfig:
     #: sanity-check the driver-side aggregate of the static offset math
     #: against actual counts (cheap; keep on).  Independent of this flag,
     #: every KmerGen worker verifies its own chunk's counts before
-    #: writing — the dataplane's write offsets assume them, so that check
-    #: is structural, not optional.
+    #: writing — the block plane's write offsets assume them, so that
+    #: check is structural, not optional.
     verify_static_counts: bool = True
     #: execution backend for per-chunk KmerGen and per-owner-task
-    #: LocalSort+LocalCC: ``"serial"`` (inline, the reference engine) or
-    #: ``"process"`` (a real multiprocessing pool).  Both engines are
-    #: bit-identical; see :mod:`repro.runtime.executor`.
+    #: LocalSort+LocalCC: ``"serial"`` (inline, the reference engine),
+    #: ``"process"`` (a real multiprocessing pool) or ``"distributed"``
+    #: (``metaprep worker`` daemons).  All engines are bit-identical; see
+    #: :mod:`repro.runtime.executor`.  The engine also fixes where the
+    #: in-memory exchange blocks live (heap / shm / the workers' stores:
+    #: :func:`repro.runtime.transport.create_block_transport`).
     executor: str = "serial"
     #: worker-process count for the ``"process"`` engine (``None`` ->
     #: the CPUs available to this process per the scheduling affinity
@@ -79,14 +81,6 @@ class PipelineConfig:
     #: blocks are placed by task rank modulo this list).  Required
     #: non-empty by that engine, ignored by the in-host engines.
     worker_addresses: tuple[str, ...] = ()
-    #: tuple-buffer backing for the stage boundaries
-    #: (:mod:`repro.runtime.buffers`): ``"auto"`` picks plain heap
-    #: ndarrays under the serial engine and shared-memory segments under
-    #: the process engine; ``"shared"`` forces shared memory everywhere
-    #: (the differential tests probe the backing this way); ``"heap"``
-    #: forces heap arrays and is invalid with the process engine, whose
-    #: workers could not see them.
-    dataplane: str = "auto"
     #: collect real-run telemetry (:mod:`repro.telemetry`): per-worker
     #: spans for every stage, hot-path counters, pool gauges.  Purely
     #: observational — never part of the partition result.
@@ -98,10 +92,11 @@ class PipelineConfig:
     #: on the :class:`~repro.core.pipeline.PipelineResult` only and the
     #: spool lives in a private temp directory.
     telemetry_dir: str | None = None
-    #: out-of-core execution (:mod:`repro.runtime.spill`): ``"never"``
-    #: keeps every pass's tuples in resident blocks (the historical
-    #: behavior); ``"always"`` routes every pass through per-owner spill
-    #: files on disk; ``"auto"`` spills exactly the passes whose
+    #: which passes run on the disk block plane
+    #: (:mod:`repro.runtime.spill`) instead of the engine's in-memory
+    #: one: ``"never"`` keeps every pass's tuples in resident blocks;
+    #: ``"always"`` routes every pass through per-owner spill files on
+    #: disk; ``"auto"`` spills exactly the passes whose
     #: in-memory residency would exceed ``memory_budget_per_task`` (and
     #: never spills when no budget is set) — the planner decision rule
     #: in :func:`repro.index.passplan.spill_schedule`.  Spilling changes
@@ -151,21 +146,6 @@ class PipelineConfig:
                     "executor='distributed' needs worker_addresses "
                     "(host:port of running `metaprep worker` daemons)"
                 )
-            if self.dataplane != "auto":
-                raise ValueError(
-                    "the distributed engine selects its own block plane "
-                    "(socket transport); leave dataplane='auto'"
-                )
-        if self.dataplane not in DATAPLANE_NAMES:
-            raise ValueError(
-                f"dataplane must be one of {DATAPLANE_NAMES}, "
-                f"got {self.dataplane!r}"
-            )
-        if self.dataplane == "heap" and self.executor == "process":
-            raise ValueError(
-                "dataplane='heap' cannot carry tuples across the process "
-                "engine's pool boundary; use 'auto' or 'shared'"
-            )
         if self.n_chunks is not None:
             if self.n_chunks < self.n_tasks * self.n_threads:
                 raise ValueError(

@@ -33,6 +33,7 @@ import os
 import resource
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -69,21 +70,14 @@ from repro.kmers.filter import FrequencyFilter
 from repro import telemetry
 from repro.telemetry.collect import TelemetryCollector, RunTelemetry
 from repro.telemetry.runtime import TelemetrySettings
-from repro.runtime.buffers import BlockHandle
 from repro.runtime.comm import AllToAllStats, block_exchange_stats
 from repro.runtime.transport import (
     BlockTransport,
+    DiskBlockTransport,
+    PlaneHandle,
     create_block_transport,
     resolve_block,
     write_block_region,
-)
-from repro.runtime.spill import (
-    SpillManager,
-    SpillTarget,
-    resident_spill,
-    rewrite_spill_ids,
-    transient_tuples,
-    write_spill_region,
 )
 from repro.runtime.executor import (
     ExecutionBackend,
@@ -136,15 +130,15 @@ def _estimate_ccio_bytes(
 # serial engine calls the very same functions inline, which is what makes
 # the two engines bit-identical by construction.
 #
-# Tuples never appear in the payloads.  Each pass preallocates one
-# destination TupleBlock per owner task, sized exactly by the index
-# tables (:func:`repro.index.offsets.recv_write_offsets`); KmerGen jobs
-# carry block *handles* plus their chunk's write offsets and write kept
-# tuples straight into the owners' blocks, and owner jobs sort/fold the
-# very same backing in place.  Under the process engine the handles are
-# shared-memory descriptors — a few hundred bytes per job regardless of
-# tuple volume — which is the zero-copy dataplane the paper's custom
-# all-to-all corresponds to.
+# Tuples never appear in the payloads.  Each pass publishes one
+# destination block per owner task on its block plane, sized exactly by
+# the index tables (:func:`repro.index.offsets.recv_write_offsets`);
+# KmerGen jobs carry block *handles* plus their chunk's write offsets
+# and write kept tuples straight into the owners' blocks, and owner jobs
+# sort/fold the very same backing in place.  A handle is a few hundred
+# bytes whatever the tuple volume and whichever plane issued it (heap
+# block, shm descriptor, socket ref, spill file) — the zero-copy
+# exchange the paper's custom all-to-all corresponds to.
 # ----------------------------------------------------------------------
 
 
@@ -180,11 +174,8 @@ class _ChunkJob:
     expected_counts: np.ndarray
     #: this chunk's write offset in each destination block: (P,)
     write_offsets: np.ndarray
-    #: destination block handles, owner-task order (in-memory passes)
-    blocks: List[BlockHandle] | None = None
-    #: destination spill files, owner-task order (out-of-core passes);
-    #: exactly one of ``blocks`` / ``spill_targets`` is set
-    spill_targets: List[SpillTarget] | None = None
+    #: destination block handles of the pass's plane, owner-task order
+    blocks: List[PlaneHandle]
 
 
 @dataclass
@@ -256,27 +247,15 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
         )
 
     t0 = time.perf_counter_ns()
-    if job.spill_targets is not None:
-        # out-of-core pass: the same statically-offset writes, landing in
-        # the owners' preallocated spill files instead of resident blocks
-        with transient_tuples(kept.nbytes, task=job.task):
-            for d, part in enumerate(parts):
-                if len(part):
-                    write_spill_region(
-                        job.spill_targets[d], int(job.write_offsets[d]), part
-                    )
-    else:
-        # the write IS the all-to-all: heap/shm handles land in the
-        # owner's resident block, socket handles in the owning worker's
-        # store (off-diagonal regions cross the wire — net.bytes_sent)
-        for d, part in enumerate(parts):
-            if len(part):
-                write_block_region(
-                    job.blocks[d],
-                    int(job.write_offsets[d]),
-                    part,
-                    sender=job.task,
-                )
+    # the write IS the all-to-all: heap/shm handles land in the owner's
+    # resident block, socket handles in the owning worker's store
+    # (off-diagonal regions cross the wire — net.bytes_sent), disk
+    # handles in the owner's preallocated spill file
+    for d, part in enumerate(parts):
+        if len(part):
+            write_block_region(
+                job.blocks[d], int(job.write_offsets[d]), part, sender=job.task
+            )
     t1 = time.perf_counter_ns()
     times.add(StepNames.KMERGEN_COMM, (t1 - t0) / 1e9)
     if tele:
@@ -311,12 +290,8 @@ class _OwnerJob:
     thread_edges: np.ndarray
     span: Tuple[int, int]
     #: the task's received-tuple block (sources in rank order — the
-    #: deterministic receive-side layout of the zero-copy exchange);
-    #: in-memory passes only
-    block: BlockHandle | None = None
-    #: the task's published spill file (out-of-core passes); the job
-    #: re-attaches it as its one resident block and consumes it
-    spill_target: SpillTarget | None = None
+    #: deterministic receive-side layout of the zero-copy exchange)
+    block: PlaneHandle
 
 
 @dataclass
@@ -349,18 +324,11 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
     times = TimeBreakdown()
     forest = DisjointSetForest.wrap(job.parent)
 
-    if job.spill_target is not None:
-        # lazy re-attachment: this job's spill file becomes its one
-        # resident block, and is consumed (deleted) once folded
-        attach = resident_spill(
-            job.spill_target, task=job.task, consume=True
-        )
-    else:
-        # resolves zero-copy on every plane: heap blocks directly, shm
-        # descriptors via segment attach, socket refs against the local
-        # worker's own store (owner jobs run on the hosting worker)
-        attach = resolve_block(job.block)
-    with attach as block:
+    # resolves zero-copy on the memory planes: heap blocks directly, shm
+    # descriptors via segment attach, socket refs against the local
+    # worker's own store (owner jobs run on the hosting worker); a disk
+    # handle is loaded as the job's one resident block and consumed
+    with resolve_block(job.block) as block:
         t0 = time.perf_counter_ns()
         counts = range_partition_block(
             block, job.n_received, ctx.m, job.thread_edges, span=job.span
@@ -579,7 +547,7 @@ class MetaPrep:
         )
         if any(spill_flags):
             _LOG.info(
-                "out-of-core: spilling pass(es) %s (mode=%s)",
+                "out-of-core: pass(es) %s run on the disk plane (mode=%s)",
                 [s for s, f in enumerate(spill_flags) if f],
                 cfg.spill,
             )
@@ -650,10 +618,10 @@ class MetaPrep:
                 ),
             )
         )
-        plane = create_block_transport(cfg.dataplane, executor)
-        spill_mgr = (
-            SpillManager(cfg.spill_dir) if any(spill_flags) else None
-        )
+        # section 3.7 only changes *where* a pass's tuples live: the
+        # engine implies the in-memory plane, spilled passes take disk
+        plane = create_block_transport(executor)
+        disk = DiskBlockTransport(cfg.spill_dir) if any(spill_flags) else None
         try:
             for spec in plan.passes:
                 if spec.index < start_pass:
@@ -672,11 +640,8 @@ class MetaPrep:
                     cc_stats,
                     comm_stats,
                     executor,
-                    plane,
+                    disk if spill_flags[spec.index] else plane,
                     collector,
-                    spill_mgr=(
-                        spill_mgr if spill_flags[spec.index] else None
-                    ),
                 )
                 if store is not None:
                     from repro.core.checkpoint import Checkpoint
@@ -694,15 +659,15 @@ class MetaPrep:
                 )
         finally:
             # executor first (workers drop their block attachments when
-            # they exit), then the plane releases everything it backs —
+            # they exit), then the planes release everything they back —
             # pooled segments are unlinked (the /dev/shm leak guarantee),
-            # remote worker stores are swept best-effort — and the spill
-            # dir goes with everything still in it, so an aborted run
+            # remote worker stores are swept best-effort, the spill dir
+            # goes with everything still in it — so an aborted run
             # leaves zero orphan segments, sockets, or spill files.
             executor.close()
             plane.close()
-            if spill_mgr is not None:
-                spill_mgr.close()
+            if disk is not None:
+                disk.close()
 
         # ---- MergeCC --------------------------------------------------
         t0_ns = time.perf_counter_ns()
@@ -807,13 +772,11 @@ class MetaPrep:
         executor: ExecutionBackend,
         plane: BlockTransport,
         collector: TelemetryCollector | None = None,
-        spill_mgr: SpillManager | None = None,
     ) -> None:
         cfg = self.config
         p_tasks, t_threads = cfg.n_tasks, cfg.n_threads
         is_first_pass = spec.index == 0
         use_opt = cfg.localcc_opt and not is_first_pass
-        spilling = spill_mgr is not None
 
         expected = None
         if cfg.verify_static_counts:
@@ -827,7 +790,7 @@ class MetaPrep:
                 spec.bin_hi,
             )
 
-        # ---- static dataplane layout -----------------------------------
+        # ---- static block layout ----------------------------------------
         # The index tables fix, before any k-mer is enumerated, exactly
         # how many tuples each chunk contributes to each owner task and
         # where in the owner's block they land (section 3.2.2/3.3).  One
@@ -839,24 +802,14 @@ class MetaPrep:
         offsets, sender_splits, totals = recv_write_offsets(
             per_chunk, assignment, p_tasks, t_threads
         )
-        if spilling:
-            # out-of-core pass: no destination blocks exist anywhere —
-            # the owners' tuples accumulate in preallocated spill files
-            # whose byte layout every writer derives from (k, totals[d])
-            handles: List[BlockHandle] = []
-            spill_targets = spill_mgr.create_pass_targets(
-                spec.index, cfg.k, [int(t) for t in totals]
-            )
-        else:
-            # one published block per owner task, placed by the plane
-            # (resident pool block in-host, hosting worker's store under
-            # the socket plane — owner d's block lives where owner d's
-            # jobs run)
-            handles = [
-                plane.publish(cfg.k, int(totals[d]), owner=d)
-                for d in range(p_tasks)
-            ]
-            spill_targets = None
+        # one published block per owner task, placed by the plane
+        # (resident pool block in-host, hosting worker's store under the
+        # socket plane — owner d's block lives where owner d's jobs run —
+        # a preallocated spill file under the disk plane)
+        handles = [
+            plane.publish(cfg.k, int(totals[d]), owner=d)
+            for d in range(p_tasks)
+        ]
 
         try:
             # ---- KmerGen (+ I/O) ---------------------------------------
@@ -875,8 +828,7 @@ class MetaPrep:
                         task_edges=spec.task_edges,
                         expected_counts=per_chunk[c],
                         write_offsets=offsets[c],
-                        blocks=None if spilling else handles,
-                        spill_targets=spill_targets,
+                        blocks=handles,
                     )
                     for c in range(table.n_chunks)
                 ],
@@ -922,26 +874,12 @@ class MetaPrep:
                         hi_i = int(sender_splits[p + 1, d])
                         if hi_i <= lo_i:
                             continue
-                        if spilling:
-                            # same elementwise mapping, applied to the
-                            # ids column region of the spill file — only
-                            # that region's 4 bytes/tuple are resident
-                            rewrite_spill_ids(
-                                spill_targets[d],
-                                lo_i,
-                                hi_i,
-                                lambda ids, p=p: map_ids_to_components(
-                                    ids, forests[p]
-                                ),
-                            )
-                        else:
-                            ids = plane.read_ids(handles[d], lo_i, hi_i)
-                            plane.write_ids(
-                                handles[d],
-                                lo_i,
-                                hi_i,
-                                map_ids_to_components(ids, forests[p]),
-                            )
+                        plane.map_ids(
+                            handles[d],
+                            lo_i,
+                            hi_i,
+                            partial(map_ids_to_components, forest=forests[p]),
+                        )
                     if telemetry.enabled():
                         telemetry.record_span(
                             StepNames.KMERGEN,
@@ -969,18 +907,15 @@ class MetaPrep:
                 list(stats.max_message_bytes_per_stage)
             )
 
-            if spilling:
-                # stage barrier: fsync + rename every owner's file from
-                # its in-flight name; consumers only ever see complete,
-                # durable spill files
-                spill_targets = spill_mgr.publish(spill_targets)
+            # stage barrier between the blocks' writers and consumers
+            # (the disk plane's fsync + rename; free on memory planes)
+            plane.seal(handles)
 
             # ---- LocalSort + LocalCC per owner task ---------------------
             # One job per destination task d; the serial engine mutates
             # forests[d] in place, the process engine round-trips a
             # pickled copy — either way res.parent is the post-pass
-            # forest state.  In-memory passes keep tuples in the blocks
-            # throughout; spill passes re-attach one owner file each.
+            # forest state.
             owner_results = executor.map(
                 _owner_sort_cc_task,
                 [
@@ -994,10 +929,7 @@ class MetaPrep:
                             int(spec.task_edges[d]),
                             int(spec.task_edges[d + 1]),
                         ),
-                        block=None if spilling else handles[d],
-                        spill_target=(
-                            spill_targets[d] if spilling else None
-                        ),
+                        block=handles[d],
                     )
                     for d in range(p_tasks)
                 ],
@@ -1025,7 +957,3 @@ class MetaPrep:
         finally:
             for handle in handles:
                 plane.release(handle)
-            if spilling:
-                # owner jobs consume their files on success; this covers
-                # every failure path so no pass leaves files behind
-                spill_mgr.sweep_pass(spec.index)

@@ -34,14 +34,12 @@ from repro.runtime.executor import (
 )
 from repro.runtime.machines import MachineSpec, EDISON, GANGA, get_machine
 from repro.runtime.buffers import (
-    DATAPLANE_NAMES,
     BlockDescriptor,
     BufferPool,
     HeapBufferPool,
     SharedMemoryBufferPool,
     TupleBlock,
     attach_block,
-    create_buffer_pool,
     open_block,
 )
 from repro.runtime.comm import (
@@ -53,6 +51,7 @@ from repro.runtime.comm import (
 from repro.runtime.transport import (
     TRANSPORT_NAMES,
     BlockTransport,
+    DiskBlockTransport,
     PoolBlockTransport,
     SocketBlockRef,
     SocketBlockTransport,
@@ -78,6 +77,7 @@ __all__ = [
     "create_executor",
     "TRANSPORT_NAMES",
     "BlockTransport",
+    "DiskBlockTransport",
     "PoolBlockTransport",
     "SocketBlockRef",
     "SocketBlockTransport",
@@ -89,14 +89,12 @@ __all__ = [
     "EDISON",
     "GANGA",
     "get_machine",
-    "DATAPLANE_NAMES",
     "BlockDescriptor",
     "BufferPool",
     "HeapBufferPool",
     "SharedMemoryBufferPool",
     "TupleBlock",
     "attach_block",
-    "create_buffer_pool",
     "open_block",
     "AllToAllStats",
     "block_exchange_stats",

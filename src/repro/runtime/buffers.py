@@ -62,10 +62,6 @@ _LOG = get_logger("runtime.buffers")
 #: shm segment name prefix; the crash-safety tests scan /dev/shm for it
 SEGMENT_PREFIX = "metaprep"
 
-#: recognized dataplane names, in documentation order (``auto`` resolves
-#: per engine: heap under serial, shared memory under process)
-DATAPLANE_NAMES = ("auto", "heap", "shared")
-
 _LO_DTYPE = np.dtype(np.uint64)
 _HI_DTYPE = np.dtype(np.uint64)
 _IDS_DTYPE = np.dtype(np.uint32)
@@ -564,27 +560,3 @@ class SharedMemoryBufferPool(BufferPool):
     @property
     def live_segments(self) -> int:
         return len(self._segments)
-
-
-def create_buffer_pool(dataplane: str = "auto", prefer_shared: bool = False) -> BufferPool:
-    """Instantiate the dataplane backing for a run.
-
-    ``auto`` resolves by engine: shared memory when the executor prefers
-    it (the process engine), heap otherwise.  ``shared`` forces the
-    shared-memory backing under any engine (the differential tests use
-    this to probe the backing without a pool of workers); ``heap``
-    forces plain ndarrays and is valid only where no process boundary
-    exists.
-    """
-    if dataplane not in DATAPLANE_NAMES:
-        raise ValueError(
-            f"unknown dataplane {dataplane!r}; expected one of {DATAPLANE_NAMES}"
-        )
-    if dataplane == "heap" and prefer_shared:
-        raise ValueError(
-            "dataplane='heap' cannot carry tuples across a process boundary; "
-            "use 'auto' or 'shared' with the process engine"
-        )
-    if dataplane == "shared" or (dataplane == "auto" and prefer_shared):
-        return SharedMemoryBufferPool()
-    return HeapBufferPool()

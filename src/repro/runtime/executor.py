@@ -113,12 +113,6 @@ class ExecutionBackend:
     """Interface shared by all engines."""
 
     name: str = "abstract"
-    #: whether job payloads referencing shared-memory TupleBlocks pay off
-    #: for this engine: True when jobs run in other processes (descriptors
-    #: replace pickled payloads), False when they run inline (plain heap
-    #: arrays are already zero-copy).  ``dataplane="auto"`` resolves on
-    #: this flag; see :func:`repro.runtime.buffers.create_buffer_pool`.
-    prefers_shared_buffers: bool = False
 
     def set_shared(self, shared) -> None:
         """Install per-run shared state, visible to jobs via
@@ -146,7 +140,6 @@ class SerialExecutor(ExecutionBackend):
 
     name = "serial"
     max_workers = 1
-    prefers_shared_buffers = False
 
     def set_shared(self, shared) -> None:
         _install_shared(shared)
@@ -170,7 +163,6 @@ class ProcessExecutor(ExecutionBackend):
     """
 
     name = "process"
-    prefers_shared_buffers = True
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -247,10 +239,6 @@ class DistributedExecutor(ExecutionBackend):
     """
 
     name = "distributed"
-    #: shared-memory descriptors do not cross hosts; the block plane for
-    #: this engine is the socket transport, selected via this marker
-    prefers_shared_buffers = False
-    transport_name = "socket"
 
     def __init__(
         self,

@@ -24,39 +24,37 @@ which is what lets KmerGen chunk workers address disjoint file regions
 at their index-precomputed offsets with no coordination, the on-disk
 twin of the zero-copy all-to-all.
 
-Hygiene
--------
-The discipline mirrors the /dev/shm dataplane (`repro.runtime.buffers`):
+Lifecycle
+---------
+:class:`SpillTarget` is the disk plane's block handle (the disk twin of
+a shared-memory descriptor); :class:`~repro.runtime.transport.
+DiskBlockTransport` drives it through the same stages as every other
+plane, and this module holds every file operation behind those stages:
 
-* every spill file lives in a :class:`SpillManager` directory
-  (``metaprep-spill-<pid>-...``), swept by the pipeline's ``finally``
-  and by a ``weakref.finalize`` safety net, so a crashed run leaves
-  zero orphan files;
-* files are *published* with an fsync'd temp-then-rename
-  (:meth:`SpillManager.publish`), so a reader never observes a torn
-  file under a final name;
-* stale directories from hard-killed processes are reaped
-  opportunistically (:func:`sweep_stale_spill_dirs`) — the name embeds
-  the creating pid;
-* every open of a spill file routes through this module — rule MP502
-  (``metaprep check``) statically enforces it, exactly as MP501 does
-  for shared-memory segments.
+* *publish* — :func:`create_spill_file` preallocates the in-flight file
+  ``<path>.tmp`` inside the plane's ``metaprep-spill-<pid>-...``
+  directory (:func:`create_spill_dir`);
+* *region writes* / *map_ids* — :func:`write_spill_region` and
+  :func:`map_spill_ids` address the in-flight file at static offsets;
+* *seal* — :func:`seal_spill` fsyncs it and renames it to ``<path>``,
+  so a reader never observes a torn file under a final name;
+* *resolve* — :func:`resident_spill` loads ``<path>`` into a private
+  heap block, accounts the bytes in a per-thread residency ledger
+  (telemetry gauges ``spill.blocks_resident`` /
+  ``spill.tuple_bytes_resident``, max-merged per task) and deletes the
+  file once its one consumer is done, so each owner job holds exactly
+  one resident block — the bound ``tests/integration/test_out_of_core
+  .py`` asserts against ``memory_budget_per_task``;
+* *release* / *close* — :func:`consume_spill` and the directory sweep.
+  Stale directories from hard-killed processes are reaped
+  opportunistically (:func:`sweep_stale_spill_dirs`; the name embeds
+  the creating pid).
 
-Corruption (truncated header or payload, bad magic, version or schema
-skew) raises :class:`SpillCorruption`; a partial block is never
-returned.
-
-Residency protocol
-------------------
-:func:`resident_spill` is the only way stage code maps spilled tuples
-back into memory: it loads the file into a private heap block, accounts
-the bytes in a per-thread residency ledger (telemetry gauges
-``spill.blocks_resident`` / ``spill.tuple_bytes_resident``, max-merged
-per task), and releases the block — and optionally the file — on exit.
-Each owner job therefore holds exactly one resident block; the
-differential memory-bound suite (``tests/integration/test_out_of_core
-.py``) asserts the resulting high-water mark stays under
-``memory_budget_per_task``.
+Every open of a spill file routes through this module — rule MP502
+(``metaprep check``) statically enforces it, exactly as MP501 does for
+shared-memory segments.  Corruption (truncated header or payload, bad
+magic, version or schema skew) raises :class:`SpillCorruption`; a
+partial block is never returned.
 """
 
 from __future__ import annotations
@@ -66,11 +64,10 @@ import shutil
 import struct
 import tempfile
 import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Sequence
+from typing import Callable, Iterator, List
 
 import numpy as np
 
@@ -176,14 +173,25 @@ class SpillLayout:
 
 @dataclass(frozen=True)
 class SpillTarget:
-    """Picklable handle to one spill file — what executor job payloads
-    carry instead of a :class:`~repro.runtime.buffers.BlockDescriptor`.
-    A few hundred bytes regardless of tuple volume, like its shared-
-    memory twin."""
+    """Picklable handle to one disk-plane block — what executor job
+    payloads carry instead of a :class:`~repro.runtime.buffers.
+    BlockDescriptor`.  A few hundred bytes regardless of tuple volume,
+    like its shared-memory twin.
+
+    ``path`` names the sealed file; until :func:`seal_spill` the bytes
+    live under :attr:`inflight`, so the handle itself never changes
+    across the stage barrier.  ``owner`` is the owning task rank (the
+    residency gauges of the consuming job are attributed to it).
+    """
 
     path: str
     k: int
     capacity: int
+    owner: int = -1
+
+    @property
+    def inflight(self) -> str:
+        return self.path + ".tmp"
 
     def layout(self) -> SpillLayout:
         return SpillLayout.for_block(self.k, self.capacity)
@@ -279,13 +287,15 @@ def create_spill_file(path: str | os.PathLike, k: int, length: int) -> SpillLayo
 
 
 def write_spill_region(
-    target: SpillTarget, at: int, tuples: KmerTuples
+    target: SpillTarget, at: int, tuples: KmerTuples, task: int = -1
 ) -> int:
-    """Write ``tuples`` into ``target``'s file starting at tuple ``at``.
+    """Write ``tuples`` into ``target``'s in-flight file at tuple ``at``.
 
     The out-of-core twin of :meth:`TupleBlock.write` — one positioned
     write per column at offsets derived from the static layout; writers
-    of disjoint regions never contend.  Returns the end tuple position.
+    of disjoint regions never contend.  The batch counts as resident
+    (for ``task``) while it is being routed to disk.  Returns the end
+    tuple position.
     """
     if tuples.k != target.k:
         raise ValueError(f"k mismatch: target {target.k}, tuples {tuples.k}")
@@ -299,30 +309,34 @@ def write_spill_region(
         return end
     layout = target.layout()
     nbytes = 0
-    with open(target.path, "r+b") as fh:
-        for offset, itemsize, column in (
-            (layout.lo_offset, _LO_DTYPE.itemsize, tuples.kmers.lo),
-            (layout.ids_offset, _IDS_DTYPE.itemsize, tuples.read_ids),
-            (layout.hi_offset, _HI_DTYPE.itemsize, tuples.kmers.hi),
-        ):
-            if column is None:
-                continue
-            raw = np.ascontiguousarray(column).tobytes()
-            fh.seek(offset + itemsize * at)
-            fh.write(raw)
-            nbytes += len(raw)
+    note_resident(tuples.nbytes, 0, task=task)
+    try:
+        with open(target.inflight, "r+b") as fh:
+            for offset, itemsize, column in (
+                (layout.lo_offset, _LO_DTYPE.itemsize, tuples.kmers.lo),
+                (layout.ids_offset, _IDS_DTYPE.itemsize, tuples.read_ids),
+                (layout.hi_offset, _HI_DTYPE.itemsize, tuples.kmers.hi),
+            ):
+                if column is None:
+                    continue
+                raw = np.ascontiguousarray(column).tobytes()
+                fh.seek(offset + itemsize * at)
+                fh.write(raw)
+                nbytes += len(raw)
+    finally:
+        note_resident(-tuples.nbytes, 0, task=task)
     if telemetry.enabled():
         telemetry.add_counter("spill.bytes_written", nbytes)
     return end
 
 
-def rewrite_spill_ids(
+def map_spill_ids(
     target: SpillTarget,
     lo: int,
     hi: int,
     fn: Callable[[np.ndarray], np.ndarray],
 ) -> None:
-    """Apply ``fn`` to the ids column over tuples ``[lo, hi)`` in place.
+    """Apply ``fn`` to the in-flight ids column over tuples ``[lo, hi)``.
 
     LocalCC-Opt's id→component mapping, run out-of-core: only the 4-byte
     ids column of the region is ever resident, so the driver can rewrite
@@ -334,15 +348,14 @@ def rewrite_spill_ids(
         )
     if hi == lo:
         return
-    layout = target.layout()
-    start = layout.ids_offset + _IDS_DTYPE.itemsize * lo
+    start = target.layout().ids_offset + _IDS_DTYPE.itemsize * lo
     count = hi - lo
-    with open(target.path, "r+b") as fh:
+    with open(target.inflight, "r+b") as fh:
         fh.seek(start)
         raw = fh.read(_IDS_DTYPE.itemsize * count)
         if len(raw) != _IDS_DTYPE.itemsize * count:
             raise SpillCorruption(
-                f"{target.path}: ids region [{lo}, {hi}) truncated"
+                f"{target.inflight}: ids region [{lo}, {hi}) truncated"
             )
         ids = np.frombuffer(raw, dtype=_IDS_DTYPE).copy()
         mapped = np.asarray(fn(ids), dtype=_IDS_DTYPE)
@@ -350,6 +363,16 @@ def rewrite_spill_ids(
             raise ValueError("ids mapping changed the region length")
         fh.seek(start)
         fh.write(mapped.tobytes())
+
+
+def seal_spill(target: SpillTarget) -> None:
+    """Fsync the in-flight file and rename it to ``target.path`` — the
+    barrier between a stage's writers and its one consumer, who only
+    ever sees a complete, durable file.  A sealed target stays sealed.
+    """
+    if os.path.exists(target.inflight):
+        _fsync_path(target.inflight)
+        os.replace(target.inflight, target.path)
 
 
 def consume_spill(path: str | os.PathLike) -> None:
@@ -394,45 +417,28 @@ def note_resident(nbytes: int, blocks: int, task: int = -1) -> None:
 
 
 @contextmanager
-def transient_tuples(nbytes: int, task: int = -1) -> Iterator[None]:
-    """Account a short-lived tuple batch (a chunk's kept tuples while a
-    KmerGen worker routes them to spill files) in the residency ledger."""
-    note_resident(nbytes, 0, task=task)
-    try:
-        yield
-    finally:
-        note_resident(-nbytes, 0, task=task)
-
-
-@contextmanager
 def resident_spill(
-    target: SpillTarget,
-    task: int = -1,
-    pool: BufferPool | None = None,
-    consume: bool = False,
+    target: SpillTarget, consume: bool = False
 ) -> Iterator[TupleBlock]:
-    """Map one spilled block into memory for the duration of the body.
+    """Map one sealed block into memory for the duration of the body.
 
     The lazy re-attachment primitive of the residency protocol: loads
-    ``target`` into a private heap block (or ``pool``), accounts it in
-    the residency ledger, and on exit releases the block — and, with
-    ``consume=True``, deletes the file (each spill file has exactly one
-    consumer).  Stage code holds at most one resident block per owner at
-    a time by construction.
+    ``target`` into a private heap block, accounts it in the residency
+    ledger (for ``target.owner``), and on exit releases the block —
+    and, with ``consume=True``, deletes the file (each spill file has
+    exactly one consumer).  Stage code holds at most one resident block
+    per owner at a time by construction.
     """
-    owned_pool = pool is None
-    pool = pool if pool is not None else HeapBufferPool()
-    block = read_spill(target.path, pool)
-    note_resident(block.nbytes, 1, task=task)
-    try:
-        yield block
-    finally:
-        note_resident(-block.nbytes, -1, task=task)
-        pool.release(block)
-        if owned_pool:
-            pool.close()
-        if consume:
-            consume_spill(target.path)
+    with HeapBufferPool() as pool:
+        block = read_spill(target.path, pool)
+        note_resident(block.nbytes, 1, task=target.owner)
+        try:
+            yield block
+        finally:
+            note_resident(-block.nbytes, -1, task=target.owner)
+            pool.release(block)
+            if consume:
+                consume_spill(target.path)
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +452,19 @@ def _fsync_path(path: str | os.PathLike) -> None:
         os.close(fd)
 
 
-def _sweep_dir(directory: str) -> None:
+def create_spill_dir(root: str | os.PathLike | None = None) -> Path:
+    """A fresh private spill directory under ``root`` (the system temp
+    dir by default), after reaping any stale ones found there."""
+    base = Path(root) if root is not None else Path(tempfile.gettempdir())
+    base.mkdir(parents=True, exist_ok=True)
+    sweep_stale_spill_dirs(base)
+    return Path(
+        tempfile.mkdtemp(prefix=f"{SPILL_DIR_PREFIX}{os.getpid()}-", dir=base)
+    )
+
+
+def sweep_spill_dir(directory: str | os.PathLike) -> None:
+    """Remove a spill directory and everything in it (idempotent)."""
     shutil.rmtree(directory, ignore_errors=True)
 
 
@@ -472,7 +490,7 @@ def sweep_stale_spill_dirs(root: str | os.PathLike) -> List[Path]:
         pid = int(pid_text)
         if pid == os.getpid() or _pid_alive(pid):
             continue
-        shutil.rmtree(entry, ignore_errors=True)
+        sweep_spill_dir(entry)
         removed.append(entry)
     if removed:
         _LOG.info("swept %d stale spill dir(s) under %s", len(removed), root)
@@ -489,85 +507,3 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:  # pragma: no cover - someone else's live pid
         return True
     return True
-
-
-class SpillManager:
-    """Owns one run's spill directory and its files' lifecycle.
-
-    Creation, publish, and sweep are driver-side; workers only ever
-    write regions of (or load) files the driver handed them as
-    :class:`SpillTarget` payloads.  The directory is removed by
-    :meth:`close` (the pipeline's ``finally``) or, for an abandoned
-    manager, by a ``weakref.finalize`` at GC/interpreter exit — the same
-    two-layer sweep the shared-memory pool uses, so a crashed run leaves
-    zero orphan spill files.
-    """
-
-    def __init__(self, root: str | os.PathLike | None = None) -> None:
-        base = Path(root) if root is not None else Path(tempfile.gettempdir())
-        base.mkdir(parents=True, exist_ok=True)
-        sweep_stale_spill_dirs(base)
-        self.directory = Path(
-            tempfile.mkdtemp(prefix=f"{SPILL_DIR_PREFIX}{os.getpid()}-", dir=base)
-        )
-        self._finalizer = weakref.finalize(self, _sweep_dir, str(self.directory))
-
-    # ------------------------------------------------------------------
-    def _pass_name(self, pass_index: int, task: int) -> str:
-        return f"pass{pass_index}-task{task}{SPILL_SUFFIX}"
-
-    def create_pass_targets(
-        self, pass_index: int, k: int, totals: Sequence[int]
-    ) -> List[SpillTarget]:
-        """Preallocate one in-flight (``.tmp``) spill file per owner
-        task, sized exactly by the index tables."""
-        targets: List[SpillTarget] = []
-        for task, total in enumerate(totals):
-            path = self.directory / (self._pass_name(pass_index, task) + ".tmp")
-            create_spill_file(path, k, int(total))
-            targets.append(SpillTarget(path=str(path), k=int(k), capacity=int(total)))
-        return targets
-
-    def publish(self, targets: Sequence[SpillTarget]) -> List[SpillTarget]:
-        """Fsync and rename each ``.tmp`` file to its final name.
-
-        After publish, a spill file is durable and complete — the
-        barrier between the writers of a stage and its consumers.
-        """
-        published: List[SpillTarget] = []
-        for target in targets:
-            tmp = Path(target.path)
-            if not tmp.name.endswith(".tmp"):
-                published.append(target)
-                continue
-            final = tmp.with_name(tmp.name[: -len(".tmp")])
-            _fsync_path(tmp)
-            os.replace(tmp, final)
-            published.append(
-                SpillTarget(path=str(final), k=target.k, capacity=target.capacity)
-            )
-        return published
-
-    def sweep_pass(self, pass_index: int) -> int:
-        """Remove any files of one pass still on disk (consumers delete
-        their own on success; this covers the failure paths)."""
-        n = 0
-        for path in self.directory.glob(f"pass{pass_index}-task*"):
-            consume_spill(path)
-            n += 1
-        return n
-
-    @property
-    def closed(self) -> bool:
-        return not self._finalizer.alive
-
-    def close(self) -> None:
-        """Remove the spill directory and everything in it (idempotent;
-        called from the pipeline's ``finally``)."""
-        self._finalizer()
-
-    def __enter__(self) -> "SpillManager":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

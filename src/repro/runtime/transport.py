@@ -1,18 +1,31 @@
-"""Transport-agnostic block plane: every stage boundary behind one API.
+"""The block plane: every stage boundary behind one API.
 
-The paper's stage hops — KmerGen writing into per-owner exchange blocks,
-LocalSort/LocalCC consuming them, the driver's LocalCC-Opt id rewrite —
-were historically wired straight to a :class:`~repro.runtime.buffers.
-BufferPool` (heap ndarrays or ``/dev/shm`` segments).  Both backings
-only work inside one host.  This module abstracts the boundary into a
-:class:`BlockTransport` with three implementations:
+The paper's exchange is one idea — the index tables fix every chunk's
+write offset in every owner's buffer, so the write *is* the all-to-all
+(§3.2.2/3.3) — and §3.7 only changes where a pass's tuples live.  Every
+stage hop (KmerGen writing per-owner exchange blocks, the driver's
+LocalCC-Opt id rewrite, LocalSort/LocalCC consuming the blocks)
+therefore goes through one :class:`BlockTransport` lifecycle::
 
-* ``heap`` — plain in-process ndarrays (the serial engine's plane);
-* ``shm`` — the pooled shared-memory dataplane (the process engine's
-  plane, behavior-preserving over :class:`SharedMemoryBufferPool`);
+    publish -> region writes at static offsets -> map_ids -> seal
+            -> one resolve_block per owner -> release / close
+
+with four implementations that differ only in where the bytes live:
+
+* ``heap`` — plain in-process ndarrays (what the serial engine implies);
+* ``shm`` — pooled ``/dev/shm`` segments over
+  :class:`SharedMemoryBufferPool` (the process engine);
 * ``socket`` — blocks hosted in remote ``metaprep worker`` daemons and
   addressed by :class:`SocketBlockRef`, with tuple regions shipped over
-  length-prefixed TCP frames.
+  length-prefixed TCP frames (the distributed engine);
+* ``disk`` — one spill file per block, addressed by
+  :class:`~repro.runtime.spill.SpillTarget` (any engine, for the passes
+  the §3.7 spill schedule sends out-of-core).
+
+The in-memory plane is derived from the engine
+(:func:`create_block_transport`), never configured.  Jobs see only
+handles: :func:`write_block_region` and :func:`resolve_block` dispatch
+on the handle type, so the same job functions run over every plane.
 
 Frame format
 ------------
@@ -56,10 +69,11 @@ import socket
 import struct
 import threading
 import time
+import weakref
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,16 +84,28 @@ from repro.runtime.buffers import (
     BlockHandle,
     BufferPool,
     HeapBufferPool,
+    SharedMemoryBufferPool,
     TupleBlock,
-    create_buffer_pool,
     open_block,
+)
+from repro.runtime.spill import (
+    SPILL_SUFFIX,
+    SpillTarget,
+    consume_spill,
+    create_spill_dir,
+    create_spill_file,
+    map_spill_ids,
+    resident_spill,
+    seal_spill,
+    sweep_spill_dir,
+    write_spill_region,
 )
 from repro.util.logging import get_logger
 
 _LOG = get_logger("runtime.transport")
 
 #: recognized block-plane names, in documentation order
-TRANSPORT_NAMES = ("heap", "shm", "socket")
+TRANSPORT_NAMES = ("heap", "shm", "socket", "disk")
 
 MAGIC = b"MPNT"
 VERSION = 1
@@ -359,15 +385,20 @@ def tuples_from_columns(
 def write_block_region(
     handle: "PlaneHandle", at: int, tuples: KmerTuples, sender: int = -1
 ) -> None:
-    """Write ``tuples`` into a block at offset ``at`` — the dataplane's
-    one copy per tuple, whatever the plane.
+    """Write ``tuples`` into a block at offset ``at`` — the one copy
+    per tuple of a stage hop, whatever the plane.
 
-    Heap/shm handles write through :func:`open_block` exactly as before.
-    A :class:`SocketBlockRef` writes into the hosting worker's store:
-    directly when this process *is* that worker and the write is the
-    exchange diagonal (``sender == owner``), over a WRITE_REGION frame
-    otherwise — which is where ``net.bytes_sent`` accrues.
+    Heap/shm handles write through :func:`open_block`; a
+    :class:`SpillTarget` takes a positioned write into its in-flight
+    spill file.  A :class:`SocketBlockRef` writes into the hosting
+    worker's store: directly when this process *is* that worker and the
+    write is the exchange diagonal (``sender == owner``), over a
+    WRITE_REGION frame otherwise — which is where ``net.bytes_sent``
+    accrues.
     """
+    if isinstance(handle, SpillTarget):
+        write_spill_region(handle, at, tuples, task=sender)
+        return
     if isinstance(handle, SocketBlockRef):
         store = _LOCAL_STORES.get(handle.address)
         if store is not None and sender == handle.owner:
@@ -409,8 +440,14 @@ def resolve_block(handle: "PlaneHandle") -> Iterator[TupleBlock]:
     open_block`.  A :class:`SocketBlockRef` resolves zero-copy against
     the local store when this process hosts the block (the distributed
     engine places each owner job on the worker hosting its block), and
-    falls back to fetching a private copy otherwise.
+    falls back to fetching a private copy otherwise.  A sealed
+    :class:`SpillTarget` is loaded as the job's one resident block and
+    its file consumed on exit — each block has exactly one consumer.
     """
+    if isinstance(handle, SpillTarget):
+        with resident_spill(handle, consume=True) as block:
+            yield block
+        return
     if isinstance(handle, SocketBlockRef):
         store = _LOCAL_STORES.get(handle.address)
         if store is not None:
@@ -429,9 +466,10 @@ class BlockTransport:
     """Interface every stage boundary goes through.
 
     ``publish`` allocates one owner task's exchange block and returns
-    the handle job payloads carry; ``read_ids``/``write_ids`` are the
-    driver-side LocalCC-Opt window into a block's id column;
-    ``release`` returns one block, ``close`` the whole plane.
+    the handle job payloads carry; ``map_ids`` is the driver-side
+    LocalCC-Opt window into a block's id column; ``seal`` is the barrier
+    between the last write to the blocks and the stage that consumes
+    them; ``release`` returns one block, ``close`` the whole plane.
     """
 
     name: str = "abstract"
@@ -439,13 +477,20 @@ class BlockTransport:
     def publish(self, k: int, capacity: int, owner: int) -> "PlaneHandle":
         raise NotImplementedError
 
-    def read_ids(self, handle: "PlaneHandle", lo: int, hi: int) -> np.ndarray:
+    def map_ids(
+        self,
+        handle: "PlaneHandle",
+        lo: int,
+        hi: int,
+        fn: Callable[[np.ndarray], np.ndarray],
+    ) -> None:
+        """Replace the ids of tuples ``[lo, hi)`` by ``fn(ids)`` (pure,
+        elementwise, length-preserving) wherever the block lives."""
         raise NotImplementedError
 
-    def write_ids(
-        self, handle: "PlaneHandle", lo: int, hi: int, ids: np.ndarray
-    ) -> None:
-        raise NotImplementedError
+    def seal(self, handles: Sequence["PlaneHandle"]) -> None:
+        """Make every region write durable and visible to the blocks'
+        consumers.  Memory-resident planes have nothing to do."""
 
     def release(self, handle: "PlaneHandle") -> None:
         raise NotImplementedError
@@ -463,9 +508,8 @@ class BlockTransport:
 class PoolBlockTransport(BlockTransport):
     """The in-host planes: a :class:`BufferPool` behind the plane API.
 
-    Behavior-preserving over the historical direct pool usage — the
-    ``heap`` plane wraps :class:`HeapBufferPool` (handles are the blocks
-    themselves), the ``shm`` plane wraps
+    The ``heap`` plane wraps :class:`HeapBufferPool` (handles are the
+    blocks themselves), the ``shm`` plane wraps
     :class:`SharedMemoryBufferPool` (handles are descriptors).
     """
 
@@ -476,23 +520,15 @@ class PoolBlockTransport(BlockTransport):
         #: driver between publish and release, so ids are stable
         self._blocks: Dict[int, TupleBlock] = {}
 
-    @property
-    def pool(self) -> BufferPool:
-        return self._pool
-
     def publish(self, k: int, capacity: int, owner: int) -> BlockHandle:
         block = self._pool.allocate(k, capacity)
         handle = block.handle()
         self._blocks[id(handle)] = block
         return handle
 
-    def read_ids(self, handle: BlockHandle, lo: int, hi: int) -> np.ndarray:
-        return self._blocks[id(handle)].view(lo, hi).read_ids
-
-    def write_ids(
-        self, handle: BlockHandle, lo: int, hi: int, ids: np.ndarray
-    ) -> None:
-        self._blocks[id(handle)].view(lo, hi).read_ids[:] = ids
+    def map_ids(self, handle: BlockHandle, lo: int, hi: int, fn) -> None:
+        ids = self._blocks[id(handle)].view(lo, hi).read_ids
+        ids[:] = fn(ids)
 
     def release(self, handle: BlockHandle) -> None:
         block = self._blocks.pop(id(handle), None)
@@ -530,8 +566,6 @@ class SocketBlockTransport(BlockTransport):
         self.workers = workers
         self.timeout = timeout
         self.retries = retries
-        #: handles published and not yet released (freed on close)
-        self._live: Dict[Tuple[str, int], SocketBlockRef] = {}
 
     def _request(self, address: str, kind: int, payload: bytes) -> bytes:
         return request(
@@ -543,22 +577,16 @@ class SocketBlockTransport(BlockTransport):
         payload = self._request(
             address, FRAME_ALLOC, pickle.dumps((k, capacity, owner))
         )
-        ref: SocketBlockRef = pickle.loads(payload)
-        self._live[(ref.address, ref.block_id)] = ref
-        return ref
+        return pickle.loads(payload)
 
-    def read_ids(self, handle: SocketBlockRef, lo: int, hi: int) -> np.ndarray:
+    def map_ids(self, handle: SocketBlockRef, lo: int, hi: int, fn) -> None:
         payload = self._request(
             handle.address,
             FRAME_GET_IDS,
             pickle.dumps((handle.block_id, lo, hi)),
         )
-        return np.frombuffer(payload, dtype=_IDS_DTYPE, count=hi - lo).copy()
-
-    def write_ids(
-        self, handle: SocketBlockRef, lo: int, hi: int, ids: np.ndarray
-    ) -> None:
-        raw = np.ascontiguousarray(ids, dtype=_IDS_DTYPE).tobytes()
+        ids = np.frombuffer(payload, dtype=_IDS_DTYPE, count=hi - lo)
+        raw = np.ascontiguousarray(fn(ids), dtype=_IDS_DTYPE).tobytes()
         self._request(
             handle.address,
             FRAME_PUT_IDS,
@@ -570,7 +598,6 @@ class SocketBlockTransport(BlockTransport):
         release runs from the pipeline's ``finally`` after a failed
         stage too, and a crashed owner's heap store died with it — an
         unreachable worker must not mask the stage's own exception."""
-        self._live.pop((handle.address, handle.block_id), None)
         try:
             request(
                 handle.address,
@@ -585,12 +612,11 @@ class SocketBlockTransport(BlockTransport):
             )
 
     def close(self) -> None:
-        """Best-effort: free leftover blocks, then sweep every worker.
+        """Best-effort: sweep every worker's store of leftover blocks.
 
         Tolerates dead workers — close runs from the pipeline's
         ``finally``, including after a worker crash, and must never
         mask the original failure."""
-        self._live.clear()
         for address in self.workers:
             try:
                 request(
@@ -600,23 +626,65 @@ class SocketBlockTransport(BlockTransport):
                 _LOG.debug("sweep skipped: worker %s unreachable", address)
 
 
-def create_block_transport(
-    dataplane: str, executor
-) -> BlockTransport:
-    """Instantiate the block plane for a run.
+class DiskBlockTransport(BlockTransport):
+    """The out-of-core plane: one spill file per published block.
 
-    The distributed engine always gets the ``socket`` plane over its
-    own worker registry; other engines resolve ``dataplane`` through
-    :func:`~repro.runtime.buffers.create_buffer_pool` exactly as before
-    (``auto`` -> heap under serial, shm under process).
+    Every file operation is :mod:`repro.runtime.spill`'s (rule MP502);
+    this class owns the run's private spill directory.  A block is
+    preallocated under its in-flight name, region-written and id-mapped
+    there, renamed to its final name by :meth:`seal` (fsync first — the
+    consumer never sees a torn file), and deleted by its one
+    :func:`resolve_block`.  :meth:`release` covers the failure paths and
+    :meth:`close` — or, for an abandoned plane, a ``weakref.finalize``
+    at GC/interpreter exit — removes the directory with everything
+    still in it, the same two-layer sweep the shm pool uses, so a
+    crashed run leaves zero orphan spill files.
     """
-    if getattr(executor, "transport_name", None) == "socket":
+
+    name = "disk"
+
+    def __init__(self, root: Optional[str] = None) -> None:
+        self.directory = create_spill_dir(root)
+        self._seq = 0
+        self._finalizer = weakref.finalize(
+            self, sweep_spill_dir, str(self.directory)
+        )
+
+    def publish(self, k: int, capacity: int, owner: int) -> SpillTarget:
+        name = f"block{self._seq}-task{owner}{SPILL_SUFFIX}"
+        self._seq += 1
+        target = SpillTarget(
+            str(self.directory / name), int(k), int(capacity), int(owner)
+        )
+        create_spill_file(target.inflight, k, capacity)
+        return target
+
+    def map_ids(self, handle: SpillTarget, lo: int, hi: int, fn) -> None:
+        map_spill_ids(handle, lo, hi, fn)
+
+    def seal(self, handles: Sequence[SpillTarget]) -> None:
+        for handle in handles:
+            seal_spill(handle)
+
+    def release(self, handle: SpillTarget) -> None:
+        consume_spill(handle.inflight)
+        consume_spill(handle.path)
+
+    def close(self) -> None:
+        self._finalizer()
+
+
+def create_block_transport(executor) -> BlockTransport:
+    """The in-memory plane an engine implies: blocks must live where
+    that engine's jobs can reach them — the caller's heap under
+    ``serial``, ``/dev/shm`` across the ``process`` pool boundary, the
+    workers' own stores under ``distributed``."""
+    if executor.name == "distributed":
         return SocketBlockTransport(executor.worker_addresses)
-    pool = create_buffer_pool(
-        dataplane, getattr(executor, "prefers_shared_buffers", False)
-    )
-    return PoolBlockTransport(pool)
+    if executor.name == "process":
+        return PoolBlockTransport(SharedMemoryBufferPool())
+    return PoolBlockTransport(HeapBufferPool())
 
 
 #: what job payloads may carry under any plane
-PlaneHandle = Optional[object]  # TupleBlock | BlockDescriptor | SocketBlockRef
+PlaneHandle = Optional[object]  # TupleBlock | BlockDescriptor | SocketBlockRef | SpillTarget

@@ -93,12 +93,20 @@ class ServiceClient:
         result_path = self.spool_dir / RESULTS_DIR / f"{job_id}.json"
         if result_path.exists():
             return json.loads(result_path.read_text())
+        # submit/ before the log: the daemon appends a job's event and
+        # only then unlinks its drop file, so a job absent from submit/
+        # is already in the log — replaying first would let an ingest
+        # slip between the two looks and hide the job from both
+        pending = None
+        for path in (self.spool_dir / SUBMIT_DIR).glob(f"*-{job_id}.json"):
+            try:
+                pending = json.loads(path.read_text())
+            except FileNotFoundError:
+                pass  # ingested since the glob: the log has it now
         records = replay_records(EventLog(self.spool_dir / "events.jsonl"))
         if job_id in records:
             return records[job_id].status_dict()
-        # submitted but not yet ingested by the daemon?
-        for path in (self.spool_dir / SUBMIT_DIR).glob(f"*-{job_id}.json"):
-            spec = json.loads(path.read_text())
+        if pending is not None:  # submitted, not yet ingested
             return {
                 "job_id": job_id,
                 "state": JobState.QUEUED,
@@ -106,7 +114,7 @@ class ServiceClient:
                 "error": None,
                 "result": {},
                 "metrics": {},
-                "submitted_at": spec.get("submitted_at"),
+                "submitted_at": pending.get("submitted_at"),
                 "started_at": None,
                 "finished_at": None,
             }

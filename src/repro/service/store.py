@@ -58,7 +58,6 @@ PARTITION_SCHEMA = "metaprep/partition-artifact"
 #: artifact kinds the typed helpers produce
 KIND_INDEX = "index"
 KIND_PARTITION = "partition"
-KIND_BLOCK = "tupleblock"
 
 
 class ArtifactStoreError(RuntimeError):
@@ -432,36 +431,3 @@ class ArtifactStore:
             entry.file("partition.bin"), expect_schema=PARTITION_SCHEMA
         )
         return arrays["labels"]
-
-    # ------------------------------------------------------------------
-    # typed helpers: TupleBlock spill artifacts
-    # ------------------------------------------------------------------
-    def put_block(self, key: str, block, length: int | None = None) -> ArtifactEntry:
-        """Cache a :class:`~repro.runtime.buffers.TupleBlock` spill.
-
-        The payload is the dataplane's on-disk spill format (descriptor
-        metadata + raw column bytes, see
-        :func:`repro.core.checkpoint.save_block_spill`), so a spilled
-        exchange buffer is publishable through the same atomic,
-        LRU-evicted store as every other artifact.
-        """
-        from repro.core.checkpoint import save_block_spill
-
-        n = block.capacity if length is None else length
-        return self.put(
-            key,
-            KIND_BLOCK,
-            {"block.bin": lambda p: save_block_spill(p, block, n)},
-            meta={"k": block.k, "length": n, "two_limb": block.two_limb},
-        )
-
-    def load_block(self, entry: ArtifactEntry, pool):
-        """Restore a cached TupleBlock spill into a block from ``pool``
-        (either backing; only the bytes are contractual)."""
-        if entry.kind != KIND_BLOCK:
-            raise ArtifactStoreError(
-                f"artifact {entry.key} is a {entry.kind!r}, expected tupleblock"
-            )
-        from repro.core.checkpoint import load_block_spill
-
-        return load_block_spill(entry.file("block.bin"), pool)

@@ -8,15 +8,14 @@ from repro.core.checkpoint import (
     CheckpointMismatch,
     CheckpointStore,
     config_fingerprint,
-    load_block_spill,
     prune_checkpoints,
-    save_block_spill,
 )
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import HeapBufferPool, SharedMemoryBufferPool
+from repro.runtime.spill import read_spill, write_spill
 
 
 class TestStore:
@@ -248,7 +247,8 @@ def _filled_block(pool, k, n, seed=0):
 
 
 class TestBlockSpill:
-    """The spill format is backing-agnostic: only the bytes are
+    """The block-spill container shares the checkpoint's ``MPREPTAB``
+    wire format.  It is backing-agnostic: only the bytes are
     contractual, so every (writer backing, reader backing) pairing must
     round-trip bit-identically."""
 
@@ -263,8 +263,8 @@ class TestBlockSpill:
         try:
             block = _filled_block(pools[src], k, 40)
             path = tmp_path / "spill.bin"
-            save_block_spill(path, block)
-            back = load_block_spill(path, pools[dst])
+            write_spill(path, block)
+            back = read_spill(path, pools[dst])
             assert back.capacity == 40
             a, b = block.view(0, 40), back.view(0, 40)
             assert np.array_equal(a.kmers.lo, b.kmers.lo)
@@ -278,8 +278,8 @@ class TestBlockSpill:
         pool = HeapBufferPool()
         block = _filled_block(pool, 21, 40)
         path = tmp_path / "spill.bin"
-        save_block_spill(path, block, length=12)
-        back = load_block_spill(path, pool)
+        write_spill(path, block, length=12)
+        back = read_spill(path, pool)
         assert back.capacity == 12
         a, b = block.view(0, 12), back.view(0, 12)
         assert np.array_equal(a.kmers.lo, b.kmers.lo)
@@ -288,15 +288,15 @@ class TestBlockSpill:
     def test_spill_publish_is_atomic(self, tmp_path):
         block = _filled_block(HeapBufferPool(), 21, 8)
         path = tmp_path / "spill.bin"
-        save_block_spill(path, block)
+        write_spill(path, block)
         assert path.exists()
         assert not path.with_suffix(".tmp").exists()
 
     def test_empty_block_roundtrip(self, tmp_path):
         pool = HeapBufferPool()
         path = tmp_path / "spill.bin"
-        save_block_spill(path, pool.allocate(21, 0))
-        back = load_block_spill(path, pool)
+        write_spill(path, pool.allocate(21, 0))
+        back = read_spill(path, pool)
         assert back.capacity == 0
 
 

@@ -1,6 +1,7 @@
 """Differential test suite: the ``process`` engine must be bit-identical
-to the ``serial`` reference engine, and the shared-memory dataplane must
-be bit-identical to the heap dataplane.
+to the ``serial`` reference engine — and with it the shm block plane to
+the heap one, since each engine implies its plane — and the disk plane
+to both.
 
 For every grid point (P, T, n_passes, k in {21, 33}, LocalCC-Opt on/off)
 the engines run the same dataset through the same prebuilt index, and
@@ -45,17 +46,30 @@ GRID = [
 ]
 
 
-def _run(tiny_hg, indexes, grid_point, executor, dataplane="auto", spill="never"):
-    cfg = PipelineConfig(
-        m=M,
-        write_outputs=False,
-        executor=executor,
-        max_workers=2,
-        dataplane=dataplane,
-        spill=spill,
-        **grid_point,
-    )
-    return MetaPrep(cfg).run(tiny_hg.units, index=indexes[grid_point["k"]])
+@pytest.fixture(scope="module")
+def run(tiny_hg, indexes):
+    """``run(grid_point, executor, spill)`` — one pipeline run per
+    distinct configuration; the legs of the differential compare the
+    same (read-only) results pairwise."""
+    results = {}
+
+    def _run(grid_point, executor, spill="never"):
+        key = (*sorted(grid_point.items()), executor, spill)
+        if key not in results:
+            cfg = PipelineConfig(
+                m=M,
+                write_outputs=False,
+                executor=executor,
+                max_workers=2,
+                spill=spill,
+                **grid_point,
+            )
+            results[key] = MetaPrep(cfg).run(
+                tiny_hg.units, index=indexes[grid_point["k"]]
+            )
+        return results[key]
+
+    return _run
 
 
 def assert_runwork_identical(a: RunWork, b: RunWork) -> None:
@@ -78,9 +92,9 @@ def assert_runwork_identical(a: RunWork, b: RunWork) -> None:
     ),
 )
 class TestBitIdentity:
-    def test_process_matches_serial(self, tiny_hg, indexes, grid_point):
-        serial = _run(tiny_hg, indexes, grid_point, "serial")
-        process = _run(tiny_hg, indexes, grid_point, "process")
+    def test_process_matches_serial(self, run, grid_point):
+        serial = run(grid_point, "serial")
+        process = run(grid_point, "process")
 
         # partition: labels, parent array, and the summary
         assert np.array_equal(
@@ -111,15 +125,14 @@ class TestBitIdentity:
             serial.projected.total_seconds == process.projected.total_seconds
         )
 
-    def test_shared_dataplane_matches_heap(self, tiny_hg, indexes, grid_point):
-        """Third leg of the differential: the serial engine with the
-        shared-memory dataplane forced on.  This isolates the buffer
-        backing from the executor — any byte the shm path moves
-        differently from plain ndarrays breaks bit-identity here."""
-        heap = _run(tiny_hg, indexes, grid_point, "serial", dataplane="heap")
-        shared = _run(
-            tiny_hg, indexes, grid_point, "serial", dataplane="shared"
-        )
+    def test_shared_dataplane_matches_heap(self, run, grid_point):
+        """Third leg of the differential: heap ≡ shm through the real
+        derivation — the serial engine's plane is the heap pool, the
+        process engine's the shared-memory pool, so any byte the shm
+        path moves differently from plain ndarrays breaks bit-identity
+        here."""
+        heap = run(grid_point, "serial")
+        shared = run(grid_point, "process")
         assert np.array_equal(heap.partition.labels, shared.partition.labels)
         assert np.array_equal(heap.partition.parent, shared.partition.parent)
         assert heap.partition.summary == shared.partition.summary
@@ -128,15 +141,13 @@ class TestBitIdentity:
         assert heap.cc_stats == shared.cc_stats
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_spill_always_matches_never(
-        self, tiny_hg, indexes, grid_point, executor
-    ):
+    def test_spill_always_matches_never(self, run, grid_point, executor):
         """Fourth leg of the differential: the out-of-core path forced
         on.  Tuples travel through spill files on disk instead of
         resident blocks — any byte the spill format or the lazy
         re-attachment moves differently breaks bit-identity here."""
-        inmem = _run(tiny_hg, indexes, grid_point, executor, spill="never")
-        spilled = _run(tiny_hg, indexes, grid_point, executor, spill="always")
+        inmem = run(grid_point, executor, spill="never")
+        spilled = run(grid_point, executor, spill="always")
         assert spilled.spilled_passes == list(range(grid_point["n_passes"]))
         assert np.array_equal(
             inmem.partition.labels, spilled.partition.labels

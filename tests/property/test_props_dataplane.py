@@ -1,14 +1,14 @@
-"""Dataplane property tests: the buffer backing is invisible in the bytes.
+"""Block-plane property tests: the buffer backing is invisible in the bytes.
 
 Two layers of the same invariant, probed with hypothesis:
 
 1. **Block level** — random tuple batches written through a heap block
    and a shared-memory block read back bit-identical, across one-limb
    and two-limb layouts.
-2. **Pipeline level** — a full multipass run with ``dataplane="heap"``
-   equals the same run with ``dataplane="shared"`` bit for bit (labels,
-   parent array, summary), over random read sets and k spanning the
-   one-limb/two-limb boundary.
+2. **Pipeline level** — a full multipass run on the serial engine
+   (heap plane) equals the same run on the process engine (shm plane)
+   bit for bit (labels, parent array, summary), over random read sets
+   and k spanning the one-limb/two-limb boundary.
 """
 
 import tempfile
@@ -66,7 +66,7 @@ def test_block_backing_invisible(seed, n, k):
         shm_pool.close()
 
 
-def _run(units, index, k, dataplane):
+def _run(units, index, k, executor):
     cfg = PipelineConfig(
         k=k,
         m=4,
@@ -74,7 +74,8 @@ def _run(units, index, k, dataplane):
         n_threads=2,
         n_passes=2,
         write_outputs=False,
-        dataplane=dataplane,
+        executor=executor,
+        max_workers=2,
     )
     return MetaPrep(cfg).run(units, index=index)
 
@@ -93,8 +94,8 @@ def test_pipeline_backing_invisible(seqs, k):
         )
         units = [str(path)]
         index = index_create(units, k=k, m=4, n_chunks=8)
-        heap = _run(units, index, k, "heap")
-        shared = _run(units, index, k, "shared")
+        heap = _run(units, index, k, "serial")
+        shared = _run(units, index, k, "process")
     assert np.array_equal(heap.partition.labels, shared.partition.labels)
     assert np.array_equal(heap.partition.parent, shared.partition.parent)
     assert heap.partition.summary == shared.partition.summary

@@ -7,8 +7,8 @@ dataplane invariant one layer down:
    restored with ``read_spill`` is bit-identical, across one-limb and
    two-limb layouts, all lengths including zero, and partial-prefix
    spills.
-2. **Region tiling** — a preallocated spill file filled at random cut
-   points equals the single-shot spill byte for byte, which is the
+2. **Region tiling** — a disk-plane block filled at random cut points
+   and sealed equals the single-shot spill byte for byte, which is the
    property the out-of-core all-to-all's uncoordinated offset writes
    rest on.
 """
@@ -23,13 +23,8 @@ from hypothesis import strategies as st
 from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import HeapBufferPool
-from repro.runtime.spill import (
-    SpillTarget,
-    create_spill_file,
-    read_spill,
-    write_spill,
-    write_spill_region,
-)
+from repro.runtime.spill import read_spill, write_spill
+from repro.runtime.transport import DiskBlockTransport, write_block_region
 
 #: k values straddling the one-limb / two-limb boundary (<=31 / >31)
 K_VALUES = (15, 31, 33)
@@ -106,7 +101,7 @@ def test_partial_prefix_spill_round_trip(seed, n, prefix, k):
 )
 def test_region_tiling_equals_single_shot(seed, n, raw_cuts, k):
     """Any tiling of [0, n) by regions — including empty ones — fills a
-    preallocated file to byte equality with the one-shot spill."""
+    published disk block to byte equality with the one-shot spill."""
     tuples = _random_tuples(seed, n, k)
     cuts = sorted({0, n, *[c % (n + 1) for c in raw_cuts]})
     pool = HeapBufferPool()
@@ -116,14 +111,14 @@ def test_region_tiling_equals_single_shot(seed, n, raw_cuts, k):
         with tempfile.TemporaryDirectory() as tmp:
             one_shot = Path(tmp) / "one.spill"
             write_spill(one_shot, block)
-            regioned = Path(tmp) / "regioned.spill"
-            create_spill_file(regioned, k, n)
-            target = SpillTarget(str(regioned), k, n)
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                end = write_spill_region(
-                    target, lo, tuples.take(np.arange(lo, hi))
-                )
-                assert end == hi
-            assert one_shot.read_bytes() == regioned.read_bytes()
+            with DiskBlockTransport(tmp) as plane:
+                handle = plane.publish(k, n, owner=0)
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    write_block_region(
+                        handle, lo, tuples.take(np.arange(lo, hi))
+                    )
+                plane.seal([handle])
+                regioned = Path(handle.path).read_bytes()
+            assert one_shot.read_bytes() == regioned
     finally:
         pool.close()

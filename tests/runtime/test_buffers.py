@@ -22,7 +22,6 @@ from repro.runtime.buffers import (
     TupleBlock,
     attach_block,
     block_nbytes,
-    create_buffer_pool,
     open_block,
 )
 
@@ -253,21 +252,14 @@ class TestSharedMemoryPool:
 
 class TestCreateBufferPool:
     def test_auto_resolves_by_engine(self):
-        assert create_buffer_pool("auto", prefer_shared=False).kind == "heap"
-        with create_buffer_pool("auto", prefer_shared=True) as p:
-            assert p.kind == "shared"
+        """No knob picks the backing: the engine's block plane does —
+        heap where jobs run inline, shared memory across a pool."""
+        from repro.runtime.executor import create_engine
+        from repro.runtime.transport import create_block_transport
 
-    def test_shared_forced_anywhere(self):
-        with create_buffer_pool("shared", prefer_shared=False) as p:
-            assert p.kind == "shared"
-
-    def test_heap_with_process_engine_rejected(self):
-        with pytest.raises(ValueError, match="process boundary"):
-            create_buffer_pool("heap", prefer_shared=True)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown dataplane"):
-            create_buffer_pool("mmap")
+        for engine, name in (("serial", "heap"), ("process", "shm")):
+            with create_engine(engine) as ex, create_block_transport(ex) as plane:
+                assert plane.name == name
 
 
 class TestBlockNbytes:

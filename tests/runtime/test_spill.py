@@ -1,5 +1,6 @@
-"""Out-of-core spill module: wire format, torn-write behavior, region
-writes, residency accounting, and spill-directory hygiene."""
+"""Out-of-core spill module and the disk block plane over it: wire
+format, torn-write behavior, region writes, residency accounting, and
+spill-directory hygiene."""
 
 import os
 import struct
@@ -16,17 +17,18 @@ from repro.runtime.buffers import HeapBufferPool, SharedMemoryBufferPool
 from repro.runtime.spill import (
     SpillCorruption,
     SpillLayout,
-    SpillManager,
     SpillTarget,
     consume_spill,
-    create_spill_file,
     read_spill,
     resident_spill,
     resident_tuple_bytes,
-    rewrite_spill_ids,
     sweep_stale_spill_dirs,
     write_spill,
-    write_spill_region,
+)
+from repro.runtime.transport import (
+    DiskBlockTransport,
+    resolve_block,
+    write_block_region,
 )
 
 
@@ -50,6 +52,12 @@ def pool():
     p = HeapBufferPool()
     yield p
     p.close()
+
+
+@pytest.fixture
+def plane(tmp_path):
+    with DiskBlockTransport(tmp_path) as p:
+        yield p
 
 
 class TestRoundTrip:
@@ -115,61 +123,53 @@ class TestRoundTrip:
 
 class TestRegionWrites:
     @pytest.mark.parametrize("k", [15, 33])
-    def test_region_filled_equals_single_shot(self, pool, tmp_path, k):
-        """The load-bearing layout property: a preallocated file filled
-        region by region is byte-identical to one written in one shot."""
+    def test_region_filled_equals_single_shot(self, pool, plane, tmp_path, k):
+        """The load-bearing layout property: a published block filled
+        region by region and sealed is byte-identical to one spilled in
+        one shot."""
         n = 97
         block, tuples = make_block(pool, k, n)
         one_shot = tmp_path / "one.spill"
         write_spill(one_shot, block)
 
-        regioned = tmp_path / "regioned.spill"
-        create_spill_file(regioned, k, n)
-        target = SpillTarget(str(regioned), k, n)
+        handle = plane.publish(k, n, owner=0)
         at = 0
         for cut in (0, 13, 13, 60, n):  # includes an empty region
-            part = tuples.take(np.arange(at, cut))
-            assert write_spill_region(target, at, part) == cut
+            write_block_region(handle, at, tuples.take(np.arange(at, cut)))
             at = cut
-        assert one_shot.read_bytes() == regioned.read_bytes()
+        plane.seal([handle])
+        assert one_shot.read_bytes() == Path(handle.path).read_bytes()
         pool.release(block)
 
-    def test_out_of_range_region_rejected(self, tmp_path):
-        create_spill_file(tmp_path / "a.spill", 21, 10)
-        target = SpillTarget(str(tmp_path / "a.spill"), 21, 10)
+    def test_out_of_range_region_rejected(self, plane):
+        handle = plane.publish(21, 10, owner=0)
         with pytest.raises(ValueError, match="out of range"):
-            write_spill_region(target, 5, make_tuples(21, 6))
+            write_block_region(handle, 5, make_tuples(21, 6))
 
-    def test_k_mismatch_rejected(self, tmp_path):
-        create_spill_file(tmp_path / "a.spill", 21, 10)
-        target = SpillTarget(str(tmp_path / "a.spill"), 21, 10)
+    def test_k_mismatch_rejected(self, plane):
+        handle = plane.publish(21, 10, owner=0)
         with pytest.raises(ValueError, match="k mismatch"):
-            write_spill_region(target, 0, make_tuples(27, 5))
+            write_block_region(handle, 0, make_tuples(27, 5))
 
-    def test_rewrite_ids_region(self, pool, tmp_path):
-        block, tuples = make_block(pool, 21, 50)
-        path = tmp_path / "a.spill"
-        write_spill(path, block)
-        target = SpillTarget(str(path), 21, 50)
-        rewrite_spill_ids(target, 10, 30, lambda ids: ids * np.uint32(2))
-        got = read_spill(path, pool)
-        view = got.view(0, 50)
+    def test_rewrite_ids_region(self, plane):
+        tuples = make_tuples(21, 50)
+        handle = plane.publish(21, 50, owner=0)
+        write_block_region(handle, 0, tuples)
+        plane.map_ids(handle, 10, 30, lambda ids: ids * np.uint32(2))
+        plane.seal([handle])
         expect = tuples.read_ids.copy()
         expect[10:30] *= np.uint32(2)
-        assert np.array_equal(view.read_ids, expect)
-        # the k-mer columns are untouched
-        assert np.array_equal(view.kmers.lo, tuples.kmers.lo)
-        pool.release(block)
-        pool.release(got)
+        with resolve_block(handle) as got:
+            view = got.view(0, 50)
+            assert np.array_equal(view.read_ids, expect)
+            # the k-mer columns are untouched
+            assert np.array_equal(view.kmers.lo, tuples.kmers.lo)
 
-    def test_rewrite_ids_length_change_rejected(self, pool, tmp_path):
-        block, _ = make_block(pool, 21, 20)
-        path = tmp_path / "a.spill"
-        write_spill(path, block)
-        target = SpillTarget(str(path), 21, 20)
+    def test_rewrite_ids_length_change_rejected(self, plane):
+        handle = plane.publish(21, 20, owner=0)
+        write_block_region(handle, 0, make_tuples(21, 20))
         with pytest.raises(ValueError, match="length"):
-            rewrite_spill_ids(target, 0, 10, lambda ids: ids[:-1])
-        pool.release(block)
+            plane.map_ids(handle, 0, 10, lambda ids: ids[:-1])
 
 
 class TestTornWrites:
@@ -309,48 +309,80 @@ class TestSpillLayout:
 
 
 class TestSpillManager:
-    def test_create_publish_consume_cycle(self, pool, tmp_path):
-        with SpillManager(tmp_path) as mgr:
-            targets = mgr.create_pass_targets(0, 21, [10, 0, 5])
-            assert all(t.path.endswith(".tmp") for t in targets)
-            for t in targets:
-                write_spill_region(t, 0, make_tuples(21, t.capacity))
-            published = mgr.publish(targets)
-            assert all(p.path.endswith(".spill") for p in published)
-            for p in published:
-                with resident_spill(p, consume=True) as block:
-                    assert block.capacity == p.capacity
-            assert mgr.sweep_pass(0) == 0  # consumers already cleaned up
-        assert not Path(mgr.directory).exists()
+    """Lifecycle of the disk plane and its private spill directory (the
+    cases of the ``SpillManager`` the plane replaced)."""
+
+    def test_create_publish_consume_cycle(self, tmp_path):
+        with DiskBlockTransport(tmp_path) as plane:
+            handles = [
+                plane.publish(21, n, owner=d) for d, n in enumerate([10, 0, 5])
+            ]
+            # preallocated under the in-flight name only
+            assert all(os.path.exists(h.inflight) for h in handles)
+            assert not any(os.path.exists(h.path) for h in handles)
+            for h in handles:
+                write_block_region(h, 0, make_tuples(21, h.capacity))
+            plane.seal(handles)
+            assert all(h.path.endswith(".spill") for h in handles)
+            assert not any(os.path.exists(h.inflight) for h in handles)
+            for h in handles:
+                with resolve_block(h) as block:
+                    assert block.capacity == h.capacity
+            # each block's one consumer already deleted its file
+            assert list(plane.directory.iterdir()) == []
+        assert not plane.directory.exists()
 
     def test_close_removes_unconsumed_files(self, tmp_path):
-        mgr = SpillManager(tmp_path)
-        mgr.create_pass_targets(0, 21, [4, 4])
-        directory = Path(mgr.directory)
-        assert len(list(directory.iterdir())) == 2
-        mgr.close()
-        assert not directory.exists()
-        assert mgr.closed
+        plane = DiskBlockTransport(tmp_path)
+        plane.publish(21, 4, owner=0)
+        plane.publish(21, 4, owner=1)
+        assert len(list(plane.directory.iterdir())) == 2
+        plane.close()
+        assert not plane.directory.exists()
+        plane.close()  # idempotent
 
-    def test_sweep_pass_covers_failure_paths(self, tmp_path):
-        with SpillManager(tmp_path) as mgr:
-            targets = mgr.create_pass_targets(1, 21, [4, 4])
-            mgr.publish(targets[:1])  # one published, one still .tmp
-            assert mgr.sweep_pass(1) == 2
-            assert list(Path(mgr.directory).iterdir()) == []
+    def test_sweep_pass_covers_failure_paths(self, plane):
+        """``release`` removes a block wherever a failed pass left it."""
+        handles = [plane.publish(21, 4, owner=d) for d in range(2)]
+        plane.seal(handles[:1])  # one sealed, one still in flight
+        for h in handles:
+            plane.release(h)
+            plane.release(h)  # idempotent
+        assert list(plane.directory.iterdir()) == []
 
-    def test_publish_is_idempotent_for_final_names(self, tmp_path):
-        with SpillManager(tmp_path) as mgr:
-            targets = mgr.create_pass_targets(0, 21, [3])
-            once = mgr.publish(targets)
-            twice = mgr.publish(once)
-            assert once == twice
+    def test_publish_is_idempotent_for_final_names(self, plane):
+        """Sealing a sealed block changes nothing."""
+        handle = plane.publish(21, 3, owner=0)
+        write_block_region(handle, 0, make_tuples(21, 3))
+        plane.seal([handle])
+        once = Path(handle.path).read_bytes()
+        plane.seal([handle])
+        assert Path(handle.path).read_bytes() == once
+
+    def test_unsealed_block_invisible_to_consumer(self, plane):
+        """A writer that died before the seal barrier leaves nothing a
+        consumer could mistake for a complete block."""
+        handle = plane.publish(21, 4, owner=0)
+        write_block_region(handle, 0, make_tuples(21, 2))  # torn: 2 of 4
+        with pytest.raises(FileNotFoundError):
+            with resolve_block(handle):
+                pass
+
+    def test_truncated_sealed_block_is_corruption(self, plane):
+        handle = plane.publish(21, 4, owner=0)
+        write_block_region(handle, 0, make_tuples(21, 4))
+        plane.seal([handle])
+        data = Path(handle.path).read_bytes()
+        Path(handle.path).write_bytes(data[: len(data) - 7])
+        with pytest.raises(SpillCorruption):
+            with resolve_block(handle):
+                pass
 
     def test_finalizer_sweeps_on_gc(self, tmp_path):
-        mgr = SpillManager(tmp_path)
-        directory = Path(mgr.directory)
-        mgr.create_pass_targets(0, 21, [4])
-        del mgr
+        plane = DiskBlockTransport(tmp_path)
+        directory = plane.directory
+        plane.publish(21, 4, owner=0)
+        del plane
         import gc
 
         gc.collect()
@@ -387,31 +419,25 @@ class TestStaleSweep:
         assert odd.exists()
 
     def test_manager_sweeps_stale_on_startup(self, tmp_path):
+        """Crash injection: a process hard-killed mid-pass (no finally,
+        no finalizer) leaves its spill directory behind; the next disk
+        plane under the same root reaps it — zero orphans."""
+        crash = (
+            "import os, sys\n"
+            "from repro.runtime.transport import DiskBlockTransport\n"
+            "plane = DiskBlockTransport(sys.argv[1])\n"
+            "plane.publish(21, 8, owner=0)\n"
+            "print(plane.directory, flush=True)\n"
+            "os._exit(1)\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
+            [sys.executable, "-c", crash, str(tmp_path)],
             capture_output=True,
             text=True,
-            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
-        stale = tmp_path / f"metaprep-spill-{int(proc.stdout)}-dead"
-        stale.mkdir()
-        with SpillManager(tmp_path):
+        assert proc.returncode == 1
+        stale = Path(proc.stdout.strip())
+        assert len(list(stale.iterdir())) == 1
+        with DiskBlockTransport(tmp_path):
             assert not stale.exists()
-
-
-class TestCheckpointDelegation:
-    def test_checkpoint_aliases_round_trip(self, pool, tmp_path):
-        """The historical checkpoint entry points stay byte-compatible:
-        they are thin aliases of the spill module now."""
-        from repro.core.checkpoint import load_block_spill, save_block_spill
-
-        block, tuples = make_block(pool, 33, 29)
-        path = tmp_path / "ckpt.bin"
-        save_block_spill(path, block)
-        got = load_block_spill(path, pool)
-        view = got.view(0, 29)
-        assert np.array_equal(view.kmers.lo, tuples.kmers.lo)
-        assert np.array_equal(view.kmers.hi, tuples.kmers.hi)
-        assert np.array_equal(view.read_ids, tuples.read_ids)
-        pool.release(block)
-        pool.release(got)

@@ -1,10 +1,11 @@
-"""Unit tests for the transport-agnostic block plane.
+"""Unit tests for the block plane.
 
 Three layers, bottom up: the framed wire protocol (checksummed
 length-prefixed frames over a socketpair — corruption must be *typed*,
 never a silent mis-parse), the worker-side :class:`BlockStore`, and the
-:class:`BlockTransport` implementations against a live loopback
-:class:`~repro.runtime.worker.WorkerDaemon`.
+:class:`BlockTransport` implementations (the socket one against a live
+loopback :class:`~repro.runtime.worker.WorkerDaemon`), ending with the
+one lifecycle contract all four planes satisfy.
 """
 
 import pickle
@@ -19,7 +20,9 @@ from repro.kmers.engine import KmerTuples
 from repro.runtime.transport import (
     FRAME_HEADER,
     FRAME_OK,
+    TRANSPORT_NAMES,
     BlockStore,
+    DiskBlockTransport,
     PoolBlockTransport,
     SocketBlockRef,
     SocketBlockTransport,
@@ -35,7 +38,7 @@ from repro.runtime.transport import (
     tuples_from_columns,
     write_block_region,
 )
-from repro.runtime.buffers import HeapBufferPool
+from repro.runtime.buffers import HeapBufferPool, SharedMemoryBufferPool
 
 
 def make_tuples(k, lo, ids):
@@ -207,8 +210,9 @@ class TestPoolBlockTransport:
             )
             with resolve_block(handle) as block:
                 assert list(block.view(0, 3).read_ids) == [1, 2, 3]
-            plane.write_ids(handle, 0, 3, np.array([7, 8, 9], np.uint32))
-            assert list(plane.read_ids(handle, 0, 3)) == [7, 8, 9]
+            plane.map_ids(handle, 0, 3, lambda ids: ids + np.uint32(6))
+            with resolve_block(handle) as block:
+                assert list(block.view(0, 3).read_ids) == [7, 8, 9]
             plane.release(handle)
 
 
@@ -231,12 +235,13 @@ class TestSocketBlockTransport:
             write_block_region(
                 handle, 0, make_tuples(21, [5, 3, 9], [1, 2, 3]), sender=1
             )
-            assert list(plane.read_ids(handle, 0, 3)) == [1, 2, 3]
-            plane.write_ids(handle, 1, 3, np.array([8, 9], np.uint32))
-            assert list(plane.read_ids(handle, 0, 3)) == [1, 8, 9]
+            ids = daemon.store.get(handle.block_id).view(0, 3).read_ids
+            assert list(ids) == [1, 2, 3]
+            plane.map_ids(handle, 1, 3, lambda ids: ids + np.uint32(6))
+            assert list(ids) == [1, 8, 9]
             plane.release(handle)
             with pytest.raises(TransportError, match="unknown block id"):
-                plane.read_ids(handle, 0, 3)
+                plane.map_ids(handle, 0, 3, lambda ids: ids)
 
     def test_local_store_resolves_zero_copy(self, daemon):
         with SocketBlockTransport((daemon.address,)) as plane:
@@ -306,11 +311,13 @@ class TestSocketBlockTransport:
 
 
 class TestCreateBlockTransport:
+    """The in-memory plane is derived from the engine alone."""
+
     def test_serial_engine_gets_heap_plane(self):
         from repro.runtime.executor import create_engine
 
         with create_engine("serial") as ex:
-            with create_block_transport("auto", ex) as plane:
+            with create_block_transport(ex) as plane:
                 assert isinstance(plane, PoolBlockTransport)
                 assert plane.name == "heap"
 
@@ -322,12 +329,65 @@ class TestCreateBlockTransport:
         d.start()
         try:
             ex = DistributedExecutor((d.address,))
-            with create_block_transport("auto", ex) as plane:
+            with create_block_transport(ex) as plane:
                 assert isinstance(plane, SocketBlockTransport)
                 assert plane.workers == (d.address,)
             ex.close()
         finally:
             d.stop()
+
+
+@pytest.fixture(params=TRANSPORT_NAMES)
+def any_plane(request, tmp_path):
+    name = request.param
+    if name == "socket":
+        from repro.runtime.worker import WorkerDaemon
+
+        daemon = WorkerDaemon()
+        daemon.start()
+        try:
+            with SocketBlockTransport((daemon.address,)) as plane:
+                yield plane
+        finally:
+            daemon.stop()
+    elif name == "disk":
+        with DiskBlockTransport(tmp_path) as plane:
+            yield plane
+    else:
+        pool = SharedMemoryBufferPool() if name == "shm" else HeapBufferPool()
+        with PoolBlockTransport(pool) as plane:
+            assert plane.name == name
+            yield plane
+
+
+def test_plane_contract(any_plane):
+    """One lifecycle, identical tuples out, wherever the bytes live:
+    publish -> region writes at static offsets -> map_ids -> seal ->
+    one resolve -> release.  (The id map is a write, so it precedes the
+    barrier.)  k = 33 carries the hi limb through every plane."""
+    plane, k, n = any_plane, 33, 7
+    rng = np.random.default_rng(3)
+    lo = rng.integers(0, 2**63, n, dtype=np.uint64)
+    hi = rng.integers(0, 2**63, n, dtype=np.uint64)
+    ids = rng.integers(0, 2**31, n, dtype=np.uint32)
+    tuples = KmerTuples(KmerArray(k, lo, hi), ids)
+
+    handle = plane.publish(k, n, owner=0)
+    # two senders, out of order: the diagonal, then an off-diagonal one
+    write_block_region(handle, 3, tuples.take(np.arange(3, n)), sender=0)
+    write_block_region(handle, 0, tuples.take(np.arange(0, 3)), sender=1)
+    plane.map_ids(handle, 2, 5, lambda x: x + np.uint32(100))
+    plane.seal([handle])
+    with resolve_block(handle) as block:
+        view = block.view(0, n)
+        got = (view.kmers.lo.copy(), view.kmers.hi.copy(), view.read_ids.copy())
+    plane.release(handle)
+
+    expect_ids = ids.copy()
+    expect_ids[2:5] += np.uint32(100)
+    assert np.array_equal(got[0], lo)
+    assert np.array_equal(got[1], hi)
+    assert np.array_equal(got[2], expect_ids)
 
 
 class TestColumnCodec:

@@ -235,6 +235,47 @@ class TestCancellationAndSpool:
         assert client.status(job_id)["state"] == JobState.CANCELLED
         assert len(events_of(spool, job_id, "pass_complete")) == 0
 
+    def test_status_never_loses_a_job_to_a_concurrent_ingest(
+        self, tiny_hg, tmp_path, monkeypatch
+    ):
+        """``status`` takes two looks (``submit/`` and the event log);
+        the daemon moves a job from the first to the second.  Run the
+        ingest exactly between the two looks: the job must be found —
+        looking at the log first used to miss it in both places."""
+        import pathlib
+
+        import repro.service.client as client_mod
+
+        spool = tmp_path / "spool"
+        client = ServiceClient(spool)
+        daemon = ServeDaemon(spool)
+        job_id = client.submit(tiny_hg.units, config=CFG)
+
+        looks = []
+
+        def after_look():
+            looks.append(1)
+            if len(looks) == 1:
+                assert daemon._ingest() == 1
+
+        real_glob, real_replay = pathlib.Path.glob, client_mod.replay_records
+
+        def glob(self, pattern):
+            found = list(real_glob(self, pattern))
+            if self.name == "submit":
+                after_look()
+            return found
+
+        def replay(log):
+            records = real_replay(log)
+            after_look()
+            return records
+
+        monkeypatch.setattr(pathlib.Path, "glob", glob)
+        monkeypatch.setattr(client_mod, "replay_records", replay)
+        assert client.status(job_id)["state"] == JobState.QUEUED
+        assert len(looks) >= 2  # both looks happened, ingest in between
+
     def test_malformed_submission_rejected_not_fatal(self, tiny_hg, tmp_path):
         spool = tmp_path / "spool"
         client = ServiceClient(spool)

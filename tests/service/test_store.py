@@ -9,13 +9,9 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.index.create import index_create
-from repro.kmers.codec import KmerArray
-from repro.kmers.engine import KmerTuples
-from repro.runtime.buffers import HeapBufferPool
 from repro.service.store import (
     ArtifactStore,
     ArtifactStoreError,
-    KIND_BLOCK,
     KIND_INDEX,
     KIND_PARTITION,
     dataset_fingerprint,
@@ -212,28 +208,3 @@ class TestTypedHelpers:
         part = store.put_partition("pk", np.zeros(3, dtype=np.int64), {})
         with pytest.raises(ArtifactStoreError, match="expected index"):
             store.load_index(part)
-
-    def test_block_roundtrip(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        pool = HeapBufferPool()
-        rng = np.random.default_rng(0)
-        block = pool.allocate(21, 20)
-        block.write(
-            0,
-            KmerTuples(
-                KmerArray(
-                    21,
-                    rng.integers(0, 2**42, size=20, dtype=np.uint64),
-                    None,
-                ),
-                rng.integers(0, 2**31, size=20, dtype=np.uint32),
-            ),
-        )
-        entry = store.put_block("bk", block)
-        assert entry.kind == KIND_BLOCK
-        assert entry.meta == {"k": 21, "length": 20, "two_limb": False}
-        back = store.load_block(entry, pool)
-        assert np.array_equal(back.view().kmers.lo, block.view().kmers.lo)
-        assert np.array_equal(back.view().read_ids, block.view().read_ids)
-        with pytest.raises(ArtifactStoreError, match="expected tupleblock"):
-            store.load_block(store.put_partition("pk2", np.zeros(2), {}), pool)

@@ -1,7 +1,7 @@
 """End-to-end telemetry over real pipeline runs, both engines.
 
 The acceptance contract of the subsystem: a real multiprocess run
-(process engine, shared dataplane) yields a Perfetto trace with one row
+(process engine, shm plane) yields a Perfetto trace with one row
 per task carrying spans for every paper stage, hot-path counters that
 agree with the run's own work accounting, and — crash or no crash — no
 orphaned spool files.
@@ -50,12 +50,10 @@ def telemetered(request, tiny_hg, tmp_path_factory):
     """One telemetered run per engine (module-cached: runs are not free)."""
     engine = request.param
     directory = tmp_path_factory.mktemp(f"tele-{engine}")
-    dataplane = "shared" if engine == "process" else "auto"
     result = run(
         tiny_hg,
         tmp_path=directory / "parts",
         executor=engine,
-        dataplane=dataplane,
         max_workers=2,
         telemetry_dir=str(directory / "tele"),
         write_outputs=True,
@@ -128,11 +126,10 @@ class TestAcceptance:
 
     def test_engines_agree_on_counter_totals(self, tiny_hg):
         totals = []
-        for engine, dataplane in (("serial", "auto"), ("process", "shared")):
+        for engine in ("serial", "process"):
             result = run(
                 tiny_hg,
                 executor=engine,
-                dataplane=dataplane,
                 max_workers=2,
                 telemetry=True,
             )
@@ -197,7 +194,7 @@ class TestCrashInjection:
         tele_dir = tmp_path / "tele"
         cfg = PipelineConfig(
             k=27, m=5, n_tasks=2, n_threads=2, n_passes=2,
-            write_outputs=False, executor="process", dataplane="shared",
+            write_outputs=False, executor="process",
             max_workers=2, telemetry_dir=str(tele_dir),
         )
 
