@@ -17,7 +17,7 @@ through their payloads and the per-run shared context.  Two rules:
 
 Executor receivers are found by local inference: parameters annotated
 ``ExecutionBackend``/``SerialExecutor``/``ProcessExecutor``, variables
-assigned from ``create_executor(...)`` or a backend constructor,
+assigned from ``create_engine(...)`` or a backend constructor,
 variables literally named ``executor``, and ``*.executor`` attributes.
 This deliberately does not match arbitrary ``.map`` calls (``pool.map``
 inside the backend implementation, ``Executor.map`` definitions).
@@ -50,7 +50,6 @@ BACKEND_TYPES = (
 )
 BACKEND_FACTORIES = frozenset(
     {
-        "create_executor",
         "create_engine",
         "SerialExecutor",
         "ProcessExecutor",

@@ -69,7 +69,7 @@ from repro.analysis.suppress import (
 )
 
 #: bump to invalidate every cached artifact (checker semantics changed)
-ANALYSIS_VERSION = 3
+ANALYSIS_VERSION = 4
 
 #: cache directory name, created under the check root
 CACHE_DIRNAME = ".metaprep-cache"

@@ -55,7 +55,6 @@ def payload_fingerprint(payload: dict) -> str:
 #: * ``write_outputs`` — toggles emission of the partitioned FASTQ files,
 #:   not the labels the artifact store caches;
 #: * ``machine`` — only feeds the timing projection;
-#: * ``verify_static_counts`` — a pure assertion;
 #: * ``radix_skip_constant`` — a sort-internal shortcut that leaves the
 #:   sorted order unchanged;
 #: * ``n_passes`` / ``memory_budget_per_task`` / ``n_chunks`` — the
@@ -79,7 +78,6 @@ PARTITION_IRRELEVANT_FIELDS = frozenset(
         "worker_addresses",
         "write_outputs",
         "machine",
-        "verify_static_counts",
         "radix_skip_constant",
         "n_passes",
         "memory_budget_per_task",
@@ -108,7 +106,6 @@ def config_payload(config: PipelineConfig) -> dict:
         "n_threads": config.n_threads,
         "kmer_filter": (config.kmer_filter.min_freq, config.kmer_filter.max_freq),
         "localcc_opt": config.localcc_opt,
-        "sampling_seed": config.sampling_seed,
     }
 
 

@@ -40,11 +40,6 @@ class PipelineConfig:
     n_chunks: int | None = None
     #: k-mer frequency filter gating read-graph edges (section 4.4).
     kmer_filter: FrequencyFilter = field(default_factory=FrequencyFilter)
-    #: seed for sampled splitter selection in LocalSort's partition step
-    #: (:func:`repro.sort.sampling.sampled_boundaries`).  Part of the
-    #: partition fingerprint: different seeds sample different splitters
-    #: and may produce different (all valid) bucket boundaries.
-    sampling_seed: int = 0
     #: enumerate component ids instead of read ids on passes >= 2
     #: (LocalCC-Opt, section 3.5.1).
     localcc_opt: bool = True
@@ -57,12 +52,6 @@ class PipelineConfig:
     #: not affect the timing model (which uses the paper's nominal pass
     #: count) — only real wall time.
     radix_skip_constant: bool = True
-    #: sanity-check the driver-side aggregate of the static offset math
-    #: against actual counts (cheap; keep on).  Independent of this flag,
-    #: every KmerGen worker verifies its own chunk's counts before
-    #: writing — the block plane's write offsets assume them, so that
-    #: check is structural, not optional.
-    verify_static_counts: bool = True
     #: execution backend for per-chunk KmerGen and per-owner-task
     #: LocalSort+LocalCC: ``"serial"`` (inline, the reference engine),
     #: ``"process"`` (a real multiprocessing pool) or ``"distributed"``

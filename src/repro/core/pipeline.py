@@ -5,23 +5,26 @@ The run is organized *exactly* as the paper's distributed execution — P
 tasks x T threads, chunk assignment and k-mer ranges from the index tables,
 the P-stage all-to-all, per-task forests merged over a binary tree.  The
 units of work (per-chunk KmerGen, per-owner-task LocalSort+LocalCC) are
-dispatched through a pluggable :mod:`repro.runtime.executor` backend:
+dispatched through one :mod:`repro.runtime.executor` engine (``serial``
+inline, ``process`` on a pool, ``distributed`` on worker daemons), and a
+pass's tuples live on one :mod:`repro.runtime.transport` block plane: the
+in-memory plane the engine implies, or disk for a spilled pass.
 
-* ``executor="serial"`` runs them inline (the reference engine);
-* ``executor="process"`` runs them on a real multiprocessing pool.
+Results are bit-identical across engines and planes — and to a real
+parallel run with the same decomposition — because no scheduling
+nondeterminism exists: union-by-index makes the forest order-sensitive, so
+we fix the paper's deterministic orders (threads in rank order, sources in
+rank order) in the job lists and result-merging loops, never in worker
+scheduling.
 
-Results are bit-identical across engines — and to a real parallel run with
-the same decomposition — because no scheduling nondeterminism exists:
-union-by-index makes the forest order-sensitive, so we fix the paper's
-deterministic orders (threads in rank order, sources in rank order) in the
-job lists and result-merging loops, never in worker scheduling.
+Every step is timed once, where it runs, by ``telemetry.span(step,
+times=...)``: the one clock read feeds both ``result.measured`` and, when
+telemetry is on, the span in the run's trace.  Two timings come out:
 
-Two kinds of timing come out of a run:
-
-* ``result.measured`` — real Python time per step.  Under the serial
-  engine this is wall time (what the local benchmarks report); under the
-  process engine it aggregates *work* seconds across workers and can
-  exceed wall-clock.
+* ``result.measured`` — real seconds per step, summed over the workers
+  that ran it.  Under the serial engine this is wall time (what the local
+  benchmarks report); under the parallel engines it is *work* seconds and
+  can exceed wall-clock.
 * ``result.projected`` — the calibrated machine-model projection from the
   measured work volumes (what reproduces the paper's figures; see
   :mod:`repro.runtime.timing`).
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import os
 import resource
-import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Sequence, Tuple
@@ -45,6 +48,12 @@ from repro.cc.localcc import (
     map_ids_to_components,
 )
 from repro.cc.mergecc import MergeCCStats, merge_component_arrays, tree_merge_schedule
+from repro.core.checkpoint import (
+    Checkpoint,
+    CheckpointMismatch,
+    CheckpointStore,
+    config_fingerprint,
+)
 from repro.core.config import PipelineConfig
 from repro.core.partition import (
     PartitionResult,
@@ -61,6 +70,7 @@ from repro.index.offsets import (
 )
 from repro.index.passplan import (
     PassPlan,
+    PassSpec,
     passes_for_memory_budget,
     plan_passes,
     spill_schedule,
@@ -90,7 +100,7 @@ from repro.runtime.work import RunWork, StepNames
 from repro.sort.radix import RadixSortStats, radix_passes_for, radix_sort_block
 from repro.sort.partition import range_partition_block
 from repro.util.logging import get_logger
-from repro.util.timers import StepTimer, TimeBreakdown
+from repro.util.timers import TimeBreakdown
 
 _LOG = get_logger("core.pipeline")
 
@@ -158,6 +168,23 @@ class _WorkerContext:
     telemetry: TelemetrySettings | None = None
 
 
+def _job_context() -> _WorkerContext:
+    """The calling worker's run context, its telemetry emitter active
+    (a no-op when already active, or when the run collects none)."""
+    ctx: _WorkerContext = worker_shared()
+    if ctx.telemetry is not None:
+        telemetry.activate(ctx.telemetry)
+    return ctx
+
+
+def _sample_peak_rss(task: int) -> None:
+    telemetry.set_gauge(
+        "proc.peak_rss_kb",
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        task=task,
+    )
+
+
 @dataclass
 class _ChunkJob:
     """One KmerGen unit: enumerate one FASTQ chunk for one pass."""
@@ -198,47 +225,28 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
     this chunk's precomputed offsets — the all-to-all "send" is the
     write itself; only the tiny count/stat result crosses back.
     """
-    ctx: _WorkerContext = worker_shared()
-    tele = ctx.telemetry is not None
-    if tele:
-        telemetry.activate(ctx.telemetry)
+    ctx = _job_context()
     times = TimeBreakdown()
-    t0 = time.perf_counter_ns()
-    batch = load_chunk_reads(ctx.table, job.chunk, keep_metadata=False)
-    t1 = time.perf_counter_ns()
-    times.add(StepNames.KMERGEN_IO, (t1 - t0) / 1e9)
-    if tele:
-        telemetry.record_span(
-            StepNames.KMERGEN_IO, t0, t1, task=job.task, aux=job.chunk
+    with telemetry.span(StepNames.KMERGEN_IO, task=job.task, aux=job.chunk, times=times):
+        batch = load_chunk_reads(ctx.table, job.chunk, keep_metadata=False)
+
+    with telemetry.span(StepNames.KMERGEN, task=job.task, aux=job.chunk, times=times):
+        tuples = enumerate_canonical_kmers(batch, ctx.k)
+        bins = tuples.kmers.mmer_prefix(ctx.m).astype(np.int64)
+        in_pass = (bins >= job.bin_lo) & (bins < job.bin_hi)
+        kept = tuples.take(np.flatnonzero(in_pass))
+        kept_bins = bins[in_pass]
+        dest = np.searchsorted(job.task_edges, kept_bins, side="right") - 1
+        dest = np.clip(dest, 0, ctx.n_tasks - 1)
+        parts, counts = kept.split_by_destination(dest, ctx.n_tasks)
+    for d in np.flatnonzero(counts):
+        telemetry.add_counter(
+            "kmergen.tuples_routed", int(counts[d]), task=job.task, aux=int(d)
         )
 
-    t0 = time.perf_counter_ns()
-    tuples = enumerate_canonical_kmers(batch, ctx.k)
-    bins = tuples.kmers.mmer_prefix(ctx.m).astype(np.int64)
-    in_pass = (bins >= job.bin_lo) & (bins < job.bin_hi)
-    kept = tuples.take(np.flatnonzero(in_pass))
-    kept_bins = bins[in_pass]
-    dest = np.searchsorted(job.task_edges, kept_bins, side="right") - 1
-    dest = np.clip(dest, 0, ctx.n_tasks - 1)
-    parts, counts = kept.split_by_destination(dest, ctx.n_tasks)
-    t1 = time.perf_counter_ns()
-    times.add(StepNames.KMERGEN, (t1 - t0) / 1e9)
-    if tele:
-        telemetry.record_span(
-            StepNames.KMERGEN, t0, t1, task=job.task, aux=job.chunk
-        )
-        for d in range(ctx.n_tasks):
-            if counts[d]:
-                telemetry.add_counter(
-                    "kmergen.tuples_routed",
-                    int(counts[d]),
-                    task=job.task,
-                    aux=d,
-                )
-
-    # Mandatory, not gated by verify_static_counts: the write offsets
-    # assume the table-predicted counts, so a mismatch would scribble
-    # over a neighboring chunk's region.  Check before touching blocks.
+    # The write offsets assume the table-predicted counts, so a mismatch
+    # would scribble over a neighboring chunk's region.  Check before
+    # touching blocks.
     if not np.array_equal(counts, job.expected_counts):
         d = int(np.flatnonzero(counts != job.expected_counts)[0])
         raise StaticCountMismatch(
@@ -246,27 +254,17 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
             f"index predicted {job.expected_counts[d]}"
         )
 
-    t0 = time.perf_counter_ns()
     # the write IS the all-to-all: heap/shm handles land in the owner's
     # resident block, socket handles in the owning worker's store
     # (off-diagonal regions cross the wire — net.bytes_sent), disk
     # handles in the owner's preallocated spill file
-    for d, part in enumerate(parts):
-        if len(part):
-            write_block_region(
-                job.blocks[d], int(job.write_offsets[d]), part, sender=job.task
-            )
-    t1 = time.perf_counter_ns()
-    times.add(StepNames.KMERGEN_COMM, (t1 - t0) / 1e9)
-    if tele:
-        telemetry.record_span(
-            StepNames.KMERGEN_COMM, t0, t1, task=job.task, aux=job.chunk
-        )
-        telemetry.set_gauge(
-            "proc.peak_rss_kb",
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            task=job.task,
-        )
+    with telemetry.span(StepNames.KMERGEN_COMM, task=job.task, aux=job.chunk, times=times):
+        for d, part in enumerate(parts):
+            if len(part):
+                write_block_region(
+                    job.blocks[d], int(job.write_offsets[d]), part, sender=job.task
+                )
+    _sample_peak_rss(job.task)
     return _ChunkResult(
         chunk=job.chunk,
         counts=counts,
@@ -317,10 +315,7 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
     the union sequence — and with it the resulting parent array — is
     identical on every engine.
     """
-    ctx: _WorkerContext = worker_shared()
-    tele = ctx.telemetry is not None
-    if tele:
-        telemetry.activate(ctx.telemetry)
+    ctx = _job_context()
     times = TimeBreakdown()
     forest = DisjointSetForest.wrap(job.parent)
 
@@ -329,43 +324,26 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
     # worker's own store (owner jobs run on the hosting worker); a disk
     # handle is loaded as the job's one resident block and consumed
     with resolve_block(job.block) as block:
-        t0 = time.perf_counter_ns()
-        counts = range_partition_block(
-            block, job.n_received, ctx.m, job.thread_edges, span=job.span
-        )
-        sort_stats = RadixSortStats()
-        start = 0
-        for count in counts:
-            end = start + int(count)
-            sort_stats.merge(
-                radix_sort_block(
-                    block, start, end, skip_constant=ctx.radix_skip_constant
+        with telemetry.span(StepNames.LOCALSORT, task=job.task, aux=job.pass_index, times=times):
+            counts = range_partition_block(
+                block, job.n_received, ctx.m, job.thread_edges, span=job.span
+            )
+            sort_stats = RadixSortStats()
+            start = 0
+            for count in counts:
+                end = start + int(count)
+                sort_stats.merge(
+                    radix_sort_block(
+                        block, start, end, skip_constant=ctx.radix_skip_constant
+                    )
                 )
-            )
-            start = end
-        t1 = time.perf_counter_ns()
-        times.add(StepNames.LOCALSORT, (t1 - t0) / 1e9)
-        if tele:
-            telemetry.record_span(
-                StepNames.LOCALSORT, t0, t1, task=job.task, aux=job.pass_index
-            )
+                start = end
 
-        t0 = time.perf_counter_ns()
-        cc_stats, edges_by_thread = fold_block_partitions(
-            block, counts, forest, ctx.kmer_filter
-        )
-        t1 = time.perf_counter_ns()
-        times.add(StepNames.LOCALCC, (t1 - t0) / 1e9)
-        if tele:
-            telemetry.record_span(
-                StepNames.LOCALCC, t0, t1, task=job.task, aux=job.pass_index
+        with telemetry.span(StepNames.LOCALCC, task=job.task, aux=job.pass_index, times=times):
+            cc_stats, edges_by_thread = fold_block_partitions(
+                block, counts, forest, ctx.kmer_filter
             )
-    if tele:
-        telemetry.set_gauge(
-            "proc.peak_rss_kb",
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            task=job.task,
-        )
+    _sample_peak_rss(job.task)
     return _OwnerResult(
         task=job.task,
         parent=forest.parent,
@@ -376,6 +354,24 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
         cc_stats=cc_stats,
         times=times,
     )
+
+
+@dataclass
+class _RunState:
+    """What every pass of one run reads or advances."""
+
+    table: FastqPartTable
+    assignment: np.ndarray
+    #: per-task forests; owner results replace them pass by pass
+    forests: List[DisjointSetForest]
+    work: RunWork
+    executor: ExecutionBackend
+    collector: TelemetryCollector | None
+    #: measured seconds per step, summed over the workers that ran it
+    times: TimeBreakdown = field(default_factory=TimeBreakdown)
+    sort_stats: RadixSortStats = field(default_factory=RadixSortStats)
+    cc_stats: LocalCCStats = field(default_factory=LocalCCStats)
+    comm_stats: List[AllToAllStats] = field(default_factory=list)
 
 
 @dataclass
@@ -562,23 +558,12 @@ class MetaPrep:
         )
         work.fastq_chunk_bytes = _peak_chunk_bytes(table)
         work.table_bytes = table.nbytes + merhist.nbytes
-        timer = StepTimer()
         forests = [DisjointSetForest(n_reads) for _ in range(p_tasks)]
-        sort_stats = RadixSortStats()
-        cc_stats = LocalCCStats()
-        comm_stats: List[AllToAllStats] = []
 
         store = None
         start_pass = 0
         fingerprint = ""
         if checkpoint_dir is not None:
-            from repro.core.checkpoint import (
-                Checkpoint,
-                CheckpointMismatch,
-                CheckpointStore,
-                config_fingerprint,
-            )
-
             store = CheckpointStore(checkpoint_dir)
             fingerprint = config_fingerprint(
                 cfg, n_reads, merhist.total_tuples
@@ -601,86 +586,67 @@ class MetaPrep:
                     n_passes,
                 )
 
-        executor = create_engine(
-            cfg.executor, cfg.max_workers, workers=cfg.worker_addresses
-        )
-        executor.set_shared(
-            _WorkerContext(
-                table=table,
-                k=cfg.k,
-                m=cfg.m,
-                n_tasks=p_tasks,
-                n_threads=t_threads,
-                kmer_filter=cfg.kmer_filter,
-                radix_skip_constant=cfg.radix_skip_constant,
-                telemetry=(
-                    collector.settings if collector is not None else None
-                ),
+        # Section 3.7 only changes *where* a pass's tuples live: the engine
+        # implies the in-memory plane, spilled passes take disk.  One scope
+        # owns all three and unwinds in reverse: the engine first (workers
+        # drop their block attachments when they exit), then the planes
+        # release everything they back — pooled segments are unlinked (the
+        # /dev/shm leak guarantee), remote worker stores are swept
+        # best-effort, the spill dir goes with everything still in it — so
+        # an aborted run leaves zero orphan segments, sockets, or spill files.
+        with ExitStack() as scope:
+            disk = (
+                scope.enter_context(DiskBlockTransport(cfg.spill_dir))
+                if any(spill_flags)
+                else None
             )
-        )
-        # section 3.7 only changes *where* a pass's tuples live: the
-        # engine implies the in-memory plane, spilled passes take disk
-        plane = create_block_transport(executor)
-        disk = DiskBlockTransport(cfg.spill_dir) if any(spill_flags) else None
-        try:
+            executor = create_engine(
+                cfg.executor, cfg.max_workers, workers=cfg.worker_addresses
+            )
+            plane = scope.enter_context(create_block_transport(executor))
+            scope.enter_context(executor)
+            executor.set_shared(
+                _WorkerContext(
+                    table=table,
+                    k=cfg.k,
+                    m=cfg.m,
+                    n_tasks=p_tasks,
+                    n_threads=t_threads,
+                    kmer_filter=cfg.kmer_filter,
+                    radix_skip_constant=cfg.radix_skip_constant,
+                    telemetry=collector.settings if collector is not None else None,
+                )
+            )
+            run = _RunState(table, assignment, forests, work, executor, collector)
             for spec in plan.passes:
                 if spec.index < start_pass:
                     continue
                 _emit(
                     "pass_start", pass_index=spec.index, n_passes=n_passes
                 )
-                self._run_pass(
-                    spec,
-                    table,
-                    assignment,
-                    forests,
-                    work,
-                    timer,
-                    sort_stats,
-                    cc_stats,
-                    comm_stats,
-                    executor,
-                    disk if spill_flags[spec.index] else plane,
-                    collector,
-                )
+                self._run_pass(run, spec, disk if spill_flags[spec.index] else plane)
                 if store is not None:
-                    from repro.core.checkpoint import Checkpoint
-
                     store.save(
                         Checkpoint(
                             fingerprint=fingerprint,
                             n_passes_total=n_passes,
                             passes_done=spec.index + 1,
-                            parents=[f.parent for f in forests],
+                            parents=[f.parent for f in run.forests],
                         )
                     )
                 _emit(
                     "pass_complete", pass_index=spec.index, n_passes=n_passes
                 )
-        finally:
-            # executor first (workers drop their block attachments when
-            # they exit), then the planes release everything they back —
-            # pooled segments are unlinked (the /dev/shm leak guarantee),
-            # remote worker stores are swept best-effort, the spill dir
-            # goes with everything still in it — so an aborted run
-            # leaves zero orphan segments, sockets, or spill files.
-            executor.close()
-            plane.close()
-            if disk is not None:
-                disk.close()
 
         # ---- MergeCC --------------------------------------------------
-        t0_ns = time.perf_counter_ns()
-        with timer.step(StepNames.MERGECC):
+        with telemetry.span(StepNames.MERGECC, task=0, times=run.times) as merge:
             global_parent, merge_stats = merge_component_arrays(
-                [f.parent for f in forests]
+                [f.parent for f in run.forests]
             )
-        if telemetry.enabled():
-            # the tree merge is a collective: every task participates over
-            # the same interval, so each task row carries the span
-            t1_ns = time.perf_counter_ns()
-            for p in range(p_tasks):
-                telemetry.record_span(StepNames.MERGECC, t0_ns, t1_ns, task=p)
+        # the tree merge is a collective: every task participates over
+        # the same interval, so each task row carries the span
+        for p in range(1, p_tasks):
+            telemetry.record_span(StepNames.MERGECC, merge.t0_ns, merge.t1_ns, task=p)
         work.merge_rounds = tree_merge_schedule(p_tasks)
         work.merge_bytes_per_send = 4 * n_reads
         work.merge_entries_by_task = np.asarray(
@@ -692,14 +658,9 @@ class MetaPrep:
         # ---- partition + CC-I/O ----------------------------------------
         partition = partition_from_parent(global_parent)
         if cfg.write_outputs and output_dir is not None:
-            t0_ns = time.perf_counter_ns()
-            with timer.step(StepNames.CC_IO):
+            with telemetry.span(StepNames.CC_IO, times=run.times):
                 write_partitions(
                     partition, table, assignment, p_tasks, t_threads, output_dir
-                )
-            if telemetry.enabled():
-                telemetry.record_span(
-                    StepNames.CC_IO, t0_ns, time.perf_counter_ns()
                 )
             work.ccio_bytes = partition.bytes_written.copy()
         else:
@@ -746,49 +707,31 @@ class MetaPrep:
             partition=partition,
             work=work,
             projected=projected,
-            measured=timer.breakdown,
+            measured=run.times,
             plan=plan,
             index=index,
             merge_stats=merge_stats,
-            sort_stats=sort_stats,
-            cc_stats=cc_stats,
-            comm_stats=comm_stats,
+            sort_stats=run.sort_stats,
+            cc_stats=run.cc_stats,
+            comm_stats=run.comm_stats,
             telemetry=run_telemetry,
             spilled_passes=[s for s, f in enumerate(spill_flags) if f],
         )
 
     # ------------------------------------------------------------------
     def _run_pass(
-        self,
-        spec,
-        table,
-        assignment: np.ndarray,
-        forests: List[DisjointSetForest],
-        work: RunWork,
-        timer: StepTimer,
-        sort_stats: RadixSortStats,
-        cc_stats: LocalCCStats,
-        comm_stats: List[AllToAllStats],
-        executor: ExecutionBackend,
-        plane: BlockTransport,
-        collector: TelemetryCollector | None = None,
+        self, run: _RunState, spec: PassSpec, plane: BlockTransport
     ) -> None:
         cfg = self.config
         p_tasks, t_threads = cfg.n_tasks, cfg.n_threads
+        table, assignment = run.table, run.assignment
+        forests, work, executor = run.forests, run.work, run.executor
         is_first_pass = spec.index == 0
         use_opt = cfg.localcc_opt and not is_first_pass
 
-        expected = None
-        if cfg.verify_static_counts:
-            expected = send_counts_matrix(
-                table,
-                assignment,
-                spec.task_edges,
-                p_tasks,
-                t_threads,
-                spec.bin_lo,
-                spec.bin_hi,
-            )
+        expected = send_counts_matrix(
+            table, assignment, spec.task_edges, p_tasks, t_threads, spec.bin_lo, spec.bin_hi
+        )
 
         # ---- static block layout ----------------------------------------
         # The index tables fix, before any k-mer is enumerated, exactly
@@ -833,8 +776,8 @@ class MetaPrep:
                     for c in range(table.n_chunks)
                 ],
             )
-            if collector is not None:
-                collector.merge()  # KmerGen barrier: all chunk spools final
+            if run.collector is not None:
+                run.collector.merge()  # KmerGen barrier: chunk spools final
 
             actual_counts = np.zeros(
                 (p_tasks, t_threads, p_tasks), dtype=np.int64
@@ -842,16 +785,14 @@ class MetaPrep:
             for res in chunk_results:
                 c = res.chunk
                 p, t = divmod(int(assignment[c]), t_threads)
-                timer.merge(res.times)
+                run.times.merge(res.times)
                 work.kmergen_io_bytes[p, t] += table.chunk_bytes(c)
                 work.fastq_parse_bytes[p, t] += table.chunk_bytes(c)
                 work.kmergen_positions_scanned[p, t] += res.n_positions
                 work.kmergen_tuples[p, t] += int(res.counts.sum())
                 actual_counts[p, t, :] += res.counts
 
-            if expected is not None and not np.array_equal(
-                actual_counts, expected
-            ):
+            if not np.array_equal(actual_counts, expected):
                 bad = np.argwhere(actual_counts != expected)[0]
                 p, t, d = (int(x) for x in bad)
                 raise StaticCountMismatch(
@@ -866,42 +807,31 @@ class MetaPrep:
                 # forest — forest state never crosses the executor
                 # boundary, and the mapping equals the sequential
                 # chunk-by-chunk scan (find_many is pure, elementwise).
-                t_gen0 = time.perf_counter_ns()
                 for d in range(p_tasks):
-                    t_d0 = time.perf_counter_ns()
-                    for p in range(p_tasks):
-                        lo_i = int(sender_splits[p, d])
-                        hi_i = int(sender_splits[p + 1, d])
-                        if hi_i <= lo_i:
-                            continue
-                        plane.map_ids(
-                            handles[d],
-                            lo_i,
-                            hi_i,
-                            partial(map_ids_to_components, forest=forests[p]),
-                        )
-                    if telemetry.enabled():
-                        telemetry.record_span(
-                            StepNames.KMERGEN,
-                            t_d0,
-                            time.perf_counter_ns(),
-                            task=d,
-                            aux=spec.index,
-                        )
-                timer.record(
-                    StepNames.KMERGEN,
-                    (time.perf_counter_ns() - t_gen0) / 1e9,
-                )
+                    with telemetry.span(
+                        StepNames.KMERGEN, task=d, aux=spec.index, times=run.times
+                    ):
+                        for p in range(p_tasks):
+                            lo_i = int(sender_splits[p, d])
+                            hi_i = int(sender_splits[p + 1, d])
+                            if hi_i <= lo_i:
+                                continue
+                            plane.map_ids(
+                                handles[d],
+                                lo_i,
+                                hi_i,
+                                partial(map_ids_to_components, forest=forests[p]),
+                            )
 
             # ---- KmerGen-Comm ------------------------------------------
             # The tuples already sit in their owners' blocks (the chunk
             # writers' offset writes *are* the exchange); what remains of
             # Comm is the byte accounting, reproduced exactly from the
             # static counts.
-            with timer.step(StepNames.KMERGEN_COMM):
+            with telemetry.span(StepNames.KMERGEN_COMM, aux=spec.index, times=run.times):
                 by_task = sender_splits[1:] - sender_splits[:-1]
                 stats = block_exchange_stats(by_task, cfg.tuple_bytes)
-            comm_stats.append(stats)
+            run.comm_stats.append(stats)
             work.comm_bytes_matrix += stats.bytes_matrix
             work.comm_stage_max_bytes.append(
                 list(stats.max_message_bytes_per_stage)
@@ -934,13 +864,13 @@ class MetaPrep:
                     for d in range(p_tasks)
                 ],
             )
-            if collector is not None:
-                collector.merge()  # LocalSort+LocalCC barrier
+            if run.collector is not None:
+                run.collector.merge()  # LocalSort+LocalCC barrier
             nominal_passes = radix_passes_for(cfg.k)
             for res in owner_results:
                 d = res.task
                 forests[d] = DisjointSetForest.wrap(res.parent)
-                timer.merge(res.times)
+                run.times.merge(res.times)
                 # partition scatter work: each thread handles ~1/T of the
                 # stream
                 work.partition_tuples[d, :] += int(
@@ -952,8 +882,8 @@ class MetaPrep:
                     work.cc_edges_first_pass[d, :] += res.edges_by_thread
                 else:
                     work.cc_edges_later_passes[d, :] += res.edges_by_thread
-                sort_stats.merge(res.sort_stats)
-                cc_stats.merge(res.cc_stats)
+                run.sort_stats.merge(res.sort_stats)
+                run.cc_stats.merge(res.cc_stats)
         finally:
             for handle in handles:
                 plane.release(handle)

@@ -2,20 +2,27 @@
 
 Builds FASTQPart then derives merHist by summing the per-chunk histograms
 (one scan of the input, exactly as the paper's Table 5 measures the two
-sub-steps separately: chunk-boundary discovery vs. histogramming).
+sub-steps separately: chunk-boundary discovery vs. histogramming).  Each
+sub-step is timed once, where it runs, so every input file is read once.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.index.fastqpart import FastqPartTable, build_fastqpart
+from repro import telemetry
+from repro.index.fastqpart import (
+    STEP_FASTQPART,
+    STEP_MERHIST,
+    FastqPartTable,
+    build_fastqpart,
+)
 from repro.index.merhist import MerHist
 from repro.util.logging import get_logger
+from repro.util.timers import TimeBreakdown
 
 _LOG = get_logger("index.create")
 
@@ -45,41 +52,24 @@ def index_create(
 ) -> IndexCreateResult:
     """Run IndexCreate; optionally persist both tables under ``output_dir``.
 
-    The FASTQPart timing covers chunk-boundary discovery and region setup;
-    the merHist timing covers canonical-k-mer histogramming (which the
-    paper notes "is similar to the KmerGen preprocessing step and can be
-    parallelized in the same manner" — kept sequential here, as published).
+    The FASTQPart timing covers chunk-boundary discovery; the merHist
+    timing covers canonical-k-mer histogramming and its summation (which
+    the paper notes "is similar to the KmerGen preprocessing step and can
+    be parallelized in the same manner" — kept sequential here, as
+    published).
     """
-    t0 = time.perf_counter()
-    table = build_fastqpart(units, k=k, m=m, n_chunks=n_chunks)
-    # attribute the histogram scan to the merHist phase: rebuild split
-    # timings by measuring the (cheap) summation plus the scan embedded in
-    # build_fastqpart.  The scan dominates; boundary discovery is measured
-    # separately below by re-running it.
-    t1 = time.perf_counter()
-    merhist = MerHist(k=k, m=m, counts=table.global_histogram().astype("uint32"))
-    t2 = time.perf_counter()
-
-    # build_fastqpart interleaves both concerns; split its cost by the
-    # documented proportions: boundary discovery is I/O-bound, histogram is
-    # compute-bound.  We time boundary discovery directly.
-    from repro.seqio.fastq import record_boundaries
-
-    tb0 = time.perf_counter()
-    for u in table.units:
-        for f in u.files:
-            record_boundaries(f)
-    boundary_seconds = time.perf_counter() - tb0
-
-    total_build = t1 - t0
-    fastqpart_seconds = min(boundary_seconds, total_build)
-    merhist_seconds = (total_build - fastqpart_seconds) + (t2 - t1)
+    times = TimeBreakdown()
+    table = build_fastqpart(units, k=k, m=m, n_chunks=n_chunks, times=times)
+    with telemetry.span(STEP_MERHIST, times=times):
+        merhist = MerHist(
+            k=k, m=m, counts=table.global_histogram().astype("uint32")
+        )
 
     result = IndexCreateResult(
         merhist=merhist,
         fastqpart=table,
-        fastqpart_seconds=fastqpart_seconds,
-        merhist_seconds=merhist_seconds,
+        fastqpart_seconds=times.get(STEP_FASTQPART),
+        merhist_seconds=times.get(STEP_MERHIST),
     )
     if output_dir is not None:
         out = Path(output_dir)

@@ -23,13 +23,19 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro import telemetry
 from repro.index.merhist import histogram_batch
 from repro.seqio.fastq import read_fastq_region, record_boundaries
 from repro.seqio.records import FastqRecord, ReadBatch
 from repro.seqio.tables import read_table, write_table
+from repro.util.timers import TimeBreakdown
 from repro.util.validation import check_in_range, check_positive
 
 _SCHEMA = "metaprep/fastqpart"
+
+#: the two IndexCreate sub-steps paper Table 5 reports separately
+STEP_FASTQPART = "IndexCreate-FASTQPart"
+STEP_MERHIST = "IndexCreate-merHist"
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,7 @@ def build_fastqpart(
     k: int,
     m: int,
     n_chunks: int,
+    times: TimeBreakdown | None = None,
 ) -> FastqPartTable:
     """Build the chunk table by scanning the input files once.
 
@@ -180,6 +187,10 @@ def build_fastqpart(
     proportionally to their read counts (at least one chunk per non-empty
     unit).  Chunk boundaries always fall on record boundaries, and for
     paired units on the *same pair index* in both files.
+
+    ``times`` receives the Table 5 split, timed where each half runs:
+    boundary discovery under :data:`STEP_FASTQPART`, the histogram scan
+    under :data:`STEP_MERHIST`.
     """
     check_in_range("m", m, 1, min(k, 16))
     check_positive("n_chunks", n_chunks)
@@ -190,16 +201,20 @@ def build_fastqpart(
     # Pass 1: record boundaries per file.
     unit_bounds: List[List[np.ndarray]] = []
     unit_reads: List[int] = []
-    for u in units:
-        bounds = [np.asarray(record_boundaries(f), dtype=np.int64) for f in u.files]
-        n_recs = [len(b) - 1 for b in bounds]
-        if u.paired and n_recs[0] != n_recs[1]:
-            raise ValueError(
-                f"paired unit {u.r1}/{u.r2}: mate counts differ "
-                f"({n_recs[0]} vs {n_recs[1]})"
-            )
-        unit_bounds.append(bounds)
-        unit_reads.append(n_recs[0])
+    with telemetry.span(STEP_FASTQPART, times=times):
+        for u in units:
+            bounds = [
+                np.asarray(record_boundaries(f), dtype=np.int64)
+                for f in u.files
+            ]
+            n_recs = [len(b) - 1 for b in bounds]
+            if u.paired and n_recs[0] != n_recs[1]:
+                raise ValueError(
+                    f"paired unit {u.r1}/{u.r2}: mate counts differ "
+                    f"({n_recs[0]} vs {n_recs[1]})"
+                )
+            unit_bounds.append(bounds)
+            unit_reads.append(n_recs[0])
 
     total_reads = sum(unit_reads)
     if total_reads == 0:
@@ -261,9 +276,10 @@ def build_fastqpart(
     )
 
     # Pass 2: per-chunk m-mer histograms (the "read once, histogram" scan).
-    for c in range(table.n_chunks):
-        batch = load_chunk_reads(table, c)
-        table.hist[c] = histogram_batch(batch, k, m)
+    with telemetry.span(STEP_MERHIST, times=times):
+        for c in range(table.n_chunks):
+            batch = load_chunk_reads(table, c)
+            table.hist[c] = histogram_batch(batch, k, m)
     return table
 
 

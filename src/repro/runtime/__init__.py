@@ -30,7 +30,6 @@ from repro.runtime.executor import (
     SerialExecutor,
     available_cpu_count,
     create_engine,
-    create_executor,
 )
 from repro.runtime.machines import MachineSpec, EDISON, GANGA, get_machine
 from repro.runtime.buffers import (
@@ -45,7 +44,6 @@ from repro.runtime.buffers import (
 from repro.runtime.comm import (
     AllToAllStats,
     block_exchange_stats,
-    custom_all_to_all,
     all_to_all_schedule,
 )
 from repro.runtime.transport import (
@@ -62,7 +60,6 @@ from repro.runtime.transport import (
 )
 from repro.runtime.work import RunWork, StepNames
 from repro.runtime.timing import TimingModel, ProjectedTimes
-from repro.runtime.trace import projection_to_trace_events, write_chrome_trace
 
 __all__ = [
     "ENGINES",
@@ -74,7 +71,6 @@ __all__ = [
     "SerialExecutor",
     "available_cpu_count",
     "create_engine",
-    "create_executor",
     "TRANSPORT_NAMES",
     "BlockTransport",
     "DiskBlockTransport",
@@ -98,12 +94,9 @@ __all__ = [
     "open_block",
     "AllToAllStats",
     "block_exchange_stats",
-    "custom_all_to_all",
     "all_to_all_schedule",
     "RunWork",
     "StepNames",
     "TimingModel",
     "ProjectedTimes",
-    "projection_to_trace_events",
-    "write_chrome_trace",
 ]

@@ -1,4 +1,4 @@
-"""Message-passing simulation: the custom P-stage all-to-all.
+"""Message-passing accounting: the custom P-stage all-to-all.
 
 Paper section 3.3: "We do not use MPI's Alltoallv collective due to the
 limitation imposed by the sendcounts and recvcounts parameters (that they
@@ -7,16 +7,17 @@ All-to-all approach using multiple point-to-point messages...  Our
 All-to-all implementation has P stages.  In stage i, task p sends tuples
 to task (p + i) mod P."
 
-The simulator executes exactly that schedule (so tests can check the
-stage-by-stage pairing is contention-free: in every stage each task sends
-one message and receives one message) and accounts bytes per stage for the
-timing model.
+The tuples themselves move through the block plane
+(:mod:`repro.runtime.transport`); this module walks exactly that schedule
+(so tests can check the stage-by-stage pairing is contention-free: in
+every stage each task sends one message and receives one message) and
+accounts bytes per stage for the timing model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -59,58 +60,16 @@ class AllToAllStats:
         return int(off_diag.sum(axis=1).max())
 
 
-def custom_all_to_all(
-    send_blocks: Sequence[Sequence],
-    nbytes_of: Callable[[object], int],
-) -> Tuple[List[List[object]], AllToAllStats]:
-    """Execute the P-stage all-to-all.
-
-    ``send_blocks[p][d]`` is the payload task ``p`` sends to task ``d``
-    (any object; ``nbytes_of`` sizes it for accounting).  Returns
-    ``recv_blocks`` with ``recv_blocks[d][p]`` = the payload from ``p``
-    (ordered by source rank, so the receive-side concatenation is
-    deterministic regardless of the stage order in which messages land),
-    plus the exchange stats.
-    """
-    n_tasks = len(send_blocks)
-    for p, blocks in enumerate(send_blocks):
-        if len(blocks) != n_tasks:
-            raise ValueError(
-                f"task {p} has {len(blocks)} destination blocks, "
-                f"expected {n_tasks}"
-            )
-    stats = AllToAllStats(n_tasks=n_tasks)
-    stats.bytes_matrix = np.zeros((n_tasks, n_tasks), dtype=np.int64)
-    recv: List[List[object]] = [[None] * n_tasks for _ in range(n_tasks)]
-
-    schedule = all_to_all_schedule(n_tasks)
-    stats.n_stages = len(schedule)
-    for stage, pairs in enumerate(schedule):
-        stage_max = 0
-        for sender, receiver in pairs:
-            payload = send_blocks[sender][receiver]
-            size = nbytes_of(payload)
-            stats.bytes_matrix[sender, receiver] += size
-            if sender != receiver:
-                stats.wire_bytes_total += size
-                stats.n_messages += 1
-                stage_max = max(stage_max, size)
-            recv[receiver][sender] = payload
-        stats.max_message_bytes_per_stage.append(stage_max)
-    return recv, stats
-
-
 def block_exchange_stats(counts: np.ndarray, tuple_bytes: int) -> AllToAllStats:
     """Stats for a zero-copy block exchange, from counts alone.
 
     Under the TupleBlock dataplane no payloads cross the wire — senders
     write tuples straight into offset-described views of the receiver's
     preallocated segment, and the (P, P) tuple-count matrix is known
-    up front from the index tables.  This reproduces exactly the
-    accounting :func:`custom_all_to_all` would produce for payloads of
-    ``counts[p, d] * tuple_bytes`` bytes, stage for stage, so the
-    timing model and the differential tests see identical comm stats
-    regardless of transport.
+    up front from the index tables.  This is exactly the accounting of
+    the P-stage schedule for payloads of ``counts[p, d] * tuple_bytes``
+    bytes, stage for stage, so the timing model and the differential
+    tests see identical comm stats regardless of transport.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:

@@ -412,7 +412,3 @@ def create_engine(
             f"{', '.join(sorted(ENGINES))}"
         ) from None
     return factory(max_workers=max_workers, workers=workers)
-
-
-#: backwards-compatible alias (pre-registry name)
-create_executor = create_engine

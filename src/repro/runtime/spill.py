@@ -454,13 +454,22 @@ def _fsync_path(path: str | os.PathLike) -> None:
 
 def create_spill_dir(root: str | os.PathLike | None = None) -> Path:
     """A fresh private spill directory under ``root`` (the system temp
-    dir by default), after reaping any stale ones found there."""
+    dir by default), after reaping any stale ones found there.  An
+    unusable ``root`` (a regular file, no permission, full disk) is a
+    :class:`SpillError` naming the path."""
     base = Path(root) if root is not None else Path(tempfile.gettempdir())
-    base.mkdir(parents=True, exist_ok=True)
-    sweep_stale_spill_dirs(base)
-    return Path(
-        tempfile.mkdtemp(prefix=f"{SPILL_DIR_PREFIX}{os.getpid()}-", dir=base)
-    )
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+        sweep_stale_spill_dirs(base)
+        return Path(
+            tempfile.mkdtemp(
+                prefix=f"{SPILL_DIR_PREFIX}{os.getpid()}-", dir=base
+            )
+        )
+    except OSError as exc:
+        raise SpillError(
+            f"cannot create a spill directory under {base}: {exc}"
+        ) from exc
 
 
 def sweep_spill_dir(directory: str | os.PathLike) -> None:

@@ -18,7 +18,6 @@ from repro.sort.radix import (
 from repro.sort.partition import range_partition, partition_boundaries_equal
 from repro.sort.sampling import (
     SamplingPartitionStats,
-    config_sampled_boundaries,
     measure_partition_balance,
     sampled_boundaries,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "range_partition",
     "partition_boundaries_equal",
     "SamplingPartitionStats",
-    "config_sampled_boundaries",
     "measure_partition_balance",
     "sampled_boundaries",
     "is_sorted_kmers",

@@ -18,15 +18,11 @@ needed to size the buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.kmers.engine import KmerTuples
 from repro.util.validation import check_positive
-
-if TYPE_CHECKING:  # layering: sort sits below core, import only for types
-    from repro.core.config import PipelineConfig
 
 
 @dataclass
@@ -58,11 +54,9 @@ def sampled_boundaries(
     histogram.
 
     ``seed`` is keyword-required and has no default: splitter choice
-    changes the produced boundaries, so the seed is part of the partition
-    fingerprint (``PipelineConfig.sampling_seed``, emitted by
-    :func:`repro.core.checkpoint.config_payload`).  Pipeline call sites
-    should go through :func:`config_sampled_boundaries` so the fingerprinted
-    seed cannot be bypassed.
+    changes the produced boundaries, so a caller must choose it on
+    purpose.  The pipeline does not sample — its boundaries come from the
+    exact histogram — so no run configuration carries a seed.
     """
     check_positive("n_parts", n_parts)
     check_positive("sample_size", sample_size)
@@ -86,27 +80,6 @@ def sampled_boundaries(
     np.clip(edges, 0, n_bins, out=edges)
     np.maximum.accumulate(edges, out=edges)
     return edges
-
-
-def config_sampled_boundaries(
-    tuples: KmerTuples,
-    config: "PipelineConfig",
-    n_parts: int,
-    sample_size: int = 1024,
-) -> np.ndarray:
-    """:func:`sampled_boundaries` with ``m`` and the seed taken from config.
-
-    The seed comes from ``config.sampling_seed``, which the checkpoint /
-    artifact-store fingerprint covers — two runs that sample different
-    splitters can never collide on one cached artifact.
-    """
-    return sampled_boundaries(
-        tuples,
-        config.m,
-        n_parts,
-        sample_size=sample_size,
-        seed=config.sampling_seed,
-    )
 
 
 def measure_partition_balance(

@@ -1,12 +1,12 @@
 """``repro.telemetry`` — real-run observability.
 
-The simulated side of the repo (cost model, projections,
-:mod:`repro.runtime.trace`) predicts where time *should* go; this
-package observes where it *actually* goes, on every run, with near-zero
-overhead when disabled:
+The simulated side of the repo (cost model, projections) predicts where
+time *should* go; this package observes where it *actually* goes, on
+every run, with near-zero overhead when disabled:
 
 * :mod:`~repro.telemetry.runtime` — the span/counter API stage code
-  calls (thread-local, no-op unless activated);
+  calls (thread-local, no-op unless activated); ``span(..., times=)``
+  is the one place a pipeline step is timed, telemetry on or off;
 * :mod:`~repro.telemetry.events` — the fixed-size binary record format
   workers append to per-(process, thread) spool files, lock-free and
   crash-safe;

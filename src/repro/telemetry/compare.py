@@ -81,7 +81,9 @@ def compare_measured_projected(
     ``run`` is a merged :class:`RunTelemetry` (its attached projection
     is used when ``projected`` is not given) or a plain measured
     :class:`TimeBreakdown`.  Steps appear in the paper's order; a step
-    present on either side appears in the table.
+    present on either side appears in the table.  Measured spans outside
+    the cost model's steps (the IndexCreate sub-steps) have no projection
+    to drift from and are left to the trace.
     """
     if isinstance(run, RunTelemetry):
         measured_bd = run.breakdown()
@@ -103,9 +105,8 @@ def compare_measured_projected(
         for s in StepNames.ORDER
         if s in measured_bd.seconds or s in projected.per_task
     ]
-    extras = [s for s in measured_bd.seconds if s not in StepNames.ORDER]
     report = GapReport(band=band)
-    for step in steps + extras:
+    for step in steps:
         measured = measured_bd.get(step)
         proj = projected.step_seconds(step)
         ratio = measured / proj if proj > 0 else None

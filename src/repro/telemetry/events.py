@@ -98,6 +98,14 @@ GATEWAY_NAMES = (
     "gateway.request",
 )
 
+#: span names of the two IndexCreate sub-steps of paper Table 5
+#: (:mod:`repro.index.create`), on the driver row of a run that builds
+#: its own index.  Appended last, for the same reason.
+INDEX_STEP_NAMES = (
+    "IndexCreate-FASTQPart",
+    "IndexCreate-merHist",
+)
+
 #: the static name registry; ids are positions in this tuple, so the
 #: order is part of the wire format — append, never reorder
 WELL_KNOWN_NAMES: Tuple[str, ...] = (
@@ -106,6 +114,7 @@ WELL_KNOWN_NAMES: Tuple[str, ...] = (
     + GAUGE_NAMES
     + NET_COUNTER_NAMES
     + GATEWAY_NAMES
+    + INDEX_STEP_NAMES
 )
 
 _NAME_TO_ID = {name: i for i, name in enumerate(WELL_KNOWN_NAMES)}

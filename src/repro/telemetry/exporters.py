@@ -1,8 +1,8 @@
 """Exporters: Perfetto/Chrome trace, Prometheus textfile, JSON metrics.
 
-The measured trace reuses the row layout of :mod:`repro.runtime.trace`
-(pid 0, one ``tid`` row per task, the same step color map) so a real
-run and its projection are visually comparable; when the run carries a
+The measured trace and the projection share one row layout (one ``tid``
+row per task, the same step color map) so a real run and its projection
+are visually comparable; when the run carries a
 :class:`~repro.runtime.timing.ProjectedTimes` the projection is emitted
 as a second process (pid 1) in the same file, giving a side-by-side
 measured/projected view in one Perfetto load.
@@ -20,7 +20,8 @@ import re
 from pathlib import Path
 from typing import Dict, List, Mapping
 
-from repro.runtime.trace import _COLORS, projection_to_trace_events
+from repro.runtime.timing import ProjectedTimes
+from repro.runtime.work import StepNames
 from repro.telemetry.collect import RunTelemetry
 
 RUN_FILENAME = "telemetry.json"
@@ -32,14 +33,58 @@ PROM_FILENAME = "metaprep.prom"
 # ----------------------------------------------------------------------
 # Perfetto / Chrome trace
 # ----------------------------------------------------------------------
+#: stable color names understood by the Chrome trace viewer
+_COLORS = {
+    StepNames.KMERGEN_IO: "thread_state_iowait",
+    StepNames.KMERGEN: "thread_state_running",
+    StepNames.KMERGEN_COMM: "rail_response",
+    StepNames.LOCALSORT: "cq_build_running",
+    StepNames.LOCALCC: "good",
+    StepNames.MERGE_COMM: "rail_animation",
+    StepNames.MERGECC: "terrible",
+    StepNames.CC_IO: "grey",
+}
+
+
+def projection_to_trace_events(projected: ProjectedTimes) -> List[dict]:
+    """Duration events ('ph': 'X') per (task, step), barrier-aligned.
+
+    Each step starts when the slowest task finished the previous step —
+    the same critical-path semantics ``ProjectedTimes.total_seconds``
+    uses — so the viewer shows both per-task busy time and barrier slack.
+    """
+    events: List[dict] = []
+    clock = 0.0
+    for step in StepNames.ORDER:
+        if step not in projected.per_task:
+            continue
+        per_task = projected.per_task[step]
+        for task, seconds in enumerate(per_task):
+            if seconds <= 0:
+                continue
+            events.append(
+                {
+                    "name": step,
+                    "ph": "X",
+                    "pid": 0,
+                    "tid": task,
+                    "ts": clock * 1e6,  # microseconds
+                    "dur": float(seconds) * 1e6,
+                    "cname": _COLORS.get(step, "grey"),
+                    "args": {"seconds": float(seconds)},
+                }
+            )
+        clock += float(per_task.max()) if len(per_task) else 0.0
+    return events
+
+
 def measured_trace_events(run: RunTelemetry) -> List[dict]:
     """Duration events ('ph': 'X') for every merged span.
 
-    Rows are tasks, exactly as in
-    :func:`repro.runtime.trace.projection_to_trace_events`; driver-side
-    spans (task -1) land on an extra row below the tasks.  Timestamps
-    are real monotonic offsets from the run origin, so unlike the
-    barrier-aligned projection the viewer shows true overlap.
+    Rows are tasks, exactly as in :func:`projection_to_trace_events`;
+    driver-side spans (task -1) land on an extra row below the tasks.
+    Timestamps are real monotonic offsets from the run origin, so unlike
+    the barrier-aligned projection the viewer shows true overlap.
     """
     events: List[dict] = []
     for s in run.spans:

@@ -28,9 +28,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.telemetry.events import (
     KIND_COUNTER,
@@ -38,6 +37,7 @@ from repro.telemetry.events import (
     KIND_SPAN,
     SpoolWriter,
 )
+from repro.util.timers import TimeBreakdown
 
 
 @dataclass(frozen=True)
@@ -124,25 +124,55 @@ def _writer() -> Optional[SpoolWriter]:
 def record_span(
     name: str, t0_ns: int, t1_ns: int, task: int = -1, aux: int = -1
 ) -> None:
-    """Emit a completed span from timestamps the caller already took
-    (stage code times its steps anyway; this avoids a second clock
-    read pair)."""
+    """Emit a completed span from timestamps already taken (by
+    :class:`span`); a no-op when telemetry is not active."""
     writer = _writer()
     if writer is not None:
         writer.write(KIND_SPAN, name, task, aux, t0_ns, t1_ns)
 
 
-@contextmanager
-def span(name: str, task: int = -1, aux: int = -1) -> Iterator[None]:
-    """Time the ``with`` body as one span; no-op when disabled."""
-    if not enabled():
-        yield
-        return
-    t0 = time.perf_counter_ns()
-    try:
-        yield
-    finally:
-        record_span(name, t0, time.perf_counter_ns(), task=task, aux=aux)
+class span:
+    """Time the ``with`` body once, where it runs — the one timing seam.
+
+    With ``times`` (a :class:`~repro.util.timers.TimeBreakdown`) the
+    clock is always read and the seconds are added under ``name``; the
+    spool span is emitted from the same two timestamps, and only when
+    telemetry is active.  Without ``times`` a disabled run reads no
+    clock at all.  The interval is recorded even when the body raises.
+
+    ``t0_ns`` / ``t1_ns`` hold the measured interval after exit, so a
+    collective (MergeCC) can stamp it on every task row through
+    :func:`record_span` without a second clock read.
+    """
+
+    __slots__ = ("name", "task", "aux", "times", "t0_ns", "t1_ns")
+
+    def __init__(
+        self,
+        name: str,
+        task: int = -1,
+        aux: int = -1,
+        times: Optional[TimeBreakdown] = None,
+    ) -> None:
+        self.name = name
+        self.task = task
+        self.aux = aux
+        self.times = times
+        self.t0_ns: Optional[int] = None
+        self.t1_ns: Optional[int] = None
+
+    def __enter__(self) -> "span":
+        if self.times is not None or enabled():
+            self.t0_ns = time.perf_counter_ns()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.t0_ns is None:
+            return
+        self.t1_ns = time.perf_counter_ns()
+        if self.times is not None:
+            self.times.add(self.name, (self.t1_ns - self.t0_ns) / 1e9)
+        record_span(self.name, self.t0_ns, self.t1_ns, self.task, self.aux)
 
 
 def add_counter(

@@ -1,7 +1,7 @@
 """Shared utilities: logging, timing, size formatting, deterministic RNG."""
 
 from repro.util.logging import get_logger, set_verbosity
-from repro.util.timers import Stopwatch, StepTimer, TimeBreakdown
+from repro.util.timers import TimeBreakdown
 from repro.util.sizes import human_bytes, human_count, parse_bytes
 from repro.util.rng import rng_for, derive_seed
 from repro.util.validation import (
@@ -14,8 +14,6 @@ from repro.util.validation import (
 __all__ = [
     "get_logger",
     "set_verbosity",
-    "Stopwatch",
-    "StepTimer",
     "TimeBreakdown",
     "human_bytes",
     "human_count",

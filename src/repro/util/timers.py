@@ -1,70 +1,28 @@
-"""Wall-clock timing primitives used by the pipeline and benchmarks.
+"""The per-step seconds accumulator of the pipeline and benchmarks.
 
 The pipeline reports a per-step :class:`TimeBreakdown` mirroring the stacked
 bars of the paper's Figures 5-7 (KmerGen-I/O, KmerGen, KmerGen-Comm,
-LocalSort, LocalCC-Opt, Merge-Comm, MergeCC, CC-I/O).
+LocalSort, LocalCC-Opt, Merge-Comm, MergeCC, CC-I/O).  It holds seconds and
+reads no clock: steps are timed by :class:`repro.telemetry.runtime.span`,
+which adds into a breakdown passed as ``times=``.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
-
-
-class Stopwatch:
-    """A resettable cumulative stopwatch.
-
-    >>> sw = Stopwatch()
-    >>> with sw:
-    ...     pass
-    >>> sw.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._started: float | None = None
-
-    def start(self) -> "Stopwatch":
-        if self._started is not None:
-            raise RuntimeError("stopwatch already running")
-        self._started = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._started is None:
-            raise RuntimeError("stopwatch not running")
-        self._total += time.perf_counter() - self._started
-        self._started = None
-        return self._total
-
-    def reset(self) -> None:
-        self._total = 0.0
-        self._started = None
-
-    @property
-    def running(self) -> bool:
-        return self._started is not None
-
-    @property
-    def elapsed(self) -> float:
-        extra = 0.0
-        if self._started is not None:
-            extra = time.perf_counter() - self._started
-        return self._total + extra
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+from typing import Dict, List, Tuple
 
 
 @dataclass
 class TimeBreakdown:
-    """Accumulated wall time per named step, in insertion order."""
+    """Accumulated wall time per named step, in insertion order.
+
+    >>> times = TimeBreakdown()
+    >>> times.add("KmerGen", 1.5)
+    >>> times.add("KmerGen", 0.5)
+    >>> times.get("KmerGen"), times.total
+    (2.0, 2.0)
+    """
 
     seconds: Dict[str, float] = field(default_factory=dict)
 
@@ -97,39 +55,3 @@ class TimeBreakdown:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         rows = ", ".join(f"{k}={v:.3f}s" for k, v in self.seconds.items())
         return f"TimeBreakdown({rows}, total={self.total:.3f}s)"
-
-
-class StepTimer:
-    """Context-manager based accumulator for :class:`TimeBreakdown`.
-
-    >>> timer = StepTimer()
-    >>> with timer.step("KmerGen"):
-    ...     pass
-    >>> timer.breakdown.get("KmerGen") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.breakdown = TimeBreakdown()
-
-    @contextmanager
-    def step(self, name: str) -> Iterator[None]:
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.breakdown.add(name, time.perf_counter() - t0)
-
-    def record(self, name: str, dt: float) -> None:
-        self.breakdown.add(name, dt)
-
-    def merge(self, other: TimeBreakdown) -> None:
-        """Fold a worker-produced breakdown into this timer.
-
-        Executor workers time their own steps and ship the breakdown back
-        with the result; the driver aggregates them here.  Under the
-        process engine the aggregate is *work* seconds summed across
-        workers (it can exceed wall-clock); under the serial engine it
-        equals wall-clock, as before.
-        """
-        self.breakdown.merge(other)

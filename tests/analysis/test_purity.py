@@ -126,10 +126,10 @@ class TestReceiverInference:
         project = make_project(
             {
                 "core/pipeline.py": """
-                    from repro.runtime.executor import create_executor
+                    from repro.runtime.executor import create_engine
 
                     def run(jobs):
-                        pool = create_executor("process")
+                        pool = create_engine("process")
                         return pool.map(lambda j: j, jobs)
                 """
             }

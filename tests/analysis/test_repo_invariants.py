@@ -178,19 +178,24 @@ class TestInterproceduralSabotage:
 
 
 class TestSamplingSeedFingerprinted:
+    """A field that changes what a run computes rides in the payload and
+    moves the fingerprint (``localcc_opt`` is the example); a field no run
+    reads is not a field at all."""
+
     def test_seed_in_config_payload(self):
         from repro.core.checkpoint import config_payload
         from repro.core.config import PipelineConfig
 
-        payload = config_payload(PipelineConfig(sampling_seed=7))
-        assert payload["sampling_seed"] == 7
+        payload = config_payload(PipelineConfig(localcc_opt=False))
+        assert payload["localcc_opt"] is False
+        assert "sampling_seed" not in payload
 
     def test_seed_changes_fingerprint(self):
         from repro.core.checkpoint import config_payload, payload_fingerprint
         from repro.core.config import PipelineConfig
 
-        a = payload_fingerprint(config_payload(PipelineConfig(sampling_seed=0)))
-        b = payload_fingerprint(config_payload(PipelineConfig(sampling_seed=1)))
+        a = payload_fingerprint(config_payload(PipelineConfig(localcc_opt=True)))
+        b = payload_fingerprint(config_payload(PipelineConfig(localcc_opt=False)))
         assert a != b
 
     def test_every_field_classified(self):
@@ -207,22 +212,3 @@ class TestSamplingSeedFingerprinted:
         payload_keys = set(config_payload(config))
         assert payload_keys | PARTITION_IRRELEVANT_FIELDS == fields
         assert payload_keys & PARTITION_IRRELEVANT_FIELDS == set()
-
-    def test_config_sampled_boundaries_uses_config_seed(self):
-        import numpy as np
-
-        from repro.core.config import PipelineConfig
-        from repro.kmers.engine import KmerTuples
-        from repro.sort.sampling import (
-            config_sampled_boundaries,
-            sampled_boundaries,
-        )
-        from tests.sort.test_sampling import tuples_with_bins
-
-        rng = np.random.default_rng(5)
-        t = tuples_with_bins(rng, 4000, m=4)
-        cfg = PipelineConfig(k=13, m=4, sampling_seed=9)
-        via_config = config_sampled_boundaries(t, cfg, 4)
-        direct = sampled_boundaries(t, 4, 4, seed=9)
-        assert np.array_equal(via_config, direct)
-        assert isinstance(KmerTuples.empty(13), KmerTuples)

@@ -90,11 +90,11 @@ class TestPipelineResume:
         original = runner._run_pass
         calls = {"n": 0}
 
-        def exploding(spec, *args, **kwargs):
+        def exploding(run, spec, plane):
             if spec.index == 2:
                 raise boom
             calls["n"] += 1
-            return original(spec, *args, **kwargs)
+            return original(run, spec, plane)
 
         runner._run_pass = exploding
         with pytest.raises(RuntimeError, match="injected"):
@@ -107,9 +107,9 @@ class TestPipelineResume:
         resumed_original = resumed_runner._run_pass
         resumed_calls = []
 
-        def counting(spec, *args, **kwargs):
+        def counting(run, spec, plane):
             resumed_calls.append(spec.index)
-            return resumed_original(spec, *args, **kwargs)
+            return resumed_original(run, spec, plane)
 
         resumed_runner._run_pass = counting
         result = resumed_runner.run(tiny_hg.units, checkpoint_dir=tmp_path)
@@ -130,10 +130,10 @@ class TestPipelineResume:
         runner = MetaPrep(PipelineConfig(**self.CFG))
         original = runner._run_pass
 
-        def exploding(spec, *args, **kwargs):
+        def exploding(run, spec, plane):
             if spec.index == 1:
                 raise RuntimeError("injected")
-            return original(spec, *args, **kwargs)
+            return original(run, spec, plane)
 
         runner._run_pass = exploding
         with pytest.raises(RuntimeError):
@@ -149,10 +149,10 @@ class TestPipelineResume:
         runner = MetaPrep(PipelineConfig(**self.CFG))
         original = runner._run_pass
 
-        def exploding(spec, *args, **kwargs):
+        def exploding(run, spec, plane):
             if spec.index == 1:
                 raise RuntimeError("injected")
-            return original(spec, *args, **kwargs)
+            return original(run, spec, plane)
 
         runner._run_pass = exploding
         with pytest.raises(RuntimeError):
@@ -179,10 +179,10 @@ class TestExecutorResume:
         runner = MetaPrep(PipelineConfig(executor=executor, **self.CFG))
         original = runner._run_pass
 
-        def exploding(spec, *args, **kwargs):
+        def exploding(run, spec, plane):
             if spec.index == crash_pass:
                 raise RuntimeError("injected interruption")
-            return original(spec, *args, **kwargs)
+            return original(run, spec, plane)
 
         runner._run_pass = exploding
         return runner

@@ -25,6 +25,17 @@ class TestDefaults:
         assert cfg.resolved_chunks() == 10
 
 
+class TestRemovedKnobs:
+    @pytest.mark.parametrize(
+        "dead", [dict(sampling_seed=1), dict(verify_static_counts=False)]
+    )
+    def test_dead_knobs_are_not_fields(self, dead):
+        """No run read ``sampling_seed``; ``verify_static_counts`` had one
+        value in use — the driver-side aggregate check always runs."""
+        with pytest.raises(TypeError):
+            PipelineConfig(**dead)
+
+
 class TestValidation:
     def test_k_bounds(self):
         with pytest.raises(ValueError):

@@ -96,7 +96,7 @@ class TestDecompositionInvariance:
 
 class TestStaticCounts:
     def test_verification_enabled_passes(self, tiny_hg):
-        res = run(tiny_hg, n_tasks=2, n_threads=2, verify_static_counts=True)
+        res = run(tiny_hg, n_tasks=2, n_threads=2)
         assert res.total_tuples > 0
 
     def test_comm_only_multi_task(self, tiny_hg):

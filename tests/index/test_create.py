@@ -15,6 +15,25 @@ class TestIndexCreate:
         assert result.merhist_seconds >= 0
         assert result.total_seconds > 0
 
+    def test_reads_each_input_file_once(self, tiny_hg, monkeypatch):
+        """Boundary discovery is timed where it runs, not by a re-read."""
+        import repro.index.fastqpart as fastqpart
+        import repro.seqio.fastq as fastq
+
+        scanned = []
+        real = fastq.record_boundaries
+
+        def counting(path):
+            scanned.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(fastq, "record_boundaries", counting)
+        monkeypatch.setattr(fastqpart, "record_boundaries", counting)
+        result = index_create(tiny_hg.units, k=27, m=5, n_chunks=4)
+        files = [f for u in result.fastqpart.units for f in u.files]
+        assert sorted(scanned) == sorted(files)
+        assert 0 < result.fastqpart_seconds < result.total_seconds
+
     def test_merhist_consistent_with_fastqpart(self, tiny_hg):
         result = index_create(tiny_hg.units, k=27, m=5, n_chunks=4)
         assert np.array_equal(

@@ -19,10 +19,12 @@ a real subprocess so ``os._exit`` kills a worker and not the test.
 """
 
 import dataclasses
+import gc
 import glob
 import multiprocessing as mp
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.index.create import index_create
 from repro.runtime.executor import ExecutorError
+from repro.runtime.spill import SpillError
 from repro.runtime.work import RunWork
 from repro.runtime.worker import WorkerDaemon
 
@@ -246,3 +249,29 @@ class TestCrashInjection:
         assert np.array_equal(
             serial.partition.labels, rerun.partition.labels
         )
+
+
+class TestUnusableSpillDir:
+    def test_engine_closed_when_the_disk_plane_cannot_open(
+        self, tiny_hg, indexes, daemons, tmp_path
+    ):
+        """A run whose disk plane cannot be built must not leak the
+        engine's per-worker job channels (the service retries jobs
+        in-process, so every attempt would repeat the leak)."""
+        not_a_dir = tmp_path / "spill"
+        not_a_dir.write_text("a regular file")
+        cfg = PipelineConfig(
+            k=21, m=M, n_tasks=2, n_threads=2, n_passes=2,
+            write_outputs=False, executor="distributed",
+            worker_addresses=tuple(d.address for d in daemons),
+            spill="always", spill_dir=str(not_a_dir),
+        )
+        gc.collect()  # earlier tests' garbage is not this run's leak
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(SpillError, match=str(not_a_dir)):
+                MetaPrep(cfg).run(tiny_hg.units, index=indexes[21])
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]
+        assert all(len(d.store) == 0 for d in daemons)

@@ -174,7 +174,7 @@ class TestStaticChecksActiveInWorkers:
         )
         cfg = PipelineConfig(
             k=21, m=M, n_tasks=2, n_threads=2, write_outputs=False,
-            verify_static_counts=True, executor="process", max_workers=2,
+            executor="process", max_workers=2,
         )
         with pytest.raises(StaticCountMismatch):
             MetaPrep(cfg).run(tiny_hg.units, index=index)

@@ -21,8 +21,7 @@ class TestCorruptIndexTables:
             np.uint32
         )
         cfg = PipelineConfig(
-            k=27, m=5, n_tasks=2, n_threads=2, write_outputs=False,
-            verify_static_counts=True,
+            k=27, m=5, n_tasks=2, n_threads=2, write_outputs=False
         )
         with pytest.raises(StaticCountMismatch):
             MetaPrep(cfg).run(tiny_hg.units, index=index)

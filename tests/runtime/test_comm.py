@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from repro.runtime.comm import all_to_all_schedule, broadcast, custom_all_to_all
+from repro.runtime.comm import (
+    all_to_all_schedule,
+    block_exchange_stats,
+    broadcast,
+)
 
 
 class TestSchedule:
@@ -35,68 +39,60 @@ class TestSchedule:
 
 
 class TestCustomAllToAll:
-    def _blocks(self, p, rng):
-        return [
-            [rng.integers(0, 100, size=int(rng.integers(0, 20))) for _ in range(p)]
-            for _ in range(p)
-        ]
+    """The custom all-to-all's byte accounting, from the (P, P) tuple-count
+    matrix alone (:func:`block_exchange_stats`) — the tuples themselves
+    move through the block plane."""
 
-    def test_delivery_complete_and_ordered(self, rng):
-        p = 4
-        blocks = self._blocks(p, rng)
-        recv, stats = custom_all_to_all(blocks, nbytes_of=lambda a: a.nbytes)
-        for d in range(p):
-            for s in range(p):
-                assert np.array_equal(recv[d][s], blocks[s][d])
+    TUPLE_BYTES = 12
+
+    def _stats(self, p, rng):
+        counts = rng.integers(0, 20, size=(p, p))
+        return counts * self.TUPLE_BYTES, block_exchange_stats(
+            counts, self.TUPLE_BYTES
+        )
 
     def test_stats_byte_matrix(self, rng):
-        p = 3
-        blocks = self._blocks(p, rng)
-        _, stats = custom_all_to_all(blocks, nbytes_of=lambda a: a.nbytes)
-        for s in range(p):
-            for d in range(p):
-                assert stats.bytes_matrix[s, d] == blocks[s][d].nbytes
+        nbytes, stats = self._stats(3, rng)
+        assert np.array_equal(stats.bytes_matrix, nbytes)
 
     def test_wire_bytes_exclude_self(self, rng):
-        p = 3
-        blocks = self._blocks(p, rng)
-        _, stats = custom_all_to_all(blocks, nbytes_of=lambda a: a.nbytes)
-        expected = sum(
-            blocks[s][d].nbytes for s in range(p) for d in range(p) if s != d
-        )
-        assert stats.wire_bytes_total == expected
+        nbytes, stats = self._stats(3, rng)
+        assert stats.wire_bytes_total == nbytes.sum() - np.trace(nbytes)
 
     def test_message_count(self, rng):
         p = 4
-        blocks = self._blocks(p, rng)
-        _, stats = custom_all_to_all(blocks, nbytes_of=lambda a: a.nbytes)
+        _, stats = self._stats(p, rng)
         assert stats.n_messages == p * (p - 1)
         assert stats.n_stages == p
 
     def test_stage_max_bytes(self, rng):
         p = 3
-        blocks = self._blocks(p, rng)
-        _, stats = custom_all_to_all(blocks, nbytes_of=lambda a: a.nbytes)
+        nbytes, stats = self._stats(p, rng)
         assert len(stats.max_message_bytes_per_stage) == p
         assert stats.max_message_bytes_per_stage[0] == 0  # self-sends only
+        # stage i pairs p with (p + i) mod P
+        for stage in range(1, p):
+            assert stats.max_message_bytes_per_stage[stage] == max(
+                nbytes[s, (s + stage) % p] for s in range(p)
+            )
 
     def test_single_task(self):
-        blocks = [[np.arange(5)]]
-        recv, stats = custom_all_to_all(blocks, nbytes_of=lambda a: a.nbytes)
-        assert np.array_equal(recv[0][0], np.arange(5))
+        stats = block_exchange_stats(np.array([[5]]), self.TUPLE_BYTES)
+        assert stats.bytes_matrix[0, 0] == 5 * self.TUPLE_BYTES
         assert stats.wire_bytes_total == 0
+        assert stats.n_messages == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            custom_all_to_all([[1, 2], [1]], nbytes_of=lambda x: 0)
+            block_exchange_stats(np.zeros((2, 3), dtype=int), self.TUPLE_BYTES)
+        with pytest.raises(ValueError):
+            block_exchange_stats(np.zeros(4, dtype=int), self.TUPLE_BYTES)
 
     def test_max_bytes_sent_by_task(self, rng):
         p = 3
-        blocks = self._blocks(p, rng)
-        _, stats = custom_all_to_all(blocks, nbytes_of=lambda a: a.nbytes)
+        nbytes, stats = self._stats(p, rng)
         per_task = [
-            sum(blocks[s][d].nbytes for d in range(p) if d != s)
-            for s in range(p)
+            sum(nbytes[s, d] for d in range(p) if d != s) for s in range(p)
         ]
         assert stats.max_bytes_sent_by_task == max(per_task)
 

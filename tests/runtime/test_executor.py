@@ -18,7 +18,6 @@ from repro.runtime.executor import (
     ProcessExecutor,
     SerialExecutor,
     create_engine,
-    create_executor,
     worker_shared,
 )
 
@@ -48,8 +47,8 @@ def _shared_plus(x):
 
 class TestFactory:
     def test_names(self):
-        assert create_executor("serial").name == "serial"
-        assert create_executor("process").name == "process"
+        assert create_engine("serial").name == "serial"
+        assert create_engine("process").name == "process"
         assert set(EXECUTOR_NAMES) == {"serial", "process", "distributed"}
 
     def test_registry_drives_names(self):
@@ -59,16 +58,13 @@ class TestFactory:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            create_executor("mpi")
+            create_engine("mpi")
 
     def test_unknown_name_lists_registered_engines(self):
         with pytest.raises(
             ValueError, match="distributed, process, serial"
         ):
             create_engine("mpi")
-
-    def test_create_engine_is_create_executor(self):
-        assert create_engine is create_executor
 
     def test_distributed_needs_workers(self):
         with pytest.raises(ValueError, match="at least one worker"):

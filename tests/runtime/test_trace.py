@@ -1,11 +1,13 @@
-import json
-
 import pytest
 
 from repro.runtime.machines import EDISON
 from repro.runtime.timing import TimingModel
-from repro.runtime.trace import projection_to_trace_events, write_chrome_trace
 from repro.runtime.work import RunWork, StepNames
+from repro.telemetry.collect import RunTelemetry
+from repro.telemetry.exporters import (
+    projection_to_trace_events,
+    write_measured_trace,
+)
 
 
 @pytest.fixture()
@@ -64,21 +66,11 @@ class TestTraceEvents:
 
 
 class TestWriteChromeTrace:
-    def test_valid_json_with_metadata(self, projection, tmp_path):
-        path = tmp_path / "trace.json"
-        n = write_chrome_trace(projection, path)
-        payload = json.loads(path.read_text())
-        assert "traceEvents" in payload
-        thread_names = [
-            e for e in payload["traceEvents"] if e["name"] == "thread_name"
-        ]
-        assert len(thread_names) == 3
-        duration_events = [
-            e for e in payload["traceEvents"] if e.get("ph") == "X"
-        ]
-        assert len(duration_events) == n
-
     def test_creates_parent_dirs(self, projection, tmp_path):
+        """The projection's Chrome trace is the pid-1 row of the run's
+        measured trace; the writer makes its own directories."""
         path = tmp_path / "deep" / "trace.json"
-        write_chrome_trace(projection, path)
+        run = RunTelemetry(t0_ns=0, n_tasks=3, projected=projection)
+        n = write_measured_trace(run, path)
         assert path.exists()
+        assert n == len(projection_to_trace_events(projection))

@@ -2,42 +2,8 @@ import time
 
 import pytest
 
-from repro.util.timers import StepTimer, Stopwatch, TimeBreakdown
-
-
-class TestStopwatch:
-    def test_accumulates_across_intervals(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed > first
-
-    def test_elapsed_while_running(self):
-        sw = Stopwatch().start()
-        time.sleep(0.005)
-        assert sw.elapsed > 0
-        assert sw.running
-        sw.stop()
-        assert not sw.running
-
-    def test_double_start_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.002)
-        sw.reset()
-        assert sw.elapsed == 0.0
+from repro import telemetry
+from repro.util.timers import TimeBreakdown
 
 
 class TestTimeBreakdown:
@@ -75,22 +41,18 @@ class TestTimeBreakdown:
 
 
 class TestStepTimer:
-    def test_step_context_records(self):
-        timer = StepTimer()
-        with timer.step("work"):
-            time.sleep(0.002)
-        assert timer.breakdown.get("work") >= 0.002
+    """Steps are timed by ``telemetry.span(step, times=)``, telemetry on or
+    off (the spool side is covered in ``tests/telemetry/test_span_seam``)."""
 
-    def test_record_direct(self):
-        timer = StepTimer()
-        timer.record("x", 1.25)
-        timer.record("x", 0.75)
-        assert timer.breakdown.get("x") == pytest.approx(2.0)
+    def test_step_context_records(self):
+        times = TimeBreakdown()
+        with telemetry.span("work", times=times):
+            time.sleep(0.002)
+        assert times.get("work") >= 0.002
 
     def test_exception_still_records(self):
-        timer = StepTimer()
+        times = TimeBreakdown()
         with pytest.raises(RuntimeError):
-            with timer.step("failing"):
+            with telemetry.span("failing", times=times):
                 raise RuntimeError("boom")
-        assert timer.breakdown.get("failing") >= 0.0
-        assert "failing" in timer.breakdown.seconds
+        assert "failing" in times.seconds
