@@ -7,11 +7,7 @@ work".  This example runs that evaluation with the extension modules:
 
 1. estimate the dataset's coverage structure from its k-mer spectrum and
    derive a filter band (``repro.kmers.spectrum_analysis``),
-2. sweep cutoffs and plot the largest-component curve
-   (``repro.cc.splitting.sweep_filters``),
-3. binary-search the gentlest filter meeting a target balance
-   (``split_to_target``),
-4. compare with digital normalization as an alternative reduction
+2. compare with digital normalization as an alternative reduction
    (``repro.kmers.normalization``).
 
 Run:  python examples/filter_tuning.py [workdir]
@@ -22,8 +18,6 @@ import tempfile
 from pathlib import Path
 
 from repro import build_dataset
-from repro.cc.splitting import split_to_target, sweep_filters
-from repro.core.report import format_table
 from repro.index.create import index_create
 from repro.index.fastqpart import load_chunk_reads
 from repro.kmers.counter import count_canonical_kmers
@@ -58,26 +52,7 @@ def main() -> int:
         f"(the paper hand-picked 10 <= KF < 30)"
     )
 
-    # 2. cutoff sweep
-    cutoffs = [5, 10, 20, 30, 50, 100]
-    outcomes = sweep_filters(batch, K, max_freqs=cutoffs)
-    rows = [
-        [o.kfilter.describe(), f"{o.lc_fraction * 100:.1f}%", o.summary.n_components]
-        for o in outcomes
-    ]
-    print()
-    print(format_table(["filter", "largest component", "components"], rows))
-
-    # 3. gentlest filter meeting a 60% balance target
-    target = 0.6
-    best = split_to_target(batch, K, target_fraction=target)
-    print(
-        f"\ngentlest filter with LC <= {target:.0%}: "
-        f"{best.kfilter.describe()} "
-        f"(LC = {best.lc_fraction * 100:.1f}%)"
-    )
-
-    # 4. digital normalization as the alternative reduction
+    # 2. digital normalization as the alternative reduction
     kept, stats = DigitalNormalizer(k=17, coverage=report.coverage_peak).normalize_pairs(batch)
     print(
         f"\ndigital normalization at C={report.coverage_peak}: kept "

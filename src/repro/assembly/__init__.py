@@ -25,12 +25,6 @@ from repro.assembly.evaluation import (
     EvaluationReport,
     evaluate_against_community,
 )
-from repro.assembly.scaffold import (
-    ScaffoldConfig,
-    Scaffolder,
-    ScaffoldStats,
-    scaffold_contigs,
-)
 from repro.assembly.stats import AssemblyStats, contig_stats, n_statistic
 from repro.assembly.assembler import (
     AssemblyConfig,
@@ -58,8 +52,4 @@ __all__ = [
     "AssemblyEvaluator",
     "EvaluationReport",
     "evaluate_against_community",
-    "ScaffoldConfig",
-    "Scaffolder",
-    "ScaffoldStats",
-    "scaffold_contigs",
 ]

@@ -21,18 +21,6 @@ from repro.cc.components import (
     summarize_components,
     reference_components_networkx,
 )
-from repro.cc.contraction import (
-    ContractedMergeStats,
-    merge_component_arrays_contracted,
-    nontrivial_pairs,
-)
-from repro.cc.splitting import (
-    SplitOutcome,
-    hub_kmer_split,
-    split_to_target,
-    sweep_filters,
-)
-from repro.cc.incremental import IncrementalPartitioner, IncrementalStats
 
 __all__ = [
     "DisjointSetForest",
@@ -48,13 +36,4 @@ __all__ = [
     "component_sizes",
     "summarize_components",
     "reference_components_networkx",
-    "ContractedMergeStats",
-    "merge_component_arrays_contracted",
-    "nontrivial_pairs",
-    "SplitOutcome",
-    "hub_kmer_split",
-    "split_to_target",
-    "sweep_filters",
-    "IncrementalPartitioner",
-    "IncrementalStats",
 ]

@@ -55,8 +55,6 @@ def payload_fingerprint(payload: dict) -> str:
 #: * ``write_outputs`` — toggles emission of the partitioned FASTQ files,
 #:   not the labels the artifact store caches;
 #: * ``machine`` — only feeds the timing projection;
-#: * ``radix_skip_constant`` — a sort-internal shortcut that leaves the
-#:   sorted order unchanged;
 #: * ``n_passes`` / ``memory_budget_per_task`` / ``n_chunks`` — the
 #:   pass/chunk decomposition; the merge step makes labels independent of
 #:   how work was split (verified by the pass-count invariance tests);
@@ -78,7 +76,6 @@ PARTITION_IRRELEVANT_FIELDS = frozenset(
         "worker_addresses",
         "write_outputs",
         "machine",
-        "radix_skip_constant",
         "n_passes",
         "memory_budget_per_task",
         "n_chunks",

@@ -48,10 +48,6 @@ class PipelineConfig:
     #: write the partitioned FASTQ output files (CC-I/O step).  Disable in
     #: unit tests that only need the partition labels.
     write_outputs: bool = True
-    #: radix-sort optimization: skip passes whose digit is constant.  Does
-    #: not affect the timing model (which uses the paper's nominal pass
-    #: count) — only real wall time.
-    radix_skip_constant: bool = True
     #: execution backend for per-chunk KmerGen and per-owner-task
     #: LocalSort+LocalCC: ``"serial"`` (inline, the reference engine),
     #: ``"process"`` (a real multiprocessing pool) or ``"distributed"``

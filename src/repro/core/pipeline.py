@@ -162,7 +162,6 @@ class _WorkerContext:
     n_tasks: int
     n_threads: int
     kmer_filter: FrequencyFilter
-    radix_skip_constant: bool
     #: spool settings when the run collects telemetry; workers activate
     #: the thread-local emitter from this on first job
     telemetry: TelemetrySettings | None = None
@@ -332,11 +331,7 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
             start = 0
             for count in counts:
                 end = start + int(count)
-                sort_stats.merge(
-                    radix_sort_block(
-                        block, start, end, skip_constant=ctx.radix_skip_constant
-                    )
-                )
+                sort_stats.merge(radix_sort_block(block, start, end))
                 start = end
 
         with telemetry.span(StepNames.LOCALCC, task=job.task, aux=job.pass_index, times=times):
@@ -613,7 +608,6 @@ class MetaPrep:
                     n_tasks=p_tasks,
                     n_threads=t_threads,
                     kmer_filter=cfg.kmer_filter,
-                    radix_skip_constant=cfg.radix_skip_constant,
                     telemetry=collector.settings if collector is not None else None,
                 )
             )

@@ -28,12 +28,6 @@ from repro.datasets.registry import (
     BuiltDataset,
     build_dataset,
 )
-from repro.datasets.strains import (
-    StrainSpec,
-    derive_strain,
-    make_strain_family,
-    strain_kmer_similarity,
-)
 
 __all__ = [
     "Genome",
@@ -48,8 +42,4 @@ __all__ = [
     "DatasetSpec",
     "BuiltDataset",
     "build_dataset",
-    "StrainSpec",
-    "derive_strain",
-    "make_strain_family",
-    "strain_kmer_similarity",
 ]

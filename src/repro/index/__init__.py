@@ -37,7 +37,6 @@ from repro.index.passplan import (
     passes_for_memory_budget,
 )
 from repro.index.create import IndexCreateResult, index_create
-from repro.index.parallel import ParallelIndexStats, parallel_index_create
 
 __all__ = [
     "MerHist",
@@ -57,6 +56,4 @@ __all__ = [
     "passes_for_memory_budget",
     "IndexCreateResult",
     "index_create",
-    "ParallelIndexStats",
-    "parallel_index_create",
 ]

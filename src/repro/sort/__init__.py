@@ -16,11 +16,6 @@ from repro.sort.radix import (
     counting_sort_by_digit,
 )
 from repro.sort.partition import range_partition, partition_boundaries_equal
-from repro.sort.sampling import (
-    SamplingPartitionStats,
-    measure_partition_balance,
-    sampled_boundaries,
-)
 from repro.sort.validate import is_sorted_kmers, verify_sort
 
 __all__ = [
@@ -32,9 +27,6 @@ __all__ = [
     "counting_sort_by_digit",
     "range_partition",
     "partition_boundaries_equal",
-    "SamplingPartitionStats",
-    "measure_partition_balance",
-    "sampled_boundaries",
     "is_sorted_kmers",
     "verify_sort",
 ]

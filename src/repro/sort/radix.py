@@ -6,11 +6,16 @@ sorting 8 bits per pass is faster than sorting a higher number of bits
 because accessing bucket counts of 256 buckets repeatedly has better
 temporal locality."
 
-This module keeps that structure: one stable counting-sort pass per 8-bit
-digit, least significant digit first, ping-ponging between two buffers
-(out-of-place).  The per-pass stable reorder uses NumPy's stable sort on
-``uint8`` digits, which NumPy itself implements as an O(n) radix/counting
-sort for 8-bit integers — so the per-pass cost model matches the paper's.
+This module keeps that structure: one stable pass per 8-bit digit, least
+significant digit first, each pass gathering the columns into fresh
+buffers (out-of-place).  The kernel that runs is
+``np.argsort(digit, kind="stable")``: NumPy sorts ``uint8`` (and
+``uint16``) keys with an O(n) radix/counting sort, so the per-pass cost
+model matches the paper's.  :func:`counting_sort_by_digit` spells the same
+pass out — 256 bucket counts, prefix sum, stable scatter — and is the
+paper-faithful reference; it is not on the run path, and
+``tests/sort/test_radix.py`` pins the production pass and the whole sort
+to it, permutation for permutation.
 
 An adaptive optimization (on by default) skips passes whose digit is
 constant across the partition; this is exactly why multipass runs with
@@ -59,7 +64,7 @@ class RadixSortStats:
 
 
 def counting_sort_by_digit(digit: np.ndarray) -> np.ndarray:
-    """Stable permutation sorting one 8-bit digit column.
+    """Stable permutation sorting one 8-bit digit column — the reference.
 
     Explicit counting sort, structured exactly as the paper's per-pass
     kernel: 256 bucket counts (:func:`np.bincount`), an exclusive prefix
@@ -68,7 +73,9 @@ def counting_sort_by_digit(digit: np.ndarray) -> np.ndarray:
     Returns the gather permutation ``order`` such that ``digit[order]``
     is sorted and equal digits keep their input order.
 
-    :func:`argsort_by_digit` is the oracle this is tested against.
+    One whole-column scan per occupied bucket makes this O(256·n), so
+    it is the tests' reference, not the kernel :func:`radix_sort_tuples`
+    runs (see the module docstring).
     """
     digit = np.ascontiguousarray(digit, dtype=np.uint8)
     counts = np.bincount(digit, minlength=RADIX_BUCKETS)
@@ -78,17 +85,6 @@ def counting_sort_by_digit(digit: np.ndarray) -> np.ndarray:
     for b in np.flatnonzero(counts):
         order[bounds[b] : bounds[b + 1]] = np.flatnonzero(digit == b)
     return order
-
-
-def argsort_by_digit(digit: np.ndarray) -> np.ndarray:
-    """The stable-argsort oracle for :func:`counting_sort_by_digit`.
-
-    NumPy's stable sort on ``uint8`` is an O(n) radix/counting sort
-    internally, so this produces the identical permutation; the
-    differential tests pin the two to each other.
-    """
-    digit = np.ascontiguousarray(digit, dtype=np.uint8)
-    return np.argsort(digit, kind="stable")
 
 
 def radix_sort_tuples(
@@ -138,14 +134,7 @@ def radix_sort_tuples(
         if skip_constant and digit[0] == digit[-1] and not np.any(digit != digit[0]):
             stats.passes_skipped += 1
             continue
-        # 8-bit digits use the explicit 256-bucket counting sort (the
-        # paper's kernel); the 16-bit ablation path keeps the stable
-        # argsort — 65536 buckets lose the temporal locality that makes
-        # the explicit counting formulation worthwhile (section 3.4).
-        if digit_bits == 8:
-            order = counting_sort_by_digit(digit)
-        else:
-            order = np.argsort(digit, kind="stable")
+        order = np.argsort(digit, kind="stable")
         lo = lo[order]
         ids = ids[order]
         if hi is not None:
@@ -156,13 +145,7 @@ def radix_sort_tuples(
     return KmerTuples(KmerArray(k, lo, hi), ids), stats
 
 
-def radix_sort_block(
-    block,
-    lo: int,
-    hi: int,
-    skip_constant: bool = True,
-    digit_bits: int = RADIX_BITS,
-) -> RadixSortStats:
+def radix_sort_block(block, lo: int, hi: int) -> RadixSortStats:
     """Sort tuples ``[lo, hi)`` of a
     :class:`~repro.runtime.buffers.TupleBlock` in place over its backing.
 
@@ -174,9 +157,7 @@ def radix_sort_block(
     Returns the per-invocation :class:`RadixSortStats`.
     """
     part = block.view(lo, hi)
-    sorted_part, stats = radix_sort_tuples(
-        part, skip_constant=skip_constant, digit_bits=digit_bits
-    )
+    sorted_part, stats = radix_sort_tuples(part)
     if stats.passes_executed:
         block.write(lo, sorted_part)
     if telemetry.enabled():

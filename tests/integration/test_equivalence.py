@@ -35,7 +35,6 @@ CONFIGS = [
     dict(n_tasks=3, n_threads=2, n_passes=5),
     dict(n_tasks=2, n_threads=2, n_passes=2, localcc_opt=False),
     dict(n_tasks=2, n_threads=2, n_passes=1, machine="ganga"),
-    dict(n_tasks=2, n_threads=2, n_passes=2, radix_skip_constant=False),
 ]
 
 

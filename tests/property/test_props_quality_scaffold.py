@@ -1,6 +1,5 @@
-"""Hypothesis properties for the quality and scaffolding utilities."""
+"""Hypothesis properties for the quality utilities."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,30 +69,3 @@ def test_quality_filter_kept_subset_order_preserved(read_specs, min_q):
     assert names == original_order
     assert stats.n_kept + stats.n_dropped_quality + stats.n_dropped_length == stats.n_in
 
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_scaffold_never_loses_contig_sequence(seed):
-    """Every input contig appears in exactly one scaffold (possibly
-    reverse-complemented), regardless of pairing noise."""
-    from repro.assembly.scaffold import ScaffoldConfig, scaffold_contigs
-    from repro.seqio.alphabet import reverse_complement
-
-    rng = np.random.default_rng(seed)
-    genome = "".join(rng.choice(list("ACGT"), size=500))
-    contigs = [genome[:200], genome[250:450]]
-    # noisy pairs: half genuine spanning pairs, half junk
-    pairs = []
-    for _ in range(20):
-        pos = int(rng.integers(0, 220))
-        frag = genome[pos : pos + 280]
-        pairs.append((frag[:60], reverse_complement(frag[-60:])))
-    junk = "".join(rng.choice(list("ACGT"), size=60))
-    pairs.append((junk, junk))
-    scaffolds, _ = scaffold_contigs(
-        contigs, pairs, ScaffoldConfig(min_links=2)
-    )
-    joined = " ".join(scaffolds)
-    joined_rc = " ".join(reverse_complement(s) for s in scaffolds)
-    for contig in contigs:
-        assert contig in joined or contig in joined_rc

@@ -43,6 +43,25 @@ class TestCountingSort:
             positions = order[out == d]
             assert np.all(np.diff(positions) > 0)
 
+    @pytest.mark.parametrize(
+        "digits",
+        [
+            np.random.default_rng(3).integers(0, RADIX_BUCKETS, size=4000),
+            np.full(300, 17),
+            np.array([9, 200, 9, 9, 200, 0, 255, 0]),
+            np.array([], dtype=np.int64),
+            np.array([42]),
+        ],
+        ids=["random", "all-equal", "few-buckets", "empty", "singleton"],
+    )
+    def test_equals_production_digit_pass(self, digits):
+        """The reference and the kernel ``radix_sort_tuples`` runs yield
+        the same permutation, not merely the same sorted column."""
+        digits = digits.astype(np.uint8)
+        assert np.array_equal(
+            counting_sort_by_digit(digits), np.argsort(digits, kind="stable")
+        )
+
 
 class TestRadixSort:
     @pytest.mark.parametrize("k", [27, 31])
@@ -110,6 +129,25 @@ class TestRadixSort:
         before = tuples.kmers.lo.copy()
         radix_sort_tuples(tuples)
         assert np.array_equal(tuples.kmers.lo, before)
+
+    @pytest.mark.parametrize("k", [27, 63])
+    @pytest.mark.parametrize("skip_constant", [True, False])
+    def test_equals_counting_sort_composition(self, rng, k, skip_constant):
+        """Production output, ids included, equals an LSD sort composed
+        from the paper-faithful ``counting_sort_by_digit`` passes."""
+        tuples = make_tuples(rng, 3000, k)
+        tuples.read_ids[:] = rng.integers(0, 40, size=3000)  # duplicate payloads
+        limbs = [tuples.kmers.lo] + ([tuples.kmers.hi] if k > 31 else [])
+        order = np.arange(len(tuples))
+        for limb in limbs:
+            limb[::3] = limb[0]  # duplicate keys
+            for shift in range(0, 64, 8):
+                digit = ((limb[order] >> np.uint64(shift)) & np.uint64(0xFF)).astype(np.uint8)
+                order = order[counting_sort_by_digit(digit)]
+        out, _ = radix_sort_tuples(tuples, skip_constant=skip_constant)
+        assert np.array_equal(out.read_ids, tuples.read_ids[order])
+        for limb, sorted_limb in zip(limbs, [out.kmers.lo, out.kmers.hi]):
+            assert np.array_equal(sorted_limb, limb[order])
 
     def test_stats_merge(self, rng):
         a = make_tuples(rng, 50, 27)

@@ -1,10 +1,14 @@
 """Public-API integrity: every ``__all__`` name resolves, every public
 callable has a docstring, lazy top-level exports work."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
+
+REPO = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro.util",
@@ -45,6 +49,52 @@ def test_public_callables_documented(name):
 def test_package_docstring(name):
     module = importlib.import_module(name)
     assert module.__doc__ and len(module.__doc__.strip()) > 20, name
+
+
+#: modules allowed to have no importer under ``src/`` or ``benchmarks/``
+NO_CALLER_ALLOWED = {
+    # the console-script entry point: invoked by name, imported by no one
+    "repro.cli",
+    # the paper's section 3.7 worked example, pinned by
+    # tests/perf/test_costmodel.py; revisit with ROADMAP item 4b
+    "repro.perf.costmodel",
+}
+
+
+def _imported_names(path: Path) -> set:
+    """Every dotted name ``path`` imports: ``import a.b`` gives ``a.b``;
+    ``from a import b`` gives ``a`` and ``a.b`` (``b`` may be a module).
+    The repo uses absolute imports only."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import in {path}"
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_has_a_caller():
+    """A module stays in ``src/repro`` only while something under
+    ``src/`` or ``benchmarks/`` imports it — its own package
+    ``__init__`` re-exporting it, its own test, or an ``examples/``
+    script do not count."""
+    src = REPO / "src"
+    imported = set()
+    for path in [*src.rglob("*.py"), *(REPO / "benchmarks").rglob("*.py")]:
+        names = _imported_names(path)
+        if path.name == "__init__.py" and src in path.parents:
+            package = ".".join(path.parent.relative_to(src).parts)
+            names = {n for n in names if n.rpartition(".")[0] != package}
+        imported |= names
+    modules = {
+        ".".join(path.relative_to(src).with_suffix("").parts)
+        for path in src.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    assert sorted(modules - imported - NO_CALLER_ALLOWED) == []
 
 
 class TestTopLevelLazyExports:
