@@ -1,6 +1,6 @@
 """Invariant-checking static analysis for the METAPREP codebase.
 
-``metaprep check`` runs four AST-based checkers over ``src/repro`` and
+``metaprep check`` runs six AST-based checkers over ``src/repro`` and
 reports structured findings (file, line, rule id, message):
 
 * **fingerprint** (MP101–MP104) — every ``PipelineConfig`` field read by
@@ -13,29 +13,26 @@ reports structured findings (file, line, rule id, message):
   backends must be picklable module-level functions free of
   module-global writes;
 * **overflow** (MP401) — k-derived shift widths must not exceed the
-  64-bit packed-kmer limb outside the guarded two-limb path.
+  64-bit packed-kmer limb outside the guarded two-limb path;
+* **resources** (MP502) — spill files and the tupleblock spill schema
+  are touched only inside the disk block plane's spill module;
+* **gateway** (MP605) — ``async`` gateway handlers must not write
+  module globals or block the event loop in ``time.sleep``.
 
-Findings are silenced inline with ``# metaprep: ignore[RULE]`` or
-absorbed by the committed baseline file (``.metaprep-baseline.json``);
-``metaprep check --strict`` exits non-zero on any *new* finding.  The
-whole subsystem is stdlib-only (``ast`` + ``tokenize``) so the CI gate
-runs without the numeric stack.
+Findings are silenced only inline, with ``# metaprep: ignore[RULE]``;
+the MP001 audit reports a suppression comment that is malformed, names
+an unknown rule, or silences nothing.  ``metaprep check --strict`` exits
+non-zero on any unsuppressed finding.  The whole subsystem is
+stdlib-only (``ast`` + ``tokenize``) so the CI gate runs without the
+numeric stack.
 """
 
-from repro.analysis.baseline import (
-    BASELINE_FILENAME,
-    load_baseline,
-    subtract_baseline,
-    write_baseline,
-)
-from repro.analysis.checkers import CHECKERS
 from repro.analysis.findings import RULES, Finding
 from repro.analysis.project import Project, ProjectLayoutError, SourceModule
-from repro.analysis.runner import CheckReport, run_checks
+from repro.analysis.runner import CHECKERS, CheckReport, run_checks
 from repro.analysis.suppress import is_suppressed, parse_suppressions
 
 __all__ = [
-    "BASELINE_FILENAME",
     "CHECKERS",
     "CheckReport",
     "Finding",
@@ -44,9 +41,6 @@ __all__ = [
     "RULES",
     "SourceModule",
     "is_suppressed",
-    "load_baseline",
     "parse_suppressions",
     "run_checks",
-    "subtract_baseline",
-    "write_baseline",
 ]

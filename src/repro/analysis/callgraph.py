@@ -37,6 +37,7 @@ from repro.analysis.dataflow import (
     EffectSite,
     FunctionSummary,
     ModuleSummary,
+    summarize_module,
 )
 
 #: (pkgpath, qualname) — the node identity of the graph
@@ -210,18 +211,15 @@ class CallGraph:
         return path
 
 
-def build_callgraph(summaries: Dict[str, ModuleSummary]) -> CallGraph:
-    return CallGraph(summaries)
-
-
 def project_callgraph(project) -> CallGraph:
-    """Call graph of a :class:`~repro.analysis.project.Project`,
-    memoized on the instance alongside the dataflow summaries."""
-    from repro.analysis.dataflow import project_summaries
-
+    """Call graph over the summaries of every module of a
+    :class:`~repro.analysis.project.Project`, memoized on the instance
+    so the determinism and purity checkers share one computation."""
     cached = getattr(project, "_callgraph", None)
     if cached is None:
-        cached = CallGraph(project_summaries(project))
+        cached = CallGraph(
+            {m.pkgpath: summarize_module(m) for m in project.modules}
+        )
         project._callgraph = cached  # type: ignore[attr-defined]
     return cached
 

@@ -1,53 +1,7 @@
-"""Checker registry for :mod:`repro.analysis`.
+"""The checkers of :mod:`repro.analysis`, one module per rule family.
 
-Each checker is a function ``Project -> List[Finding]``.  The runner
-iterates :data:`CHECKERS` in order, so new checkers register here.
+Each checker is a function ``Project -> List[Finding]`` that reads the
+parsed modules of :class:`~repro.analysis.project.Project` and reports
+every violation of its rules.  The registry the runner iterates is
+:data:`repro.analysis.runner.CHECKERS`; a new checker registers there.
 """
-
-from __future__ import annotations
-
-from typing import Callable, Dict, List
-
-from repro.analysis.findings import Finding
-from repro.analysis.project import Project
-from repro.analysis.checkers.fingerprint import check_fingerprint_coverage
-from repro.analysis.checkers.determinism import check_determinism
-from repro.analysis.checkers.purity import check_executor_purity
-from repro.analysis.checkers.overflow import check_kmer_overflow
-from repro.analysis.checkers.resources import check_executor_resources
-from repro.analysis.checkers.lifecycle import check_lifecycle
-from repro.analysis.checkers.gateway import check_gateway_purity
-
-#: checker name -> checker function, in run order
-CHECKERS: Dict[str, Callable[[Project], List[Finding]]] = {
-    "fingerprint": check_fingerprint_coverage,
-    "determinism": check_determinism,
-    "purity": check_executor_purity,
-    "overflow": check_kmer_overflow,
-    "resources": check_executor_resources,
-    "lifecycle": check_lifecycle,
-    "gateway": check_gateway_purity,
-}
-
-#: checkers whose findings depend only on a single file's source —
-#: these run inside the per-file (cacheable, parallelizable) pass of
-#: the runner.  The rest reason across files and always run in-driver.
-MODULE_LOCAL_CHECKERS = (
-    "determinism",
-    "purity",
-    "overflow",
-    "resources",
-    "gateway",
-)
-
-__all__ = [
-    "CHECKERS",
-    "MODULE_LOCAL_CHECKERS",
-    "check_fingerprint_coverage",
-    "check_determinism",
-    "check_executor_purity",
-    "check_kmer_overflow",
-    "check_executor_resources",
-    "check_lifecycle",
-    "check_gateway_purity",
-]

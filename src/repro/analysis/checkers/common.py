@@ -17,29 +17,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 K_NAME = re.compile(r"^k[0-9]?$")
 
 
-def import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the dotted path they import.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from time import
-    time`` maps ``time -> time.time``; ``import os.path`` binds ``os``.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    first = alias.name.split(".")[0]
-                    aliases[first] = first
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                continue  # relative imports stay package-local
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
-
-
 def dotted_name(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
     """Resolve a ``Name``/``Attribute`` chain to its imported dotted path.
 

@@ -40,7 +40,6 @@ from repro.analysis.project import Project, SourceModule
 from repro.analysis.checkers.common import (
     annotation_mentions,
     dotted_name,
-    import_aliases,
     terminal_name,
     walk_scope,
 )
@@ -213,8 +212,7 @@ def _is_unseeded_call(node: ast.Call) -> bool:
 
 
 def _scan_clocks(module: SourceModule, findings: List[Finding]) -> None:
-    aliases = import_aliases(module.tree)
-    for line, dotted in wall_clock_sites(module.tree, aliases):
+    for line, dotted in wall_clock_sites(module.tree, module.aliases):
         findings.append(
             Finding(
                 path=module.relpath,
@@ -230,8 +228,7 @@ def _scan_clocks(module: SourceModule, findings: List[Finding]) -> None:
 
 
 def _scan_rng(module: SourceModule, findings: List[Finding]) -> None:
-    aliases = import_aliases(module.tree)
-    for line, message in rng_sites(module.tree, aliases):
+    for line, message in rng_sites(module.tree, module.aliases):
         findings.append(
             Finding(
                 path=module.relpath,
@@ -352,7 +349,7 @@ def _scan_transitive_clocks(project: Project, findings: List[Finding]) -> None:
     source is itself out of scope (in-scope sources are already flagged
     directly).  One finding per (caller, callee) pair, anchored at the
     first offending call line; the message carries the witness chain,
-    not line numbers, so baseline identity survives line drift.
+    not line numbers, so it is stable under edits to the helper module.
     """
     from repro.analysis.callgraph import format_chain, project_callgraph
 
@@ -391,24 +388,13 @@ def _scan_transitive_clocks(project: Project, findings: List[Finding]) -> None:
 # ----------------------------------------------------------------------
 # the checker
 # ----------------------------------------------------------------------
-def check_determinism_direct(project: Project) -> List[Finding]:
-    """Module-local MP2xx scans only (the cacheable per-file half)."""
+def check_determinism(project: Project) -> List[Finding]:
+    """Run the MP2xx determinism lint over ``project``."""
     findings: List[Finding] = []
     for module in project.select(RESULT_AFFECTING_SCOPES):
         _scan_clocks(module, findings)
         _scan_set_iteration(module, findings)
     for module in project.modules:
         _scan_rng(module, findings)
-    return findings
-
-
-def check_determinism_transitive(project: Project) -> List[Finding]:
-    """Call-graph MP201 pass only (runs in-driver, never cached)."""
-    findings: List[Finding] = []
     _scan_transitive_clocks(project, findings)
     return findings
-
-
-def check_determinism(project: Project) -> List[Finding]:
-    """Run the MP2xx determinism lint over ``project``."""
-    return check_determinism_direct(project) + check_determinism_transitive(project)

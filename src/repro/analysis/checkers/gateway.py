@@ -29,7 +29,7 @@ from typing import List, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
-from repro.analysis.checkers.common import dotted_name, import_aliases
+from repro.analysis.checkers.common import dotted_name
 from repro.analysis.checkers.purity import (
     _THREAD_LOCAL_FACTORIES,
     global_write_sites,
@@ -42,7 +42,7 @@ GATEWAY_PREFIX = "gateway/"
 _BLOCKING_SLEEPS = ("time.sleep",)
 
 
-def _module_names(module: SourceModule, aliases) -> Set[str]:
+def _module_names(module: SourceModule) -> Set[str]:
     """Module-level bindings that count as global state (same
     thread-local carve-out as the MP302 context)."""
     names: Set[str] = set()
@@ -50,7 +50,7 @@ def _module_names(module: SourceModule, aliases) -> Set[str]:
         if isinstance(node, ast.Assign):
             if (
                 isinstance(node.value, ast.Call)
-                and dotted_name(node.value.func, aliases)
+                and dotted_name(node.value.func, module.aliases)
                 in _THREAD_LOCAL_FACTORIES
             ):
                 continue
@@ -68,8 +68,7 @@ def check_gateway_purity(project: Project) -> List[Finding]:
     for module in project.modules:
         if not module.pkgpath.startswith(GATEWAY_PREFIX):
             continue
-        aliases = import_aliases(module.tree)
-        module_names = _module_names(module, aliases)
+        module_names = _module_names(module)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
@@ -89,7 +88,7 @@ def check_gateway_purity(project: Project) -> List[Finding]:
             for call in ast.walk(node):
                 if not isinstance(call, ast.Call):
                     continue
-                resolved = dotted_name(call.func, aliases)
+                resolved = dotted_name(call.func, module.aliases)
                 if resolved in _BLOCKING_SLEEPS:
                     findings.append(
                         Finding(

@@ -33,7 +33,6 @@ from repro.analysis.project import Project, SourceModule
 from repro.analysis.checkers.common import (
     annotation_mentions,
     dotted_name,
-    import_aliases,
     terminal_name,
 )
 
@@ -87,7 +86,7 @@ class _ModuleContext:
 
     def __init__(self, module: SourceModule) -> None:
         self.module = module
-        self.aliases = import_aliases(module.tree)
+        self.aliases = module.aliases
         self.toplevel_defs: Dict[str, ast.FunctionDef] = {}
         self.toplevel_lambdas: Set[str] = set()
         self.module_names: Set[str] = set()
@@ -306,7 +305,7 @@ def _scan_transitive_writes(project: Project, findings: List[Finding]) -> None:
     scan above already reported those at the write line.  Findings are
     anchored at the job function's ``def`` line in its defining module
     and carry the witness chain in the message (no embedded line
-    numbers, so baseline identity survives line drift).
+    numbers, so it is stable under edits to the helper modules).
     """
     from repro.analysis.callgraph import format_chain, project_callgraph
 
@@ -356,8 +355,8 @@ def _as_transitive(detail: str) -> str:
 # ----------------------------------------------------------------------
 # the checker
 # ----------------------------------------------------------------------
-def check_executor_purity_direct(project: Project) -> List[Finding]:
-    """Per-site MP3xx scans only (the cacheable per-file half)."""
+def check_executor_purity(project: Project) -> List[Finding]:
+    """Run the MP3xx executor-payload purity analysis over ``project``."""
     findings: List[Finding] = []
     for module in project.modules:
         if module.pkgpath == "runtime/executor.py":
@@ -371,18 +370,5 @@ def check_executor_purity_direct(project: Project) -> List[Finding]:
             if fn_expr is None:
                 continue
             _classify_submission(fn_expr, site, context, findings, seen_fns)
-    return findings
-
-
-def check_executor_purity_transitive(project: Project) -> List[Finding]:
-    """Call-graph MP302 pass only (runs in-driver, never cached)."""
-    findings: List[Finding] = []
     _scan_transitive_writes(project, findings)
     return findings
-
-
-def check_executor_purity(project: Project) -> List[Finding]:
-    """Run the MP3xx executor-payload purity analysis over ``project``."""
-    return check_executor_purity_direct(project) + check_executor_purity_transitive(
-        project
-    )

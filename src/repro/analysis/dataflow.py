@@ -2,7 +2,7 @@
 
 This module is the intraprocedural half of the interprocedural layer
 (the other half is :mod:`repro.analysis.callgraph`).  For every
-module-level function and class method it computes a picklable
+module-level function and class method it computes a
 :class:`FunctionSummary` carrying
 
 * **effect sites** — local occurrences of the three taints the
@@ -12,72 +12,26 @@ module-level function and class method it computes a picklable
   ``self.method``, or import-resolved dotted path) that the call graph
   resolves project-wide;
 * **executor submissions** — callables handed to ``<executor>.map``,
-  the roots of the transitive purity analysis;
-* **resource bindings** — every ``name = call(...)`` binding together
-  with its *release coverage* over a lite control-flow graph with
-  exception edges (below), the facts the MP6xx lifecycle rules consume;
-* **return calls** — calls whose result flows to ``return``, so the
-  lifecycle analysis can see through acquire-and-return helpers.
+  the roots of the transitive purity analysis.
 
-Summaries are deliberately self-contained per file: they depend only on
-that file's source, which is what makes the incremental checker cache
-(:mod:`repro.analysis.runner`) sound — cross-file reasoning happens
-strictly over cached summaries, never over cached findings.
-
-**The lite CFG.**  Release coverage is decided over a statement-level
-control-flow graph: one node per simple statement or compound-statement
-header, normal edges for sequencing/branching/loops, and an *exception
-edge* from every statement that contains a call (or ``raise``/
-``assert``) to the innermost enclosing handler — ``except`` dispatch,
-``finally`` entry, or the function's exceptional exit.  ``with`` blocks
-get a cleanup node that both the normal and exceptional body exits pass
-through, which is exactly why a context-managed acquisition counts as
-released on every path.  ``return`` routes through enclosing ``finally``
-blocks before reaching the exit node.  The graph is path-insensitive in
-the usual benign ways (a ``finally`` body is built once and shared by
-the normal and exceptional paths); the checkers trade that slack for a
-model small enough to rebuild on every edit.
+Summaries depend only on their own file's source; cross-file reasoning
+happens in the call graph, over the summaries of every module.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.checkers.common import dotted_name, import_aliases, terminal_name
-from repro.analysis.project import Project, SourceModule
-
-#: bump together with the runner's cache version whenever summary
-#: semantics change (stale cached summaries would silently disagree)
-DATAFLOW_VERSION = 2
-
-#: resource-acquiring entry points, by terminal callee name -> kind
-ACQUIRER_KINDS = {
-    "attach_block": "shm",
-    "open_block": "shm",
-    "read_spill": "spill",
-    "resident_spill": "spill",
-    "SpoolWriter": "spool",
-    "connect_with_retry": "socket",
-    "create_connection": "socket",
-}
-
-#: method names that release the receiver (``n.close()``)
-RELEASE_METHODS = frozenset(
-    {"close", "unlink", "cleanup", "release", "stop", "shutdown"}
+from repro.analysis.checkers.common import dotted_name, terminal_name
+from repro.analysis.checkers.determinism import rng_sites, wall_clock_sites
+from repro.analysis.checkers.purity import (
+    _ExecutorScanner,
+    _ModuleContext,
+    global_write_sites,
 )
-
-#: function names that release an argument (``pool.release(n)``)
-RELEASE_FUNCS = frozenset({"release", "close", "consume_spill", "free"})
-
-#: binding release-coverage verdicts
-MANAGED = "managed"  # context-managed (with) — released on every path
-ESCAPED = "escaped"  # ownership handed off (returned/stored/yielded)
-RELEASED = "released"  # explicitly released on every path
-LEAKY = "leaky"  # some normal path reaches exit without a release
-LEAKY_EXC = "leaky-exception"  # an exception edge skips the release
-
+from repro.analysis.project import SourceModule
 
 # ----------------------------------------------------------------------
 # symbolic callee references
@@ -94,17 +48,6 @@ class CalleeRef:
 
     kind: str
     name: str
-
-    @property
-    def terminal(self) -> str:
-        """The last identifier — what the acquirer table matches on."""
-        return self.name.rsplit(".", 1)[-1]
-
-    @property
-    def display(self) -> str:
-        if self.kind == "self":
-            return f"self.{self.name}"
-        return self.name
 
 
 def callee_ref(func: ast.expr, aliases: Dict[str, str]) -> Optional[CalleeRef]:
@@ -146,16 +89,6 @@ class CallSite:
     line: int
 
 
-@dataclass(frozen=True, order=True)
-class ResourceBinding:
-    """One ``name = call(...)`` binding with its release coverage."""
-
-    name: str  # "" for an unbound expression-statement call
-    callee: CalleeRef
-    line: int
-    coverage: str  # MANAGED / ESCAPED / RELEASED / LEAKY / LEAKY_EXC
-
-
 @dataclass(frozen=True)
 class FunctionSummary:
     """Everything the interprocedural passes need to know about one
@@ -166,8 +99,6 @@ class FunctionSummary:
     effects: Tuple[EffectSite, ...] = ()
     calls: Tuple[CallSite, ...] = ()
     submissions: Tuple[CallSite, ...] = ()
-    bindings: Tuple[ResourceBinding, ...] = ()
-    return_calls: Tuple[CalleeRef, ...] = ()
 
     def effect_sites(self, kind: str) -> Tuple[EffectSite, ...]:
         return tuple(e for e in self.effects if e.kind == kind)
@@ -175,370 +106,11 @@ class FunctionSummary:
 
 @dataclass
 class ModuleSummary:
-    """All function summaries of one source file (cache unit)."""
+    """All function summaries of one source file."""
 
     pkgpath: str
     relpath: str
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-
-
-# ----------------------------------------------------------------------
-# lite CFG with exception edges
-# ----------------------------------------------------------------------
-_ENTRY, _EXIT, _EXC, _STMT, _JOIN, _CLEANUP = range(6)
-
-
-class _CFG:
-    """Statement-level CFG of one function body."""
-
-    def __init__(self) -> None:
-        self.kind: List[int] = []
-        self.stmt: List[Optional[ast.AST]] = []
-        #: cleanup nodes: names whose release the node guarantees
-        self.cleans: List[FrozenSet[str]] = []
-        self.succ: List[Set[int]] = []
-        self.exc_succ: List[Set[int]] = []
-        self.exit = self._new(_EXIT)
-        self.exc = self._new(_EXC)
-
-    def _new(
-        self,
-        kind: int,
-        stmt: Optional[ast.AST] = None,
-        cleans: FrozenSet[str] = frozenset(),
-    ) -> int:
-        self.kind.append(kind)
-        self.stmt.append(stmt)
-        self.cleans.append(cleans)
-        self.succ.append(set())
-        self.exc_succ.append(set())
-        return len(self.kind) - 1
-
-
-def _may_raise(node: ast.AST) -> bool:
-    """Conservative: a statement (or header expression) that performs a
-    call can raise; so can ``raise`` and ``assert`` themselves."""
-    if isinstance(node, (ast.Raise, ast.Assert)):
-        return True
-    return any(isinstance(sub, ast.Call) for sub in ast.walk(node))
-
-
-@dataclass
-class _BuildCtx:
-    handler: int  # node receiving exception edges
-    loop_head: Optional[int] = None
-    loop_after: Optional[int] = None
-    #: innermost-last stack of (finally entry, finally end) pairs
-    finallies: Tuple[Tuple[int, int], ...] = ()
-
-
-class _CFGBuilder:
-    def __init__(self, fn: ast.AST) -> None:
-        self.cfg = _CFG()
-        ctx = _BuildCtx(handler=self.cfg.exc)
-        frontier = self._seq(list(getattr(fn, "body", [])), [], ctx, entry=True)
-        self._connect(frontier, self.cfg.exit)
-
-    # -- plumbing -------------------------------------------------------
-    def _connect(self, frontier: List[int], node: int) -> None:
-        for prev in frontier:
-            self.cfg.succ[prev].add(node)
-
-    def _stmt_node(self, stmt: ast.AST, ctx: _BuildCtx, header: Optional[ast.AST] = None) -> int:
-        # compound statements store only their *header* expression: the
-        # body gets its own nodes, and scanning the whole subtree from
-        # the header node would credit a release that only one branch
-        # performs to every path through the statement
-        scan = header if header is not None else stmt
-        node = self.cfg._new(_STMT, scan)
-        if _may_raise(scan):
-            self.cfg.exc_succ[node].add(ctx.handler)
-        return node
-
-    def _route_return(self, node: int, ctx: _BuildCtx) -> None:
-        """``return`` runs enclosing finallys innermost-first."""
-        if ctx.finallies:
-            self.cfg.succ[node].add(ctx.finallies[-1][0])
-        else:
-            self.cfg.succ[node].add(self.cfg.exit)
-
-    # -- sequence builder ----------------------------------------------
-    def _seq(
-        self,
-        stmts: List[ast.stmt],
-        frontier: List[int],
-        ctx: _BuildCtx,
-        entry: bool = False,
-    ) -> List[int]:
-        first = True
-        for stmt in stmts:
-            frontier = self._stmt(stmt, frontier, ctx, root=entry and first)
-            first = False
-        return frontier
-
-    def _stmt(
-        self, stmt: ast.stmt, frontier: List[int], ctx: _BuildCtx, root: bool = False
-    ) -> List[int]:
-        cfg = self.cfg
-        if isinstance(stmt, ast.If):
-            cond = self._stmt_node(stmt, ctx, header=stmt.test)
-            self._connect(frontier, cond)
-            then_f = self._seq(stmt.body, [cond], ctx)
-            else_f = self._seq(stmt.orelse, [cond], ctx) if stmt.orelse else [cond]
-            return then_f + else_f
-        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            header = stmt.test if isinstance(stmt, ast.While) else stmt.iter
-            head = self._stmt_node(stmt, ctx, header=header)
-            self._connect(frontier, head)
-            after = cfg._new(_JOIN)
-            cfg.succ[head].add(after)
-            body_ctx = _BuildCtx(
-                handler=ctx.handler,
-                loop_head=head,
-                loop_after=after,
-                finallies=ctx.finallies,
-            )
-            body_f = self._seq(stmt.body, [head], body_ctx)
-            self._connect(body_f, head)
-            if stmt.orelse:
-                else_f = self._seq(stmt.orelse, [head], ctx)
-                self._connect(else_f, after)
-            return [after]
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            items = ast.Tuple(
-                elts=[item.context_expr for item in stmt.items], ctx=ast.Load()
-            )
-            enter = self._stmt_node(stmt, ctx, header=items)
-            self._connect(frontier, enter)
-            managed: Set[str] = set()
-            for item in stmt.items:
-                if isinstance(item.context_expr, ast.Name):
-                    managed.add(item.context_expr.id)
-                if isinstance(item.optional_vars, ast.Name):
-                    managed.add(item.optional_vars.id)
-            cleanup = cfg._new(_CLEANUP, cleans=frozenset(managed))
-            body_ctx = _BuildCtx(
-                handler=cleanup,
-                loop_head=ctx.loop_head,
-                loop_after=ctx.loop_after,
-                finallies=ctx.finallies,
-            )
-            body_f = self._seq(stmt.body, [enter], body_ctx)
-            self._connect(body_f, cleanup)
-            # the exceptional path runs __exit__ then propagates out
-            cfg.exc_succ[cleanup].add(ctx.handler)
-            return [cleanup]
-        if isinstance(stmt, ast.Try):
-            return self._try(stmt, frontier, ctx)
-        if isinstance(stmt, ast.Return):
-            node = self._stmt_node(stmt, ctx)
-            self._connect(frontier, node)
-            self._route_return(node, ctx)
-            return []
-        if isinstance(stmt, ast.Raise):
-            node = self._stmt_node(stmt, ctx)
-            self._connect(frontier, node)
-            return []
-        if isinstance(stmt, ast.Break):
-            node = cfg._new(_STMT, stmt)
-            self._connect(frontier, node)
-            if ctx.loop_after is not None:
-                cfg.succ[node].add(ctx.loop_after)
-            return []
-        if isinstance(stmt, ast.Continue):
-            node = cfg._new(_STMT, stmt)
-            self._connect(frontier, node)
-            if ctx.loop_head is not None:
-                cfg.succ[node].add(ctx.loop_head)
-            return []
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            node = cfg._new(_STMT, stmt)  # a def cannot raise the body's way
-            self._connect(frontier, node)
-            return [node]
-        # every remaining simple statement
-        node = self._stmt_node(stmt, ctx)
-        self._connect(frontier, node)
-        return [node]
-
-    def _try(self, stmt: ast.Try, frontier: List[int], ctx: _BuildCtx) -> List[int]:
-        cfg = self.cfg
-        after = cfg._new(_JOIN)
-        fin_entry = fin_end = None
-        if stmt.finalbody:
-            fin_entry = cfg._new(_JOIN)
-            fin_f = self._seq(stmt.finalbody, [fin_entry], ctx)
-            fin_end = cfg._new(_JOIN)
-            self._connect(fin_f, fin_end)
-            # normal completion continues; exceptional entry re-raises
-            cfg.succ[fin_end].add(after)
-            cfg.exc_succ[fin_end].add(ctx.handler)
-            if any(isinstance(n, ast.Return) for n in ast.walk(stmt)):
-                # a return inside the try runs the finally, then leaves
-                if ctx.finallies:
-                    cfg.succ[fin_end].add(ctx.finallies[-1][0])
-                else:
-                    cfg.succ[fin_end].add(cfg.exit)
-
-        post_handler = fin_entry if fin_entry is not None else ctx.handler
-        dispatch = None
-        if stmt.handlers:
-            dispatch = cfg._new(_JOIN)
-            cfg.exc_succ[dispatch].add(post_handler)  # unmatched exception
-
-        body_handler = dispatch if dispatch is not None else post_handler
-        body_ctx = _BuildCtx(
-            handler=body_handler,
-            loop_head=ctx.loop_head,
-            loop_after=ctx.loop_after,
-            finallies=ctx.finallies + (((fin_entry, fin_end),) if fin_entry is not None else ()),
-        )
-        body_f = self._seq(stmt.body, frontier, body_ctx)
-        if stmt.orelse:
-            body_f = self._seq(stmt.orelse, body_f, ctx)
-
-        ends = list(body_f)
-        if dispatch is not None:
-            handler_ctx = _BuildCtx(
-                handler=post_handler,
-                loop_head=ctx.loop_head,
-                loop_after=ctx.loop_after,
-                finallies=ctx.finallies,
-            )
-            for handler in stmt.handlers:
-                ends.extend(self._seq(handler.body, [dispatch], handler_ctx))
-        if fin_entry is not None:
-            self._connect(ends, fin_entry)
-            return [fin_end]  # fin_end already feeds `after`
-        self._connect(ends, after)
-        return [after]
-
-
-def build_cfg(fn: ast.AST) -> _CFG:
-    """Build the lite CFG of one function body (exposed for tests)."""
-    return _CFGBuilder(fn).cfg
-
-
-# ----------------------------------------------------------------------
-# release / escape classification over the CFG
-# ----------------------------------------------------------------------
-def _stmt_releases(stmt: ast.AST, name: str) -> bool:
-    for node in ast.walk(stmt):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if (
-                func.attr in RELEASE_METHODS
-                and isinstance(func.value, ast.Name)
-                and func.value.id == name
-            ):
-                return True
-            if func.attr in RELEASE_FUNCS and any(
-                isinstance(a, ast.Name) and a.id == name for a in node.args
-            ):
-                return True
-        elif isinstance(func, ast.Name) and func.id in RELEASE_FUNCS:
-            if any(isinstance(a, ast.Name) and a.id == name for a in node.args):
-                return True
-    return False
-
-
-def _transfers(expr: ast.expr, name: str) -> bool:
-    """``expr`` carries ownership of the object bound to ``name``.
-
-    Deliberately distinct from *mentioning* the name: ``return block``
-    hands the caller the resource, ``return block.hi[0]`` hands it a
-    value read out of the resource — the frame still owns the block
-    and must release it.
-    """
-    if isinstance(expr, ast.Name):
-        return expr.id == name
-    if isinstance(expr, ast.Starred):
-        return _transfers(expr.value, name)
-    if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-        return any(_transfers(e, name) for e in expr.elts)
-    if isinstance(expr, ast.Dict):
-        return any(v is not None and _transfers(v, name) for v in expr.values)
-    if isinstance(expr, ast.Call):  # wrapped and handed to the callee
-        return any(_transfers(a, name) for a in expr.args) or any(
-            _transfers(kw.value, name) for kw in expr.keywords
-        )
-    if isinstance(expr, (ast.IfExp,)):
-        return _transfers(expr.body, name) or _transfers(expr.orelse, name)
-    return False
-
-
-def _stmt_escapes(stmt: ast.AST, name: str) -> bool:
-    """Ownership leaves this function's frame through ``stmt``."""
-    if isinstance(stmt, ast.Return):
-        return stmt.value is not None and _transfers(stmt.value, name)
-    for node in ast.walk(stmt):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            if node.value is not None and _transfers(node.value, name):
-                return True
-    if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        value = stmt.value
-        if value is not None and _transfers(value, name):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for target in targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    return True  # stored into an owning object
-                if isinstance(target, ast.Name) and isinstance(value, ast.Name):
-                    return True  # aliased to another name (tracked no further)
-    return False
-
-
-def _stmt_rebinds(stmt: ast.AST, name: str) -> bool:
-    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        return any(isinstance(t, ast.Name) and t.id == name for t in targets)
-    return False
-
-
-def _coverage(cfg: _CFG, start: int, name: str) -> str:
-    """Release coverage of the binding created at CFG node ``start``.
-
-    Walks every path (normal and exception edges) from the binding's
-    successors; a path ending at the function exit — or the exceptional
-    exit — without passing a release/escape/rebind of ``name`` is a
-    leak.  Returns RELEASED, LEAKY, or LEAKY_EXC (a leak whose witness
-    path leaves through the exceptional exit takes priority: that is
-    the crash-leak the MP6xx family exists for).
-    """
-    stack = list(cfg.succ[start])  # the binding itself may raise: then
-    seen: Set[int] = set()  # nothing was acquired, so skip exc edges
-    leak_normal = leak_exc = False
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        kind = cfg.kind[node]
-        if kind == _EXIT:
-            leak_normal = True
-            continue
-        if kind == _EXC:
-            leak_exc = True
-            continue
-        if kind == _CLEANUP and name and name in cfg.cleans[node]:
-            continue  # context-managed release covers both edges
-        stmt = cfg.stmt[node]
-        if stmt is not None and name:
-            if _stmt_releases(stmt, name):
-                continue
-            if _stmt_escapes(stmt, name):
-                continue
-            if _stmt_rebinds(stmt, name):
-                continue
-        stack.extend(cfg.succ[node])
-        stack.extend(cfg.exc_succ[node])
-    if leak_exc:
-        return LEAKY_EXC
-    if leak_normal:
-        return LEAKY
-    return RELEASED
 
 
 # ----------------------------------------------------------------------
@@ -561,101 +133,9 @@ def _named_scopes(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
                     yield f"{node.name}.{sub.name}", sub
 
 
-def _with_managed_names(fn: ast.AST) -> Set[str]:
-    """Names used as a ``with`` context expression anywhere in ``fn``
-    (the ``attach = open_block(...)`` … ``with attach as b:`` idiom)."""
-    names: Set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if isinstance(item.context_expr, ast.Name):
-                    names.add(item.context_expr.id)
-    return names
-
-
-def _call_args(node: ast.Call) -> List[ast.expr]:
-    return list(node.args) + [kw.value for kw in node.keywords]
-
-
-def _collect_bindings(
-    fn: ast.AST, aliases: Dict[str, str]
-) -> Tuple[List[ResourceBinding], List[CalleeRef]]:
-    """Release coverage for every call binding, plus return-flow calls."""
-    cfg = build_cfg(fn)
-    with_names = _with_managed_names(fn)
-
-    # names whose value flows to a return statement
-    returned_names: Set[str] = set()
-    return_calls: List[CalleeRef] = []
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Return) and node.value is not None:
-            if isinstance(node.value, ast.Name):
-                returned_names.add(node.value.id)
-            elif isinstance(node.value, ast.Call):
-                ref = callee_ref(node.value.func, aliases)
-                if ref is not None:
-                    return_calls.append(ref)
-
-    # with-item acquisitions and call-argument acquisitions are managed
-    managed_calls: Set[int] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if isinstance(item.context_expr, ast.Call):
-                    managed_calls.add(id(item.context_expr))
-        elif isinstance(node, ast.Call):
-            for arg in _call_args(node):
-                if isinstance(arg, ast.Call):
-                    managed_calls.add(id(arg))
-
-    bindings: List[ResourceBinding] = []
-    for idx in range(len(cfg.kind)):
-        stmt = cfg.stmt[idx]
-        if stmt is None:
-            continue
-        name: Optional[str] = None
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                name, value = target.id, stmt.value
-            else:
-                continue  # attribute/subscript target: handed to an owner
-        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            name, value = "", stmt.value
-        else:
-            continue
-        if id(value) in managed_calls:
-            continue
-        ref = callee_ref(value.func, aliases)
-        if ref is None:
-            continue
-        if name and name in with_names:
-            coverage = MANAGED
-        elif name and name in returned_names:
-            coverage = ESCAPED
-        elif not name:
-            # an unbound acquisition can never be released
-            coverage = LEAKY if ref.terminal in ACQUIRER_KINDS else RELEASED
-        else:
-            coverage = _coverage(cfg, idx, name)
-        bindings.append(
-            ResourceBinding(
-                name=name or "", callee=ref, line=value.lineno, coverage=coverage
-            )
-        )
-        if name and name in returned_names:
-            return_calls.append(ref)
-    return bindings, return_calls
-
-
 def _collect_effects(
     fn: ast.AST, aliases: Dict[str, str], module_names: Set[str]
 ) -> List[EffectSite]:
-    # imported lazily: determinism/purity import this module's CalleeRef
-    from repro.analysis.checkers.determinism import rng_sites, wall_clock_sites
-    from repro.analysis.checkers.purity import global_write_sites
-
     effects: List[EffectSite] = []
     for line, detail in global_write_sites(fn, module_names):
         effects.append(EffectSite("global_write", line, detail))
@@ -691,13 +171,7 @@ def _submission_ref(
 
 def summarize_module(module: SourceModule) -> ModuleSummary:
     """Compute every function summary of one parsed module."""
-    # imported lazily to avoid a cycle (purity imports dataflow)
-    from repro.analysis.checkers.purity import (
-        _ExecutorScanner,
-        _ModuleContext,
-    )
-
-    aliases = import_aliases(module.tree)
+    aliases = module.aliases
     context = _ModuleContext(module)
     scanner = _ExecutorScanner(context)
     scanner.visit(module.tree)
@@ -727,27 +201,11 @@ def summarize_module(module: SourceModule) -> ModuleSummary:
             )
 
     for name, fn in scopes:
-        bindings, return_calls = _collect_bindings(fn, aliases)
         summary.functions[name] = FunctionSummary(
             qualname=name,
             line=fn.lineno,
             effects=tuple(_collect_effects(fn, aliases, context.module_names)),
             calls=tuple(_collect_calls(fn, aliases)),
             submissions=tuple(sorted(set(submissions_by_scope.get(name, ())))),
-            bindings=tuple(sorted(bindings)),
-            return_calls=tuple(sorted(set(return_calls))),
         )
     return summary
-
-
-# ----------------------------------------------------------------------
-# project-level model (memoized per Project)
-# ----------------------------------------------------------------------
-def project_summaries(project: Project) -> Dict[str, ModuleSummary]:
-    """Summaries of every module, memoized on the project instance so
-    the determinism/purity/lifecycle checkers share one computation."""
-    cached = getattr(project, "_dataflow_summaries", None)
-    if cached is None:
-        cached = {m.pkgpath: summarize_module(m) for m in project.modules}
-        project._dataflow_summaries = cached  # type: ignore[attr-defined]
-    return cached

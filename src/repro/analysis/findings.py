@@ -16,21 +16,11 @@ invariant family they guard:
   free of module-global writes.
 * ``MP4xx`` — k-mer dtype/overflow: ``k``-derived shifts/multiplies must
   not exceed 64 bits outside the two-limb (``k > 31``) path.
-* ``MP5xx`` — executor resources: shared-memory segments must be
-  created by the buffer-pool API (:mod:`repro.runtime.buffers`) and
-  attachments must be context-managed or finally-released, so a worker
-  crash can never leak ``/dev/shm`` names.
-* ``MP6xx`` — interprocedural resource lifecycle: every acquisition of
-  a shared-memory attachment (MP601), spill residency (MP602),
-  telemetry spool writer (MP603), or network socket (MP604) must be
-  released on every path out of
-  the acquiring function — exception edges included — unless
-  context-managed or ownership escapes.  Backed by the lite-CFG effect
-  summaries of :mod:`repro.analysis.dataflow` and the call graph of
-  :mod:`repro.analysis.callgraph`, which also upgrade MP2xx/MP3xx to
-  transitive mode.  MP605 guards the gateway's event loop: ``async``
-  request handlers must not write module globals or block in
-  ``time.sleep``.
+* ``MP5xx`` — disk block plane hygiene: spill files and the tupleblock
+  spill schema are touched only inside :mod:`repro.runtime.spill`, so
+  its torn-write detection, seal protocol and crash sweep cover them.
+* ``MP6xx`` — gateway event loop: ``async`` request handlers must not
+  write module globals or block in ``time.sleep`` (MP605).
 * ``MP001`` — meta: a ``# metaprep: ignore[...]`` comment that is
   malformed, names an unknown rule id, or suppresses nothing on its
   line is itself a finding, so dead suppressions cannot accumulate.
@@ -39,7 +29,6 @@ invariant family they guard:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 #: rule id -> one-line description (the complete rule catalog)
 RULES = {
@@ -78,29 +67,9 @@ RULES = {
         "k-derived shift/multiply can exceed 64 bits without routing "
         "through the two-limb (k > 31) path"
     ),
-    "MP501": (
-        "SharedMemory segment created outside the buffer-pool API, or "
-        "attached without a finally/context-managed release"
-    ),
     "MP502": (
         "spill file or tupleblock spill schema accessed outside "
         "repro.runtime.spill (the disk block plane's file operations)"
-    ),
-    "MP601": (
-        "shared-memory attachment not released on every path (including "
-        "exception edges) and not context-managed"
-    ),
-    "MP602": (
-        "disk-plane residency or raw spill handle not released on every "
-        "path (including exception edges) and not context-managed"
-    ),
-    "MP603": (
-        "telemetry spool writer not closed on every path (including "
-        "exception edges) and not context-managed"
-    ),
-    "MP604": (
-        "network socket or listener not closed on every path (including "
-        "exception edges) and not context-managed"
     ),
     "MP605": (
         "gateway request handler writes module-global state or blocks "
@@ -114,19 +83,13 @@ class Finding:
     """One rule violation at a source location.
 
     Ordering is (path, line, rule, message) so sorted output reads like a
-    compiler log.  :meth:`key` deliberately excludes the line number: the
-    baseline matches findings by content so unrelated edits that shift
-    line numbers do not resurrect baselined findings.
+    compiler log.
     """
 
     path: str
     line: int
     rule: str
     message: str
-
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: ``(rule, path, message)`` — line-agnostic."""
-        return (self.rule, self.path, self.message)
 
     def format(self) -> str:
         """Compiler-style one-liner: ``path:line: RULE message``."""

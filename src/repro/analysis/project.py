@@ -1,9 +1,10 @@
 """Source-tree model for the checkers.
 
 A :class:`Project` wraps one repository root (a directory containing
-``src/repro``) and parses every Python file under the package once —
-AST, raw text, and inline suppressions — so the four checkers share one
-pass over the tree.  Checkers address files by *package-relative* path
+``src/repro``) and reads every Python file under the package once —
+one ``ast.parse``, one tokenization (the suppression comments), one
+import-alias table — so every checker shares one pass over the tree.
+Checkers address files by *package-relative* path
 (``core/pipeline.py``), while findings report *root-relative* paths
 (``src/repro/core/pipeline.py``) so they are clickable from the repo
 root.
@@ -19,7 +20,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence
 
-from repro.analysis.suppress import parse_suppressions
+from repro.analysis.suppress import (
+    SuppressionComment,
+    scan_suppression_comments,
+    suppression_map,
+)
 
 #: package directory relative to the project root
 PACKAGE_RELDIR = Path("src") / "repro"
@@ -27,6 +32,29 @@ PACKAGE_RELDIR = Path("src") / "repro"
 
 class ProjectLayoutError(ValueError):
     """The given root does not contain a ``src/repro`` package."""
+
+
+def import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Map local names to the dotted path they import.
+
+    ``import numpy as np`` maps ``np -> numpy``; ``from time import
+    time`` maps ``time -> time.time``; ``import os.path`` binds ``os``.
+    """
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    first = alias.name.split(".")[0]
+                    aliases[first] = first
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None or node.level:
+                continue  # relative imports stay package-local
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
 
 
 @dataclass
@@ -42,11 +70,13 @@ class SourceModule:
     tree: ast.Module
     #: line -> suppressed rule ids (see :mod:`repro.analysis.suppress`)
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    #: every suppression comment, malformed ones included (the MP001 audit)
+    comments: List[SuppressionComment] = field(default_factory=list)
+    #: local name -> imported dotted path (:func:`import_aliases`)
+    aliases: Dict[str, str] = field(init=False)
 
-    def line_text(self, line: int) -> str:
-        """The stripped source text of a 1-based line (diagnostics)."""
-        lines = self.text.splitlines()
-        return lines[line - 1].strip() if 1 <= line <= len(lines) else ""
+    def __post_init__(self) -> None:
+        self.aliases = import_aliases(self.tree)
 
 
 class Project:
@@ -60,7 +90,7 @@ class Project:
     # ------------------------------------------------------------------
     @classmethod
     def load(cls, root: Path) -> "Project":
-        """Parse every ``*.py`` under ``<root>/src/repro``.
+        """Parse and tokenize every ``*.py`` under ``<root>/src/repro``.
 
         A file that fails to parse raises ``SyntaxError`` annotated with
         its path: the analyzer refuses to certify a tree it cannot read.
@@ -81,6 +111,7 @@ class Project:
             except SyntaxError as exc:
                 exc.filename = str(path)
                 raise
+            comments = scan_suppression_comments(text)
             modules.append(
                 SourceModule(
                     path=path,
@@ -88,7 +119,8 @@ class Project:
                     pkgpath=path.relative_to(package_dir).as_posix(),
                     text=text,
                     tree=tree,
-                    suppressions=parse_suppressions(text),
+                    suppressions=suppression_map(comments),
+                    comments=comments,
                 )
             )
         return cls(root, modules)

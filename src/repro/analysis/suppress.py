@@ -87,8 +87,16 @@ def parse_suppressions(text: str) -> Dict[int, FrozenSet[str]]:
     absent suppression comments contribute nothing; a file that fails to
     tokenize (which would also fail to parse) yields an empty map.
     """
+    return suppression_map(scan_suppression_comments(text))
+
+
+def suppression_map(
+    comments: List[SuppressionComment],
+) -> Dict[int, FrozenSet[str]]:
+    """Fold already-scanned comments into :func:`parse_suppressions`'
+    line -> rule ids map (malformed comments contribute nothing)."""
     suppressions: Dict[int, FrozenSet[str]] = {}
-    for comment in scan_suppression_comments(text):
+    for comment in comments:
         if comment.malformed:
             continue
         suppressions[comment.line] = suppressions.get(

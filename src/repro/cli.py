@@ -290,14 +290,9 @@ def cmd_check(args) -> int:
     import json as _json
     from pathlib import Path
 
-    from repro.analysis import (
-        BASELINE_FILENAME,
-        RULES,
-        ProjectLayoutError,
-        run_checks,
-        write_baseline,
-    )
-    from repro.analysis.baseline import write_baseline_keys
+    from repro.analysis.findings import RULES
+    from repro.analysis.project import ProjectLayoutError
+    from repro.analysis.runner import run_checks
 
     if args.list_rules:
         for rule in sorted(RULES):
@@ -305,17 +300,8 @@ def cmd_check(args) -> int:
         return 0
 
     root = Path(args.root) if args.root else Path.cwd()
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / BASELINE_FILENAME
-    )
     try:
-        report = run_checks(
-            root,
-            baseline_path=baseline_path,
-            use_baseline=not args.no_baseline,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-        )
+        report = run_checks(root)
     except ProjectLayoutError as exc:
         print(f"metaprep check: {exc}", file=sys.stderr)
         return 2
@@ -323,42 +309,15 @@ def cmd_check(args) -> int:
         print(f"metaprep check: cannot parse {exc.filename}: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        snapshot = report.new + report.baselined
-        write_baseline(baseline_path, snapshot)
-        print(f"baseline written: {baseline_path} ({len(snapshot)} finding(s))")
-        return 0
-
-    if args.prune_baseline:
-        stale = sum(report.stale_baseline.values())
-        write_baseline_keys(baseline_path, report.baseline_used)
-        print(
-            f"baseline pruned: {baseline_path} "
-            f"({stale} stale entr{'y' if stale == 1 else 'ies'} removed, "
-            f"{sum(report.baseline_used.values())} kept)"
-        )
-        return 0
-
-    stale_entries = [
-        {"rule": rule, "path": path, "message": message, "count": count}
-        for (rule, path, message), count in sorted(report.stale_baseline.items())
-    ]
     if args.format == "json":
         print(
             _json.dumps(
                 {
                     "root": str(report.root),
                     "new": [f.as_dict() for f in report.new],
-                    "baselined": [f.as_dict() for f in report.baselined],
                     "suppressed": [f.as_dict() for f in report.suppressed],
-                    "stale_baseline": stale_entries,
                     "per_checker": report.per_checker,
-                    "cache": {
-                        "hits": report.cache_hits,
-                        "misses": report.cache_misses,
-                    },
                     "files": report.files,
-                    "jobs": report.jobs,
                 },
                 indent=2,
                 sort_keys=True,
@@ -367,22 +326,12 @@ def cmd_check(args) -> int:
     else:
         for finding in report.new:
             print(finding.format())
-        for entry in stale_entries:
-            print(
-                f"stale baseline entry: {entry['rule']} {entry['path']} "
-                f"({entry['message']}) x{entry['count']} "
-                "— run --prune-baseline to drop it"
-            )
         counts = ", ".join(
             f"{name}: {n}" for name, n in report.per_checker.items()
         )
         print(
             f"metaprep check: {len(report.new)} new, "
-            f"{len(report.baselined)} baselined, "
-            f"{len(report.suppressed)} suppressed, "
-            f"{sum(report.stale_baseline.values())} stale ({counts}; "
-            f"cache: {report.cache_hits} hit(s), {report.cache_misses} "
-            f"miss(es); jobs: {report.jobs})"
+            f"{len(report.suppressed)} suppressed ({counts})"
         )
     if args.strict and not report.ok:
         return 1
@@ -676,37 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="exit non-zero when any new finding remains (the CI gate)",
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default: <root>/.metaprep-baseline.json)",
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every unsuppressed finding",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit",
-    )
-    p.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite the baseline without stale entries and exit",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the per-file pass (default: 1, serial)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the .metaprep-cache/ incremental artifact cache",
     )
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument(

@@ -37,8 +37,9 @@ method (create registers once, unlink unregisters once; worker attaches
 collapse in the tracker's name set) so a clean run leaves no
 ``/dev/shm`` residue and no tracker warnings, and a crashed run is
 swept by the pool's ``finally``/finalizer or, last resort, the tracker
-itself.  Rule MP501 (``metaprep check``) statically enforces that no
-code outside this module opens segments.
+itself.  ``tests/runtime/test_buffers.py`` and the crash legs of
+``tests/property/test_props_executor.py`` assert the residue-free
+outcome against ``/dev/shm`` directly.
 """
 
 from __future__ import annotations

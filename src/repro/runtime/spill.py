@@ -51,10 +51,9 @@ plane, and this module holds every file operation behind those stages:
   the creating pid).
 
 Every open of a spill file routes through this module — rule MP502
-(``metaprep check``) statically enforces it, exactly as MP501 does for
-shared-memory segments.  Corruption (truncated header or payload, bad
-magic, version or schema skew) raises :class:`SpillCorruption`; a
-partial block is never returned.
+(``metaprep check``) statically enforces it.  Corruption (truncated
+header or payload, bad magic, version or schema skew) raises
+:class:`SpillCorruption`; a partial block is never returned.
 """
 
 from __future__ import annotations

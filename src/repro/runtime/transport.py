@@ -57,9 +57,10 @@ Lifecycle
 ---------
 Connections are short-lived and context-managed (one request per
 connection for block operations; the distributed engine keeps one
-long-lived job channel per worker, closed in its ``close()``).  Rule
-MP604 (``metaprep check``) statically enforces that every socket
-acquired via :func:`connect_with_retry` is closed on every path out.
+long-lived job channel per worker, closed in its ``close()``).  The
+``ResourceWarning`` and residue tests of
+``tests/integration/test_distributed_equivalence.py`` catch a socket
+left open on a failure path.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def connect_with_retry(
     A worker daemon may still be binding when the driver first dials it;
     each refused or timed-out attempt backs off ``delay`` seconds, up to
     ``retries`` attempts total.  The returned socket must be closed by
-    the caller (context-manage it) — rule MP604 enforces this.
+    the caller (context-manage it).
     """
     host, port = parse_address(address)
     last: Exception | None = None

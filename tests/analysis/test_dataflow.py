@@ -4,14 +4,7 @@ import ast
 import pickle
 import textwrap
 
-from repro.analysis.dataflow import (
-    ESCAPED,
-    LEAKY,
-    LEAKY_EXC,
-    MANAGED,
-    RELEASED,
-    summarize_module,
-)
+from repro.analysis.dataflow import summarize_module
 from repro.analysis.project import SourceModule
 from repro.analysis.suppress import parse_suppressions
 from pathlib import Path
@@ -33,172 +26,6 @@ def summary_of(source: str, qualname: str, **kw):
     return summarize_module(module_of(source, **kw)).functions[qualname]
 
 
-def binding_of(source: str, qualname: str, name: str):
-    fn = summary_of(source, qualname)
-    (binding,) = [b for b in fn.bindings if b.name == name]
-    return binding
-
-
-class TestReleaseCoverage:
-    def test_straight_line_leak(self):
-        binding = binding_of(
-            """
-            from repro.runtime.buffers import attach_block
-
-            def f(d):
-                block = attach_block(d)
-                return 1
-            """,
-            "f",
-            "block",
-        )
-        assert binding.coverage == LEAKY
-
-    def test_use_then_close_leaks_on_exception_edge(self):
-        binding = binding_of(
-            """
-            from repro.runtime.buffers import attach_block
-
-            def f(d):
-                block = attach_block(d)
-                total = int(block.lo.sum())
-                block.close()
-                return total
-            """,
-            "f",
-            "block",
-        )
-        assert binding.coverage == LEAKY_EXC
-
-    def test_try_finally_release_covers_both_edges(self):
-        binding = binding_of(
-            """
-            from repro.runtime.buffers import attach_block
-
-            def f(d):
-                block = attach_block(d)
-                try:
-                    return int(block.lo.sum())
-                finally:
-                    block.close()
-            """,
-            "f",
-            "block",
-        )
-        assert binding.coverage == RELEASED
-
-    def test_pool_release_in_finally(self):
-        binding = binding_of(
-            """
-            from repro.runtime.spill import read_spill
-
-            def f(path, pool):
-                block = read_spill(path, pool)
-                try:
-                    return block.hi[0]
-                finally:
-                    pool.release(block)
-            """,
-            "f",
-            "block",
-        )
-        assert binding.coverage == RELEASED
-
-    def test_with_statement_binding_is_managed(self):
-        # the pipeline's `attach = open_block(...)` ... `with attach:` idiom
-        binding = binding_of(
-            """
-            from repro.runtime.buffers import open_block
-
-            def f(h):
-                attach = open_block(h)
-                with attach as block:
-                    return int(block.lo.sum())
-            """,
-            "f",
-            "attach",
-        )
-        assert binding.coverage == MANAGED
-
-    def test_returned_binding_escapes(self):
-        binding = binding_of(
-            """
-            from repro.runtime.spill import read_spill
-
-            def f(path, pool):
-                block = read_spill(path, pool)
-                return block
-            """,
-            "f",
-            "block",
-        )
-        assert binding.coverage == ESCAPED
-
-    def test_returning_derived_value_is_not_an_escape(self):
-        binding = binding_of(
-            """
-            from repro.runtime.spill import read_spill
-
-            def f(path, pool):
-                block = read_spill(path, pool)
-                return block.hi[0]
-            """,
-            "f",
-            "block",
-        )
-        assert binding.coverage in (LEAKY, LEAKY_EXC)
-
-    def test_attribute_store_hands_ownership_off(self):
-        # stored onto an owning object on the only path out: not a leak
-        # (classified as released-on-every-path by the CFG walk)
-        binding = binding_of(
-            """
-            from repro.telemetry.spool import SpoolWriter
-
-            class Spooler:
-                def start(self, path):
-                    writer = SpoolWriter(path)
-                    self.writer = writer
-            """,
-            "Spooler.start",
-            "writer",
-        )
-        assert binding.coverage in (ESCAPED, RELEASED)
-
-    def test_release_on_one_branch_only_leaks(self):
-        binding = binding_of(
-            """
-            from repro.runtime.buffers import attach_block
-
-            def f(d, flag):
-                block = attach_block(d)
-                if flag:
-                    block.close()
-                return 1
-            """,
-            "f",
-            "block",
-        )
-        assert binding.coverage == LEAKY
-
-    def test_raise_after_acquire_without_cleanup(self):
-        binding = binding_of(
-            """
-            from repro.runtime.buffers import attach_block
-
-            def f(d):
-                block = attach_block(d)
-                if block.nbytes == 0:
-                    raise ValueError("empty")
-                block.close()
-                return 1
-            """,
-            "f",
-            "block",
-        )
-        assert binding.coverage == LEAKY_EXC
-
-
 class TestSummaryContent:
     def test_effects_and_calls_recorded(self):
         fn = summary_of(
@@ -218,7 +45,6 @@ class TestSummaryContent:
         )
         assert {e.kind for e in fn.effects} == {"global_write", "wall_clock"}
         assert any(c.callee.name == "helper" for c in fn.calls)
-        assert any(ref.name == "helper" for ref in fn.return_calls)
 
     def test_submission_attributed_to_enclosing_function(self):
         summary = summarize_module(
@@ -255,7 +81,6 @@ class TestSummaryContent:
         assert call.callee.name == "step"
 
     def test_summary_is_picklable(self):
-        # the process-pool runner ships summaries between processes
         summary = summarize_module(
             module_of(
                 """
@@ -268,4 +93,4 @@ class TestSummaryContent:
             )
         )
         clone = pickle.loads(pickle.dumps(summary))
-        assert clone.functions["f"].bindings == summary.functions["f"].bindings
+        assert clone.functions["f"] == summary.functions["f"]

@@ -134,48 +134,6 @@ class TestInterproceduralSabotage:
         report = run_checks(root)
         assert report.ok, [f.format() for f in report.new]
 
-    def test_attach_without_exception_safe_release_trips_mp601(
-        self, tmp_path, capsys
-    ):
-        # block.close() is present but an exception between attach and
-        # close skips it — only the exception edges of the CFG see that
-        root = broken_copy(tmp_path)
-        stage = root / "src" / "repro" / "core" / "sab_stage.py"
-        stage.write_text(
-            "from repro.runtime.buffers import attach_block\n"
-            "\n\ndef _sab_consume(descriptor):\n"
-            "    block = attach_block(descriptor)\n"
-            "    total = int(block.lo.sum())\n"
-            "    block.close()\n"
-            "    return total\n"
-        )
-
-        report = run_checks(root)
-        trips = [f for f in report.new if f.rule == "MP601"]
-        assert trips, [f.format() for f in report.new]
-        assert "exception edge" in trips[0].message
-        rc = cli_main(["check", "--root", str(root), "--strict"])
-        assert rc == 1
-        assert "MP601" in capsys.readouterr().out
-
-    def test_managed_and_finally_released_attach_stays_clean(self, tmp_path):
-        root = broken_copy(tmp_path)
-        stage = root / "src" / "repro" / "core" / "sab_stage.py"
-        stage.write_text(
-            "from repro.runtime.buffers import attach_block, open_block\n"
-            "\n\ndef _sab_consume(descriptor):\n"
-            "    block = attach_block(descriptor)\n"
-            "    try:\n"
-            "        return int(block.lo.sum())\n"
-            "    finally:\n"
-            "        block.close()\n"
-            "\n\ndef _sab_consume_ctx(handle):\n"
-            "    with open_block(handle) as block:\n"
-            "        return int(block.lo.sum())\n"
-        )
-        report = run_checks(root)
-        assert report.ok, [f.format() for f in report.new]
-
 
 class TestSamplingSeedFingerprinted:
     """A field that changes what a run computes rides in the payload and

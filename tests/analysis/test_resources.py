@@ -1,184 +1,10 @@
-"""MP5xx executor-resource checker: trip and pass fixtures."""
+"""MP502 spill-hygiene checker: trip and pass fixtures."""
 
 from repro.analysis.checkers.resources import check_executor_resources
 
 
 def rules(findings):
     return sorted(f.rule for f in findings)
-
-
-class TestMP501Creation:
-    def test_out_of_pool_creation_trips(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def scratch(nbytes):
-                        return SharedMemory(create=True, size=nbytes)
-                """
-            }
-        )
-        findings = check_executor_resources(project)
-        assert rules(findings) == ["MP501"]
-        assert "create" in findings[0].message
-
-    def test_creation_trips_even_with_finally(self, make_project):
-        # creation is the pool's exclusive privilege: a remembered
-        # finally does not buy an exemption
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def scratch(nbytes):
-                        shm = SharedMemory(create=True, size=nbytes)
-                        try:
-                            return bytes(shm.buf[:nbytes])
-                        finally:
-                            shm.close()
-                            shm.unlink()
-                """
-            }
-        )
-        assert rules(check_executor_resources(project)) == ["MP501"]
-
-    def test_positional_create_flag_trips(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def scratch(name, nbytes):
-                        shm = SharedMemory(name, True, nbytes)
-                        try:
-                            return shm.name
-                        finally:
-                            shm.close()
-                """
-            }
-        )
-        assert rules(check_executor_resources(project)) == ["MP501"]
-
-    def test_buffer_pool_module_exempt(self, make_project):
-        project = make_project(
-            {
-                "runtime/buffers.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def new_segment(nbytes):
-                        return SharedMemory(create=True, size=nbytes)
-                """
-            }
-        )
-        assert check_executor_resources(project) == []
-
-
-class TestMP501Attachment:
-    def test_unmanaged_attachment_trips(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def read(name):
-                        shm = SharedMemory(name=name)
-                        return bytes(shm.buf[:8])
-                """
-            }
-        )
-        findings = check_executor_resources(project)
-        assert rules(findings) == ["MP501"]
-        assert "open_block" in findings[0].message
-
-    def test_bare_expression_attachment_trips(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def touch(name):
-                        SharedMemory(name=name)
-                """
-            }
-        )
-        assert rules(check_executor_resources(project)) == ["MP501"]
-
-    def test_finally_released_attachment_passes(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def read(name):
-                        shm = SharedMemory(name=name)
-                        try:
-                            return bytes(shm.buf[:8])
-                        finally:
-                            shm.close()
-                """
-            }
-        )
-        assert check_executor_resources(project) == []
-
-    def test_context_managed_attachment_passes(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from contextlib import closing
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def read(name):
-                        with closing(SharedMemory(name=name)) as shm:
-                            return bytes(shm.buf[:8])
-                """
-            }
-        )
-        assert check_executor_resources(project) == []
-
-    def test_attribute_ownership_passes(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    class Attachment:
-                        def __init__(self, name):
-                            self._shm = SharedMemory(name=name)
-
-                        def close(self):
-                            self._shm.close()
-                """
-            }
-        )
-        assert check_executor_resources(project) == []
-
-    def test_call_argument_escape_passes(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    from multiprocessing.shared_memory import SharedMemory
-
-                    def read(name, sink):
-                        return sink(SharedMemory(name=name))
-                """
-            }
-        )
-        assert check_executor_resources(project) == []
-
-    def test_unrelated_constructor_ignored(self, make_project):
-        project = make_project(
-            {
-                "core/pipeline.py": """
-                    class SharedState:
-                        pass
-
-                    def build():
-                        return SharedState()
-                """
-            }
-        )
-        assert check_executor_resources(project) == []
 
 
 class TestMP502SpillHygiene:

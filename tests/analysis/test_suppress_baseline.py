@@ -1,15 +1,9 @@
-"""Suppression parsing, baseline round-trip, and runner integration."""
+"""Suppression parsing and runner integration."""
 
-import pytest
+import ast
+import tokenize
 
-from repro.analysis.baseline import (
-    load_baseline,
-    partition_baseline,
-    subtract_baseline,
-    write_baseline,
-    write_baseline_keys,
-)
-from repro.analysis.findings import RULES, Finding
+from repro.analysis.findings import RULES
 from repro.analysis.runner import run_checks
 from repro.analysis.suppress import (
     is_suppressed,
@@ -78,61 +72,6 @@ class TestSuppressionParsing:
         assert not is_suppressed(sup, 1, "MP203")
 
 
-class TestBaseline:
-    def finding(self, line=3, rule="MP203", msg="iteration over a set"):
-        return Finding(path="src/repro/a.py", line=line, rule=rule, message=msg)
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        findings = [self.finding(), self.finding(line=9, rule="MP201", msg="clock")]
-        write_baseline(path, findings)
-        baseline = load_baseline(path)
-        assert sum(baseline.values()) == 2
-        assert subtract_baseline(findings, baseline) == []
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
-
-    def test_invalid_file_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"not": "a baseline"}')
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_line_drift_does_not_resurrect(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [self.finding(line=3)])
-        moved = [self.finding(line=40)]
-        assert subtract_baseline(moved, load_baseline(path)) == []
-
-    def test_second_occurrence_counts_as_new(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [self.finding()])
-        doubled = [self.finding(line=3), self.finding(line=8)]
-        new = subtract_baseline(doubled, load_baseline(path))
-        assert len(new) == 1
-
-    def test_partition_reports_stale_entries(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        fixed = self.finding(rule="MP201", msg="clock")  # no longer produced
-        write_baseline(path, [self.finding(), fixed])
-        new, used, stale = partition_baseline([self.finding()], load_baseline(path))
-        assert new == []
-        assert sum(used.values()) == 1
-        assert list(stale) == [fixed.key()]
-
-    def test_prune_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        fixed = self.finding(rule="MP201", msg="clock")
-        write_baseline(path, [self.finding(), fixed])
-        current = [self.finding()]
-        _new, used, _stale = partition_baseline(current, load_baseline(path))
-        write_baseline_keys(path, used)
-        pruned = load_baseline(path)
-        assert sum(pruned.values()) == 1
-        assert partition_baseline(current, pruned)[2] == {}  # nothing stale left
-
-
 OFFENDING = {
     "index/build.py": """
         def names(items):
@@ -162,51 +101,6 @@ class TestRunnerIntegration:
         report = run_checks(project_root)
         assert report.ok
         assert [f.rule for f in report.suppressed] == ["MP203"]
-
-    def test_baseline_absorbs_and_round_trips(self, make_project, project_root):
-        make_project(OFFENDING)
-        baseline_path = project_root / ".metaprep-baseline.json"
-        first = run_checks(project_root)
-        write_baseline(baseline_path, first.new)
-
-        second = run_checks(project_root)
-        assert second.ok
-        assert [f.rule for f in second.baselined] == ["MP203"]
-
-        # a new, different finding still gates through the baseline
-        (project_root / "src" / "repro" / "index" / "build.py").write_text(
-            "import time\n"
-            "def names(items):\n"
-            "    seen = set(items)\n"
-            "    t = time.time()\n"
-            "    return [x for x in seen], t\n"
-        )
-        third = run_checks(project_root)
-        assert not third.ok
-        assert [f.rule for f in third.new] == ["MP201"]
-
-    def test_stale_baseline_reported(self, make_project, project_root):
-        make_project(OFFENDING)
-        baseline_path = project_root / ".metaprep-baseline.json"
-        first = run_checks(project_root)
-        ghost = Finding(
-            path="src/repro/index/build.py",
-            line=1,
-            rule="MP201",
-            message="a finding nothing produces anymore",
-        )
-        write_baseline(baseline_path, list(first.new) + [ghost])
-
-        second = run_checks(project_root)
-        assert second.ok
-        assert list(second.stale_baseline) == [ghost.key()]
-        assert sum(second.baseline_used.values()) == 1
-
-        # pruning keeps only the consumed entries
-        write_baseline_keys(baseline_path, second.baseline_used)
-        third = run_checks(project_root)
-        assert third.ok
-        assert third.stale_baseline == {}
 
     def test_mp001_unknown_rule_id(self, make_project, project_root):
         make_project(
@@ -289,7 +183,44 @@ class TestRunnerIntegration:
             "purity",
             "overflow",
             "resources",
-            "lifecycle",
             "gateway",
             "suppress",
         }
+
+    def test_each_file_parsed_and_tokenized_once(
+        self, make_project, project_root, monkeypatch
+    ):
+        project = make_project(
+            {
+                **OFFENDING,
+                "util/stamp.py": """
+                    import time
+
+                    def stamp():
+                        return time.time()
+                """,
+                "core/emit.py": """
+                    from repro.util.stamp import stamp
+
+                    def emit(record):
+                        record["at"] = stamp()  # metaprep: ignore[MP201]
+                        return record
+                """,
+            }
+        )
+        calls = {"parse": 0, "tokenize": 0}
+        real_parse, real_tokens = ast.parse, tokenize.generate_tokens
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return real_parse(*args, **kwargs)
+
+        def counting_tokens(*args, **kwargs):
+            calls["tokenize"] += 1
+            return real_tokens(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", counting_tokens)
+        report = run_checks(project_root)
+        assert report.files == len(project.modules) == 3
+        assert calls == {"parse": 3, "tokenize": 3}
