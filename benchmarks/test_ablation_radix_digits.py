@@ -85,7 +85,7 @@ def test_ablation_16bit_two_limb(benchmark):
     lo = rng.integers(0, 2**63, size=50_000, dtype=np.uint64)
     hi = rng.integers(0, 1 << 26, size=50_000, dtype=np.uint64)
     tuples = KmerTuples(
-        KmerArray(45, lo, hi), rng.integers(0, 50_000, 50_000, dtype=np.uint32)
+        KmerArray(45, (hi, lo)), rng.integers(0, 50_000, 50_000, dtype=np.uint32)
     )
     benchmark.pedantic(
         lambda: radix_sort_tuples(tuples, digit_bits=16), rounds=1, iterations=1

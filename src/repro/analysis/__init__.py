@@ -12,8 +12,8 @@ reports structured findings (file, line, rule id, message):
 * **purity** (MP301–MP302) — callables submitted to the execution
   backends must be picklable module-level functions free of
   module-global writes;
-* **overflow** (MP401) — k-derived shift widths must not exceed the
-  64-bit packed-kmer limb outside the guarded two-limb path;
+* **overflow** (MP401) — k-derived shift widths must not exceed one
+  64-bit packed-kmer limb unless guarded by the limb count;
 * **resources** (MP502) — spill files and the tupleblock spill schema
   are touched only inside the disk block plane's spill module;
 * **gateway** (MP605) — ``async`` gateway handlers must not write

@@ -4,9 +4,10 @@ The codec packs a k-mer at 2 bits per base: for ``k <= 31``
 (:data:`repro.kmers.codec.MAX_K_ONE_LIMB`) everything fits one ``uint64``
 limb, and expressions like ``1 << (2 * k)`` or ``x >> (2 * (k - i))`` are
 safe.  Beyond 31 they silently wrap under numpy's modular ``uint64``
-arithmetic — correctness only survives on the explicit two-limb
-(``lo``/``hi``) path.  This checker flags k-derived shift expressions in
-numeric modules that are not visibly guarded against ``k > 31``.
+arithmetic — correctness only survives when the value is split across
+limbs (:func:`repro.kmers.codec.limb_count` of them).  This checker flags
+k-derived shift expressions in numeric modules that are not visibly
+guarded against ``k > 31``.
 
 Heuristics (all local to one module):
 
@@ -15,7 +16,7 @@ Heuristics (all local to one module):
 * a *suspect expression* is ``<< / >>`` with a k-name in the shift
   amount, or ``2 ** (...k...)`` / ``4 ** (...k...)``;
 * a scope is *guarded* when it (or its enclosing class) contains a
-  ``check_in_range("k", ..., <= 31)`` call, a reference to ``two_limb``
+  ``check_in_range("k", ..., <= 31)`` call, a reference to ``limb_count``
   / ``MAX_K_ONE_LIMB`` / ``MAX_K_TWO_LIMB``, or a comparison of a k-name
   against a small constant — any of these shows the author confronted
   the limb boundary;
@@ -52,10 +53,10 @@ OVERFLOW_SCOPES = (
     "core/",
 )
 
-GUARD_NAMES = frozenset({"two_limb", "MAX_K_ONE_LIMB", "MAX_K_TWO_LIMB"})
+GUARD_NAMES = frozenset({"limb_count", "MAX_K_ONE_LIMB", "MAX_K_TWO_LIMB"})
 RANGE_GUARD_FUNCTION = "check_in_range"
 ONE_LIMB_MAX = 31
-#: comparisons of k against anything up to the two-limb max count as
+#: comparisons of k against anything up to the widest k count as
 #: engagement with the limb boundary
 COMPARE_GUARD_MAX = 64
 
@@ -182,8 +183,8 @@ def _scan_scope(
                 message=(
                     "k-derived shift width can exceed the 64-bit limb for "
                     f"k > {ONE_LIMB_MAX}; guard with "
-                    f"check_in_range(..., MAX_K_ONE_LIMB) or route through "
-                    "the two-limb path"
+                    f"check_in_range(..., MAX_K_ONE_LIMB) or split it "
+                    "across limbs with limb_count(k)"
                 ),
             )
         )

@@ -15,7 +15,7 @@ invariant family they guard:
   :mod:`repro.runtime.executor` must be picklable module-level functions
   free of module-global writes.
 * ``MP4xx`` — k-mer dtype/overflow: ``k``-derived shifts/multiplies must
-  not exceed 64 bits outside the two-limb (``k > 31``) path.
+  not exceed one 64-bit limb unless split across limbs (``limb_count``).
 * ``MP5xx`` — disk block plane hygiene: spill files and the tupleblock
   spill schema are touched only inside :mod:`repro.runtime.spill`, so
   its torn-write detection, seal protocol and crash sweep cover them.
@@ -64,8 +64,8 @@ RULES = {
     ),
     "MP302": "executor job function writes module-global state",
     "MP401": (
-        "k-derived shift/multiply can exceed 64 bits without routing "
-        "through the two-limb (k > 31) path"
+        "k-derived shift/multiply can exceed one 64-bit limb without "
+        "splitting it across limbs (limb_count(k) > 1 for k > 31)"
     ),
     "MP502": (
         "spill file or tupleblock spill schema accessed outside "

@@ -13,31 +13,19 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples
 
 
 def comparator_sort_tuples(tuples: KmerTuples) -> KmerTuples:
     """Sort tuples by k-mer using the tuned native sorter.
 
-    One-limb keys: a single stable argsort of the 64-bit keys.  Two-limb
-    keys (the 128-bit case the tuned code does not support, mirroring the
-    paper's "could not directly use" caveat) fall back to lexsort.
+    A stable ``np.lexsort`` over the limbs: one 64-bit key for k <= 31;
+    for the 128-bit keys the tuned code does not support (the paper's
+    "could not directly use" caveat), the two limbs as two keys.
     """
     if len(tuples) <= 1:
         return tuples
-    if not tuples.kmers.two_limb:
-        order = np.argsort(tuples.kmers.lo, kind="stable")
-    else:
-        assert tuples.kmers.hi is not None
-        order = np.lexsort((tuples.kmers.lo, tuples.kmers.hi))
-    hi = tuples.kmers.hi[order] if tuples.kmers.hi is not None else None
-    return KmerTuples(
-        KmerArray(tuples.k, tuples.kmers.lo[order], hi),
-        tuples.read_ids[order],
-    )
+    return tuples.take(tuples.kmers.argsort())
 
 
 def sort_throughput(sorter, tuples: KmerTuples, repeats: int = 3) -> float:

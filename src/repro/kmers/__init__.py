@@ -6,6 +6,7 @@ chunks at once with NumPy: a k-step shift loop builds all forward k-mers and
 all reverse complements simultaneously, and canonicalization is an
 elementwise minimum.  k <= 31 uses a single ``uint64`` limb; 32 <= k <= 63
 uses two limbs, mirroring the paper's 64-bit / 128-bit k-mer encodings.
+Every kernel loops over the limbs, so both widths run one code path.
 """
 
 from repro.kmers.codec import (

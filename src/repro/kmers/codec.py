@@ -1,22 +1,27 @@
 """Packed k-mer representation.
 
 A k-mer is a ``2k``-bit unsigned integer, two bits per base, most significant
-bits first (so integer order == lexicographic order over ACGT).  For
-``k <= 31`` a single ``uint64`` limb suffices and a tuple is 12 bytes
-(8-byte k-mer + 4-byte read id), exactly the paper's layout.  For
-``32 <= k <= 63`` two limbs are used (``hi`` holds bits ``[64, 2k)``), the
-paper's 128-bit k-mer / 20-byte tuple variant (section 4.4, Table 6).
+bits first (so integer order == lexicographic order over ACGT).  It is held
+as L ``uint64`` *limbs*, most significant first.  L is 1 for ``k <= 31`` —
+a 12-byte tuple (8-byte k-mer + 4-byte read id), exactly the paper's layout
+— and 2 for ``32 <= k <= 63``, the paper's 128-bit k-mer / 20-byte tuple
+variant (section 4.4, Table 6).  L is deliberately not ``ceil(2k / 64)``:
+k = 32 takes two limbs with an empty top limb, so its tuples stay 20 bytes.
 
-:class:`KmerArray` is the vector type flowing through the pipeline: a pair
-of parallel ``uint64`` arrays (``hi`` is ``None`` in 1-limb mode) with
-elementwise lexicographic operations.  :class:`KmerCodec` carries the
-per-``k`` constants and scalar string conversions.
+:func:`limb_count` is the only place that turns ``k`` into L, and
+:func:`tuple_columns` the only place that turns it into a tuple layout (the
+limbs, then the read ids; :func:`tuple_bytes` is its byte count).
+:class:`KmerArray` is the vector type flowing through the pipeline: a tuple
+of parallel limb arrays whose kernels loop over the limbs, so every width
+runs the same code.  :class:`KmerCodec` carries the scalar string
+conversions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import reduce
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -26,82 +31,108 @@ from repro.util.validation import check_in_range
 MAX_K_ONE_LIMB = 31
 MAX_K_TWO_LIMB = 63
 
+LIMB_BITS = 64
+LIMB_DTYPE = np.dtype(np.uint64)
+ID_DTYPE = np.dtype(np.uint32)
+
 _U64 = np.uint64
-_ONE = _U64(1)
+_LIMB_MASK = (1 << LIMB_BITS) - 1
+
+
+def limb_count(k: int) -> int:
+    """Limbs per k-mer: 1 for ``k <= 31``, 2 for ``32 <= k <= 63``."""
+    check_in_range("k", k, 1, MAX_K_TWO_LIMB)
+    return 1 if k <= MAX_K_ONE_LIMB else 2
+
+
+def tuple_columns(k: int) -> Tuple[Tuple[str, np.dtype], ...]:
+    """``(name, dtype)`` of each column of a (k-mer, read id) tuple batch:
+    the limbs, most significant first, then the ids.  The names are the
+    ones the tuple-block spill format has always used."""
+    limbs = (("hi", LIMB_DTYPE), ("lo", LIMB_DTYPE))[-limb_count(k):]
+    return limbs + (("ids", ID_DTYPE),)
+
+
+def tuple_bytes(k: int) -> int:
+    """Bytes per (k-mer, read id) tuple: 12 for k <= 31, 20 for k <= 63."""
+    return sum(dtype.itemsize for _, dtype in tuple_columns(k))
 
 
 class KmerArray:
-    """A vector of packed k-mers (one or two ``uint64`` limbs per element).
+    """A vector of packed k-mers: ``limbs`` is a tuple of parallel
+    ``uint64`` arrays, most significant first.
 
     Immutable by convention: operations return new arrays.
     """
 
-    __slots__ = ("k", "lo", "hi")
+    __slots__ = ("k", "limbs")
 
-    def __init__(self, k: int, lo: np.ndarray, hi: np.ndarray | None = None):
-        check_in_range("k", k, 1, MAX_K_TWO_LIMB)
-        lo = np.ascontiguousarray(lo, dtype=np.uint64)
-        two_limb = k > MAX_K_ONE_LIMB
-        if two_limb and hi is None:
-            raise ValueError(f"k={k} requires two limbs but hi is None")
-        if not two_limb and hi is not None:
-            raise ValueError(f"k={k} fits one limb; hi must be None")
-        if hi is not None:
-            hi = np.ascontiguousarray(hi, dtype=np.uint64)
-            if hi.shape != lo.shape:
-                raise ValueError("hi/lo shape mismatch")
+    def __init__(self, k: int, limbs: "np.ndarray | Sequence[np.ndarray]"):
+        n_limbs = limb_count(k)
+        if isinstance(limbs, np.ndarray):  # a one-limb array passed bare
+            limbs = (limbs,)
+        limbs = tuple(np.ascontiguousarray(x, dtype=LIMB_DTYPE) for x in limbs)
+        if len(limbs) != n_limbs:
+            raise ValueError(f"k={k} takes {n_limbs} limb(s), got {len(limbs)}")
+        if any(x.shape != limbs[0].shape for x in limbs):
+            raise ValueError("limb shape mismatch")
         self.k = int(k)
-        self.lo = lo
-        self.hi = hi
+        self.limbs = limbs
 
     # ------------------------------------------------------------------
     @property
-    def two_limb(self) -> bool:
-        return self.hi is not None
+    def lo(self) -> np.ndarray:
+        """The least significant limb (the whole k-mer when k <= 31)."""
+        return self.limbs[-1]
+
+    @property
+    def hi(self) -> "np.ndarray | None":
+        """The upper limb when k >= 32, else ``None``."""
+        return self.limbs[0] if len(self.limbs) > 1 else None
 
     @property
     def total_bits(self) -> int:
         return 2 * self.k
 
     def __len__(self) -> int:
-        return len(self.lo)
+        return len(self.limbs[0])
 
-    @property
-    def nbytes_per_element(self) -> int:
-        return 16 if self.two_limb else 8
+    def _with(self, limbs) -> "KmerArray":
+        return KmerArray(self.k, tuple(limbs))
 
     # ------------------------------------------------------------------
     # elementwise relational operators (lexicographic = numeric on packed)
     # ------------------------------------------------------------------
-    def less_than(self, other: "KmerArray") -> np.ndarray:
+    def _compare(self, other: "KmerArray", strict: bool) -> np.ndarray:
+        """``self < other`` (``strict``) or ``self <= other``, folding
+        from the least significant limb upward."""
         self._check_compatible(other)
-        if not self.two_limb:
-            return self.lo < other.lo
-        assert self.hi is not None and other.hi is not None
-        return (self.hi < other.hi) | ((self.hi == other.hi) & (self.lo < other.lo))
+        a, b = self.limbs[-1], other.limbs[-1]
+        result = a < b if strict else a <= b
+        for a, b in zip(self.limbs[-2::-1], other.limbs[-2::-1]):
+            result = (a < b) | ((a == b) & result)
+        return result
+
+    def less_than(self, other: "KmerArray") -> np.ndarray:
+        return self._compare(other, strict=True)
 
     def equals(self, other: "KmerArray") -> np.ndarray:
         self._check_compatible(other)
-        if not self.two_limb:
-            return self.lo == other.lo
-        assert self.hi is not None and other.hi is not None
-        return (self.hi == other.hi) & (self.lo == other.lo)
+        return reduce(
+            np.logical_and, (a == b for a, b in zip(self.limbs, other.limbs))
+        )
 
     def minimum(self, other: "KmerArray") -> "KmerArray":
         """Elementwise lexicographic minimum (canonicalization kernel)."""
-        self._check_compatible(other)
-        if not self.two_limb:
-            return KmerArray(self.k, np.minimum(self.lo, other.lo))
-        take_self = self.less_than(other) | self.equals(other)
-        lo = np.where(take_self, self.lo, other.lo)
-        assert self.hi is not None and other.hi is not None
-        hi = np.where(take_self, self.hi, other.hi)
-        return KmerArray(self.k, lo, hi)
+        take_self = self._compare(other, strict=False)
+        return self._with(
+            np.where(take_self, a, b) for a, b in zip(self.limbs, other.limbs)
+        )
 
     def _check_compatible(self, other: "KmerArray") -> None:
         if self.k != other.k:
             raise ValueError(f"k mismatch: {self.k} vs {other.k}")
-        if self.lo.shape != other.lo.shape:
+        if len(self) != len(other):
             raise ValueError("length mismatch")
 
     # ------------------------------------------------------------------
@@ -113,57 +144,43 @@ class KmerArray:
         This is the m-mer prefix used by merHist binning: an m-mer prefix is
         ``high_bits(2 * m)``.  Result fits in ``uint64`` (``nbits <= 64``).
         """
-        check_in_range("nbits", nbits, 1, min(64, self.total_bits))
-        shift = self.total_bits - nbits
-        if not self.two_limb:
-            return self.lo >> _U64(shift)
-        assert self.hi is not None
-        if shift >= 64:
-            return self.hi >> _U64(shift - 64)
-        # bits straddle both limbs: take low (64 - shift) bits of hi and
-        # high bits of lo.
-        hi_part = self.hi << _U64(64 - shift) if shift else self.hi
-        lo_part = self.lo >> _U64(shift) if shift else self.lo
-        mask = (_ONE << _U64(nbits)) - _ONE if nbits < 64 else _U64(0xFFFFFFFFFFFFFFFF)
-        return (hi_part | lo_part) & mask
+        check_in_range("nbits", nbits, 1, min(LIMB_BITS, self.total_bits))
+        limb, shift = divmod(self.total_bits - nbits, LIMB_BITS)
+        out = self.limbs[-1 - limb] >> _U64(shift)
+        if shift and limb + 1 < len(self.limbs):
+            # the bits straddle two limbs; shifting by 64 - 0 would wrap
+            # to a no-op on x86, hence the ``shift`` guard
+            upper = self.limbs[-2 - limb] << _U64(LIMB_BITS - shift)
+            out = (out | upper) & _U64((1 << nbits) - 1)
+        return out
 
     def mmer_prefix(self, m: int) -> np.ndarray:
         """The m-mer prefix (first ``m`` bases) of each k-mer as ``uint64``."""
         check_in_range("m", m, 1, min(32, self.k))
         return self.high_bits(2 * m)
 
-    def radix_digit(self, byte_index: int) -> np.ndarray:
-        """Return the ``byte_index``-th least significant byte as ``uint64``.
+    def radix_digit(self, index: int, bits: int = 8) -> np.ndarray:
+        """The ``index``-th least significant ``bits``-wide digit as
+        ``uint64`` (``bits`` divides 64).
 
-        Bytes 0..7 come from ``lo``; 8..15 from ``hi`` (two-limb mode).  Used
-        by the LSD radix sort: 8 passes for one limb, 16 for two (paper
-        sections 3.4 and 4.4).
+        The LSD radix sort reads ``64 * L / bits`` digits: with bytes, 8
+        passes for one limb and 16 for two (paper sections 3.4 and 4.4).
         """
-        limbs = 2 if self.two_limb else 1
-        check_in_range("byte_index", byte_index, 0, 8 * limbs - 1)
-        if byte_index < 8:
-            src = self.lo
-            shift = 8 * byte_index
-        else:
-            assert self.hi is not None
-            src = self.hi
-            shift = 8 * (byte_index - 8)
-        return (src >> _U64(shift)) & _U64(0xFF)
-
-    @property
-    def n_radix_bytes(self) -> int:
-        return 16 if self.two_limb else 8
+        per_limb = LIMB_BITS // bits
+        check_in_range("index", index, 0, per_limb * len(self.limbs) - 1)
+        limb, digit = divmod(index, per_limb)
+        return (self.limbs[-1 - limb] >> _U64(bits * digit)) & _U64(
+            (1 << bits) - 1
+        )
 
     # ------------------------------------------------------------------
     # gather / concat
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "KmerArray":
-        hi = self.hi[indices] if self.hi is not None else None
-        return KmerArray(self.k, self.lo[indices], hi)
+        return self._with(x[indices] for x in self.limbs)
 
     def slice(self, lo_idx: int, hi_idx: int) -> "KmerArray":
-        hi = self.hi[lo_idx:hi_idx] if self.hi is not None else None
-        return KmerArray(self.k, self.lo[lo_idx:hi_idx], hi)
+        return self._with(x[lo_idx:hi_idx] for x in self.limbs)
 
     @staticmethod
     def concatenate(parts: "list[KmerArray]") -> "KmerArray":
@@ -172,19 +189,15 @@ class KmerArray:
         k = parts[0].k
         if any(p.k != k for p in parts):
             raise ValueError("k mismatch in concatenate")
-        lo = np.concatenate([p.lo for p in parts])
-        hi = (
-            np.concatenate([p.hi for p in parts])
-            if parts[0].hi is not None
-            else None
+        return KmerArray(
+            k, tuple(np.concatenate(c) for c in zip(*(p.limbs for p in parts)))
         )
-        return KmerArray(k, lo, hi)
 
     @staticmethod
     def empty(k: int) -> "KmerArray":
-        lo = np.empty(0, dtype=np.uint64)
-        hi = np.empty(0, dtype=np.uint64) if k > MAX_K_ONE_LIMB else None
-        return KmerArray(k, lo, hi)
+        return KmerArray(
+            k, tuple(np.empty(0, LIMB_DTYPE) for _ in range(limb_count(k)))
+        )
 
     # ------------------------------------------------------------------
     # sort-key helpers
@@ -192,32 +205,29 @@ class KmerArray:
     def argsort(self) -> np.ndarray:
         """Stable lexicographic argsort (reference implementation; the
         pipeline uses :mod:`repro.sort` instead)."""
-        if not self.two_limb:
-            return np.argsort(self.lo, kind="stable")
-        assert self.hi is not None
-        return np.lexsort((self.lo, self.hi))
+        return np.lexsort(self.limbs[::-1])
 
     def run_boundaries(self) -> np.ndarray:
         """For a *sorted* array, indices where a new distinct k-mer starts,
         plus the final length.  ``len(result) - 1`` distinct k-mers."""
-        n = len(self.lo)
+        n = len(self)
         if n == 0:
             return np.zeros(1, dtype=np.int64)
-        if not self.two_limb:
-            new = self.lo[1:] != self.lo[:-1]
-        else:
-            assert self.hi is not None
-            new = (self.lo[1:] != self.lo[:-1]) | (self.hi[1:] != self.hi[:-1])
+        new = reduce(np.logical_or, (x[1:] != x[:-1] for x in self.limbs))
         starts = np.flatnonzero(new) + 1
         return np.concatenate(([0], starts, [n])).astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"KmerArray(k={self.k}, n={len(self)}, limbs={2 if self.two_limb else 1})"
+        return f"KmerArray(k={self.k}, n={len(self)}, limbs={len(self.limbs)})"
 
 
 @dataclass(frozen=True)
 class KmerCodec:
-    """Scalar conversions and constants for a fixed ``k``."""
+    """Scalar conversions and constants for a fixed ``k``.
+
+    Scalars are ``(hi, lo)`` pairs of Python ints; ``hi`` is 0 for
+    ``k <= 31``.
+    """
 
     k: int
 
@@ -225,13 +235,9 @@ class KmerCodec:
         check_in_range("k", self.k, 1, MAX_K_TWO_LIMB)
 
     @property
-    def two_limb(self) -> bool:
-        return self.k > MAX_K_ONE_LIMB
-
-    @property
     def tuple_bytes(self) -> int:
         """Bytes per (k-mer, read id) tuple: 12 for k<=31, 20 for k<=63."""
-        return 20 if self.two_limb else 12
+        return tuple_bytes(self.k)
 
     def encode(self, seq: str) -> Tuple[int, int]:
         """Pack a length-``k`` string into ``(hi, lo)`` Python ints."""
@@ -243,11 +249,11 @@ class KmerCodec:
         value = 0
         for c in codes:
             value = (value << 2) | int(c)
-        return value >> 64, value & 0xFFFFFFFFFFFFFFFF
+        return value >> LIMB_BITS, value & _LIMB_MASK
 
     def decode(self, hi: int, lo: int) -> str:
         """Unpack ``(hi, lo)`` into the k-mer string."""
-        value = (int(hi) << 64) | int(lo)
+        value = (int(hi) << LIMB_BITS) | int(lo)
         out = []
         for i in range(self.k):
             shift = 2 * (self.k - 1 - i)
@@ -258,17 +264,17 @@ class KmerCodec:
         """Decode every element of a :class:`KmerArray` (tests/debugging)."""
         if kmers.k != self.k:
             raise ValueError(f"k mismatch: codec {self.k}, array {kmers.k}")
-        his = kmers.hi if kmers.hi is not None else np.zeros_like(kmers.lo)
-        return [self.decode(int(h), int(l)) for h, l in zip(his, kmers.lo)]
+        hi, lo = ((np.zeros(len(kmers), LIMB_DTYPE),) + kmers.limbs)[-2:]
+        return [self.decode(int(h), int(l)) for h, l in zip(hi, lo)]
 
     def revcomp(self, hi: int, lo: int) -> Tuple[int, int]:
         """Reverse complement of a packed k-mer, as ``(hi, lo)``."""
-        value = (int(hi) << 64) | int(lo)
+        value = (int(hi) << LIMB_BITS) | int(lo)
         rc = 0
         for _ in range(self.k):
             rc = (rc << 2) | (3 - (value & 3))
             value >>= 2
-        return rc >> 64, rc & 0xFFFFFFFFFFFFFFFF
+        return rc >> LIMB_BITS, rc & _LIMB_MASK
 
     def canonical(self, seq: str) -> str:
         """Canonical form of a k-mer string (min of itself and revcomp)."""
@@ -278,14 +284,11 @@ class KmerCodec:
             hi, lo = rhi, rlo
         return self.decode(hi, lo)
 
+    def array(self, pairs: "Sequence[Tuple[int, int]]") -> KmerArray:
+        """Pack ``(hi, lo)`` pairs into a :class:`KmerArray`."""
+        hi_lo = np.array(pairs, dtype=LIMB_DTYPE).reshape(-1, 2).T
+        return KmerArray(self.k, tuple(hi_lo[-limb_count(self.k):]))
+
     def from_strings(self, kmers: "list[str]") -> KmerArray:
         """Pack a list of k-mer strings into a :class:`KmerArray`."""
-        n = len(kmers)
-        lo = np.empty(n, dtype=np.uint64)
-        hi = np.empty(n, dtype=np.uint64) if self.two_limb else None
-        for i, s in enumerate(kmers):
-            h, l = self.encode(s)
-            lo[i] = l
-            if hi is not None:
-                hi[i] = h
-        return KmerArray(self.k, lo, hi)
+        return self.array([self.encode(s) for s in kmers])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import KmerArray, KmerCodec
 from repro.kmers.engine import KmerTuples, enumerate_canonical_kmers
 from repro.seqio.records import ReadBatch
 
@@ -47,21 +47,12 @@ class KmerSpectrum:
         return np.bincount(clipped, minlength=max_count + 1)
 
     def count_of(self, kmer_lo: int, kmer_hi: int = 0) -> int:
-        """Multiplicity of one packed k-mer (0 if absent)."""
-        if self.kmers.two_limb:
-            # binary search over (hi, lo) pairs via searchsorted on a
-            # combined key is unsafe for 128-bit; do a masked scan (spectra
-            # queried this way are small / test-sized).
-            assert self.kmers.hi is not None
-            match = (self.kmers.hi == np.uint64(kmer_hi)) & (
-                self.kmers.lo == np.uint64(kmer_lo)
-            )
-            idx = np.flatnonzero(match)
-            return int(self.counts[idx[0]]) if len(idx) else 0
-        idx = np.searchsorted(self.kmers.lo, np.uint64(kmer_lo))
-        if idx < len(self.kmers.lo) and self.kmers.lo[idx] == np.uint64(kmer_lo):
-            return int(self.counts[idx])
-        return 0
+        """Multiplicity of one packed k-mer (0 if absent).  A masked scan:
+        spectra queried this way are small / test-sized."""
+        probe = KmerCodec(self.kmers.k).array([(kmer_hi, kmer_lo)])
+        match = self.kmers.equals(probe.take(np.zeros(len(self.kmers), np.intp)))
+        idx = np.flatnonzero(match)
+        return int(self.counts[idx[0]]) if len(idx) else 0
 
 
 def spectrum_from_tuples(tuples: KmerTuples) -> KmerSpectrum:

@@ -19,7 +19,7 @@ from typing import List
 
 import numpy as np
 
-from repro.kmers.codec import MAX_K_ONE_LIMB, MAX_K_TWO_LIMB, KmerArray
+from repro.kmers.codec import MAX_K_TWO_LIMB, KmerArray, limb_count, tuple_bytes
 from repro.seqio.records import ReadBatch
 from repro.util.validation import check_in_range
 
@@ -60,8 +60,19 @@ class KmerTuples:
     @property
     def nbytes(self) -> int:
         """Logical tuple bytes (12 or 20 per tuple), as the paper accounts."""
-        per = (16 if self.kmers.two_limb else 8) + 4
-        return per * len(self)
+        return tuple_bytes(self.k) * len(self)
+
+    @property
+    def columns(self) -> tuple:
+        """The k-mer limbs, most significant first, then the read ids —
+        the column order of :func:`repro.kmers.codec.tuple_columns`."""
+        return self.kmers.limbs + (self.read_ids,)
+
+    @staticmethod
+    def from_columns(k: int, columns) -> "KmerTuples":
+        """Inverse of :attr:`columns`."""
+        *limbs, ids = columns
+        return KmerTuples(KmerArray(k, limbs), ids)
 
     def take(self, indices: np.ndarray) -> "KmerTuples":
         return KmerTuples(self.kmers.take(indices), self.read_ids[indices])
@@ -109,6 +120,20 @@ class KmerTuples:
         return KmerTuples(KmerArray.empty(k), np.empty(0, dtype=np.uint32))
 
 
+def _shift_in(codes: np.ndarray, starts, n_limbs: int, npos: int) -> tuple:
+    """Shift the 2-bit codes ``codes[j : j + npos]``, for each ``j`` of
+    ``starts`` in turn, into ``n_limbs`` limbs, most significant first,
+    carrying each limb's top base into the limb above.  Starting from
+    zero, ``k`` steps set exactly the low ``2k`` bits, so the top limb of
+    a 32-mer stays 0 without a mask."""
+    limbs = [np.zeros(npos, dtype=np.uint64) for _ in range(n_limbs)]
+    for j in starts:
+        for i in range(n_limbs - 1):
+            limbs[i] = (limbs[i] << _TWO) | (limbs[i + 1] >> _SIXTYTWO)
+        limbs[-1] = (limbs[-1] << _TWO) | codes[j : j + npos]
+    return tuple(limbs)
+
+
 def enumerate_canonical_kmers(batch: ReadBatch, k: int) -> KmerTuples:
     """Enumerate all canonical k-mers of ``batch`` with their read ids.
 
@@ -133,46 +158,13 @@ def enumerate_canonical_kmers(batch: ReadBatch, k: int) -> KmerTuples:
     clean = (bad[k:] - bad[:npos]) == 0
     valid = within_read & clean
 
-    c64 = codes.astype(np.uint64)
-    two_limb = k > MAX_K_ONE_LIMB
-
-    if not two_limb:
-        fwd = np.zeros(npos, dtype=np.uint64)
-        for j in range(k):
-            fwd = (fwd << _TWO) | (c64[j : j + npos] & _THREE)
-        rc = np.zeros(npos, dtype=np.uint64)
-        for j in range(k):
-            off = k - 1 - j
-            rc = (rc << _TWO) | ((_THREE - c64[off : off + npos]) & _THREE)
-        fwd_arr = KmerArray(k, fwd)
-        rc_arr = KmerArray(k, rc)
-    else:
-        fwd_hi = np.zeros(npos, dtype=np.uint64)
-        fwd_lo = np.zeros(npos, dtype=np.uint64)
-        for j in range(k):
-            fwd_hi = (fwd_hi << _TWO) | (fwd_lo >> _SIXTYTWO)
-            fwd_lo = (fwd_lo << _TWO) | (c64[j : j + npos] & _THREE)
-        rc_hi = np.zeros(npos, dtype=np.uint64)
-        rc_lo = np.zeros(npos, dtype=np.uint64)
-        for j in range(k):
-            off = k - 1 - j
-            rc_hi = (rc_hi << _TWO) | (rc_lo >> _SIXTYTWO)
-            rc_lo = (rc_lo << _TWO) | ((_THREE - c64[off : off + npos]) & _THREE)
-        # Mask hi limbs to 2k-64 significant bits (shift loop may have pushed
-        # stray invalid-code bits above them -- they are masked out below for
-        # valid windows anyway, but keep limbs canonical).
-        hi_bits = 2 * k - 64
-        mask = (
-            (_U64(1) << _U64(hi_bits)) - _U64(1)
-            if hi_bits < 64
-            else _U64(0xFFFFFFFFFFFFFFFF)
-        )
-        fwd_hi &= mask
-        rc_hi &= mask
-        fwd_arr = KmerArray(k, fwd_lo, fwd_hi)
-        rc_arr = KmerArray(k, rc_lo, rc_hi)
-
-    canon = fwd_arr.minimum(rc_arr)
+    # 2-bit codes (an N's window is masked out by ``valid`` anyway) and
+    # their complements, which the reverse strand reads back to front
+    c64 = codes.astype(np.uint64) & _THREE
+    n_limbs = limb_count(k)
+    fwd = _shift_in(c64, range(k), n_limbs, npos)
+    rc = _shift_in(_THREE - c64, range(k - 1, -1, -1), n_limbs, npos)
+    canon = KmerArray(k, fwd).minimum(KmerArray(k, rc))
     keep = np.flatnonzero(valid)
     kmers = canon.take(keep)
     read_ids = batch.read_ids[base_read[keep]].astype(np.uint32)

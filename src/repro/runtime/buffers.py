@@ -11,16 +11,17 @@ the columnar arrays across the pool boundary.
 
 This module restores the paper's buffer discipline:
 
-* :class:`TupleBlock` — a fixed-layout columnar buffer holding the key
-  limb(s) (``lo``/``hi``, ``uint64``) and the ``read_ids`` (``uint32``)
-  of a tuple batch.  The layout is exactly the paper's 12-byte
-  (one-limb) / 20-byte (two-limb) tuple accounting, laid out
-  column-major in one contiguous allocation.
+* :class:`TupleBlock` — a fixed-layout columnar buffer holding the
+  columns of :func:`~repro.kmers.codec.tuple_columns`: the key limbs
+  (``uint64``, most significant first), then the read ids (``uint32``).
+  The layout is exactly the paper's 12-byte (k <= 31) / 20-byte
+  (k <= 63) tuple accounting, laid out column-major in one contiguous
+  allocation.
 * :class:`BlockDescriptor` — the picklable wire format of a block:
-  segment name, dtype layout, shape, and per-column byte offsets.  A
-  descriptor is a few hundred bytes regardless of how many tuples the
-  block holds; shipping it through the process pool replaces shipping
-  the payload.
+  segment name, ``k`` and capacity, which fix every column's dtype and
+  byte offset.  A descriptor is a few hundred bytes regardless of how
+  many tuples the block holds; shipping it through the process pool
+  replaces shipping the payload.
 * :class:`HeapBufferPool` — plain in-process ndarray backing (the
   serial engine; unchanged semantics, zero new copies).
 * :class:`SharedMemoryBufferPool` — ``multiprocessing.shared_memory``
@@ -53,7 +54,7 @@ from typing import Dict, Iterator, List, Union
 import numpy as np
 
 from repro import telemetry
-from repro.kmers.codec import MAX_K_ONE_LIMB, MAX_K_TWO_LIMB, KmerArray
+from repro.kmers.codec import MAX_K_TWO_LIMB, tuple_bytes, tuple_columns
 from repro.kmers.engine import KmerTuples
 from repro.util.logging import get_logger
 from repro.util.validation import check_in_range
@@ -63,20 +64,11 @@ _LOG = get_logger("runtime.buffers")
 #: shm segment name prefix; the crash-safety tests scan /dev/shm for it
 SEGMENT_PREFIX = "metaprep"
 
-_LO_DTYPE = np.dtype(np.uint64)
-_HI_DTYPE = np.dtype(np.uint64)
-_IDS_DTYPE = np.dtype(np.uint32)
-
-
-def _two_limb(k: int) -> bool:
-    return k > MAX_K_ONE_LIMB
-
 
 def block_nbytes(k: int, capacity: int) -> int:
     """Payload bytes of a ``capacity``-tuple block: 12 or 20 per tuple,
     exactly the paper's tuple accounting."""
-    per = (16 if _two_limb(k) else 8) + 4
-    return per * capacity
+    return tuple_bytes(k) * capacity
 
 
 @dataclass(frozen=True)
@@ -84,57 +76,46 @@ class BlockDescriptor:
     """Picklable wire format of a :class:`TupleBlock`.
 
     Carries everything a worker needs to rebuild zero-copy views into
-    the backing segment: the segment name, the dtype layout (implied by
-    ``k``), the shape (``capacity``), and the byte offset of each
-    column.  ``segment`` is the empty string for capacity-0 blocks,
-    which need no backing at all.
+    the backing segment: the segment name, ``k`` and the shape
+    (``capacity``) — together they fix every column's dtype and byte
+    offset (:func:`_column_offsets`).  ``segment`` is the empty string
+    for capacity-0 blocks, which need no backing at all.
     """
 
     segment: str
     k: int
     capacity: int
-    lo_offset: int
-    hi_offset: int  # -1 in one-limb mode
-    ids_offset: int
     nbytes: int
 
-    @property
-    def two_limb(self) -> bool:
-        return self.hi_offset >= 0
 
-
-def _column_offsets(k: int, capacity: int) -> tuple:
-    """(lo, hi, ids) byte offsets of the columnar layout; hi is -1 in
-    one-limb mode.  Columns are contiguous and 4-byte aligned."""
-    lo_off = 0
-    if _two_limb(k):
-        hi_off = capacity * _LO_DTYPE.itemsize
-        ids_off = hi_off + capacity * _HI_DTYPE.itemsize
-    else:
-        hi_off = -1
-        ids_off = capacity * _LO_DTYPE.itemsize
-    return lo_off, hi_off, ids_off
+def _column_offsets(k: int, capacity: int) -> list:
+    """Byte offset of each column, in :func:`tuple_columns` order.  The
+    8-byte limbs precede the 4-byte ids, so every column is aligned."""
+    offsets, at = [], 0
+    for _, dtype in tuple_columns(k):
+        offsets.append(at)
+        at += capacity * dtype.itemsize
+    return offsets
 
 
 class TupleBlock:
     """A columnar (k-mer limbs + read ids) buffer with explicit backing.
 
-    The three columns are parallel arrays over one contiguous buffer —
-    plain heap ndarrays or views into a shared-memory segment.  Stage
-    code reads and writes *views* (:meth:`view`, :meth:`write`,
-    :meth:`permute`); the buffer itself moves between processes as a
-    :class:`BlockDescriptor`, never as a pickled payload.
+    ``columns`` are parallel arrays over one contiguous buffer — plain
+    heap ndarrays or views into a shared-memory segment — in
+    :func:`tuple_columns` order.  Stage code reads and writes *views*
+    (:meth:`view`, :meth:`write`, :meth:`permute`); the buffer itself
+    moves between processes as a :class:`BlockDescriptor`, never as a
+    pickled payload.
     """
 
-    __slots__ = ("k", "capacity", "lo", "hi", "ids", "segment", "_shm", "__weakref__")
+    __slots__ = ("k", "capacity", "columns", "segment", "_shm", "__weakref__")
 
     def __init__(
         self,
         k: int,
         capacity: int,
-        lo: np.ndarray,
-        hi: np.ndarray | None,
-        ids: np.ndarray,
+        columns,
         segment: str = "",
         shm=None,
     ) -> None:
@@ -143,9 +124,7 @@ class TupleBlock:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.k = int(k)
         self.capacity = int(capacity)
-        self.lo = lo
-        self.hi = hi
-        self.ids = ids
+        self.columns = tuple(columns)
         #: shared-memory segment name; "" for heap blocks
         self.segment = segment
         self._shm = shm
@@ -153,10 +132,6 @@ class TupleBlock:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.capacity
-
-    @property
-    def two_limb(self) -> bool:
-        return self.hi is not None
 
     @property
     def nbytes(self) -> int:
@@ -175,14 +150,10 @@ class TupleBlock:
                 "pass the block object itself (serial engine) or allocate "
                 "from a SharedMemoryBufferPool"
             )
-        lo_off, hi_off, ids_off = _column_offsets(self.k, self.capacity)
         return BlockDescriptor(
             segment=self.segment,
             k=self.k,
             capacity=self.capacity,
-            lo_offset=lo_off,
-            hi_offset=hi_off,
-            ids_offset=ids_off,
             nbytes=self.nbytes,
         )
 
@@ -209,10 +180,8 @@ class TupleBlock:
                 f"view [{lo_idx}, {hi_idx}) out of range for capacity "
                 f"{self.capacity}"
             )
-        hi_col = self.hi[lo_idx:hi_idx] if self.hi is not None else None
-        return KmerTuples(
-            KmerArray(self.k, self.lo[lo_idx:hi_idx], hi_col),
-            self.ids[lo_idx:hi_idx],
+        return KmerTuples.from_columns(
+            self.k, [column[lo_idx:hi_idx] for column in self.columns]
         )
 
     def write(self, at: int, tuples: KmerTuples) -> int:
@@ -229,10 +198,8 @@ class TupleBlock:
             )
         if n == 0:
             return end
-        self.lo[at:end] = tuples.kmers.lo
-        if self.hi is not None:
-            self.hi[at:end] = tuples.kmers.hi
-        self.ids[at:end] = tuples.read_ids
+        for column, values in zip(self.columns, tuples.columns):
+            column[at:end] = values
         return end
 
     def permute(self, order: np.ndarray, length: int | None = None) -> None:
@@ -244,10 +211,8 @@ class TupleBlock:
             raise ValueError(
                 f"order has {len(order)} entries for length {length}"
             )
-        self.lo[:length] = self.lo[:length][order]
-        if self.hi is not None:
-            self.hi[:length] = self.hi[:length][order]
-        self.ids[:length] = self.ids[:length][order]
+        for column in self.columns:
+            column[:length] = column[:length][order]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = f"shm:{self.segment}" if self.segment else "heap"
@@ -259,23 +224,20 @@ class TupleBlock:
 BlockHandle = Union[TupleBlock, BlockDescriptor]
 
 
-def _empty_block(k: int) -> TupleBlock:
-    hi = np.empty(0, dtype=_HI_DTYPE) if _two_limb(k) else None
+def _heap_block(k: int, capacity: int) -> TupleBlock:
     return TupleBlock(
-        k, 0, np.empty(0, dtype=_LO_DTYPE), hi, np.empty(0, dtype=_IDS_DTYPE)
+        k, capacity, [np.empty(capacity, dtype) for _, dtype in tuple_columns(k)]
     )
 
 
 def _views_over(buf, k: int, capacity: int, segment: str, shm=None) -> TupleBlock:
-    lo_off, hi_off, ids_off = _column_offsets(k, capacity)
-    lo = np.ndarray((capacity,), dtype=_LO_DTYPE, buffer=buf, offset=lo_off)
-    hi = (
-        np.ndarray((capacity,), dtype=_HI_DTYPE, buffer=buf, offset=hi_off)
-        if hi_off >= 0
-        else None
-    )
-    ids = np.ndarray((capacity,), dtype=_IDS_DTYPE, buffer=buf, offset=ids_off)
-    return TupleBlock(k, capacity, lo, hi, ids, segment=segment, shm=shm)
+    columns = [
+        np.ndarray((capacity,), dtype=dtype, buffer=buf, offset=offset)
+        for (_, dtype), offset in zip(
+            tuple_columns(k), _column_offsets(k, capacity)
+        )
+    ]
+    return TupleBlock(k, capacity, columns, segment=segment, shm=shm)
 
 
 def attach_block(descriptor: BlockDescriptor) -> TupleBlock:
@@ -292,7 +254,7 @@ def attach_block(descriptor: BlockDescriptor) -> TupleBlock:
     those die with the views.
     """
     if descriptor.capacity == 0 or not descriptor.segment:
-        return _empty_block(descriptor.k)
+        return _heap_block(descriptor.k, 0)
     from multiprocessing import shared_memory
 
     shm = shared_memory.SharedMemory(name=descriptor.segment)
@@ -331,7 +293,7 @@ def open_block(handle: BlockHandle) -> Iterator[TupleBlock]:
         # retain views — attach_block hands mapping ownership to the
         # arrays — so the mapping itself is refcount-reclaimed when the
         # last view dies.
-        block.lo = block.ids = block.hi = None  # type: ignore[assignment]
+        block.columns = None  # type: ignore[assignment]
         block._shm = None
 
 
@@ -393,7 +355,7 @@ class BufferPool:
             telemetry.set_gauge("buffers.pool_hwm_bytes", self._hwm_bytes)
 
     def _note_release(self, block: TupleBlock) -> None:
-        if block.capacity == 0 or block.lo is None:  # empty or re-released
+        if block.capacity == 0 or block.columns is None:  # empty or re-released
             return
         self._in_use_blocks = max(0, self._in_use_blocks - 1)
         self._in_use_bytes = max(0, self._in_use_bytes - block.nbytes)
@@ -441,22 +403,13 @@ class HeapBufferPool(BufferPool):
     kind = "heap"
 
     def allocate(self, k: int, capacity: int) -> TupleBlock:
-        if capacity == 0:
-            return _empty_block(k)
-        hi = np.empty(capacity, dtype=_HI_DTYPE) if _two_limb(k) else None
-        block = TupleBlock(
-            k,
-            capacity,
-            np.empty(capacity, dtype=_LO_DTYPE),
-            hi,
-            np.empty(capacity, dtype=_IDS_DTYPE),
-        )
+        block = _heap_block(k, capacity)
         self._note_allocate(block)
         return block
 
     def release(self, block: TupleBlock) -> None:
         self._note_release(block)
-        block.lo = block.ids = block.hi = None  # type: ignore[assignment]
+        block.columns = None  # type: ignore[assignment]
 
 
 def _sweep_segments(segments: Dict[str, object]) -> None:
@@ -529,7 +482,7 @@ class SharedMemoryBufferPool(BufferPool):
     # ------------------------------------------------------------------
     def allocate(self, k: int, capacity: int) -> TupleBlock:
         if capacity == 0:
-            return _empty_block(k)
+            return _heap_block(k, 0)
         size = self._size_class(block_nbytes(k, capacity))
         free = self._free.get(size)
         if free:
@@ -545,7 +498,7 @@ class SharedMemoryBufferPool(BufferPool):
     def release(self, block: TupleBlock) -> None:
         self._note_release(block)
         name = block.segment
-        block.lo = block.ids = block.hi = None  # type: ignore[assignment]
+        block.columns = None  # type: ignore[assignment]
         block._shm = None
         if not name or name not in self._segments:
             return

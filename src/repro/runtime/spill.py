@@ -14,11 +14,11 @@ Wire format
 -----------
 A spill file is exactly the PR-4 checkpoint block-spill format — the
 ``MPREPTAB`` container with schema :data:`TUPLEBLOCK_SCHEMA`, a JSON
-header carrying ``{k, length, two_limb}``, and the raw columnar payload
-(``lo``, ``ids``, and for two-limb k-mers ``hi``).  A whole-block spill
-(:func:`write_spill`) and a region-filled preallocated file
-(:func:`create_spill_file` + :func:`write_spill_region`) produce
-byte-identical files, because :func:`repro.seqio.tables.table_layout`
+header carrying ``k``, the length and whether the k-mer takes a second
+limb, and the raw columnar payload (``lo``, ``ids``, and for k >= 32
+``hi``).  A whole-block spill (:func:`write_spill`) and a region-filled
+preallocated file (:func:`create_spill_file` + :func:`write_spill_region`)
+produce byte-identical files, because :func:`repro.seqio.tables.table_layout`
 makes every column's byte offset a pure function of ``(k, length)`` —
 which is what lets KmerGen chunk workers address disjoint file regions
 at their index-precomputed offsets with no coordination, the on-disk
@@ -66,12 +66,12 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List
+from typing import Callable, Dict, Iterator, List
 
 import numpy as np
 
 from repro import telemetry
-from repro.kmers.codec import MAX_K_ONE_LIMB, MAX_K_TWO_LIMB, KmerArray
+from repro.kmers.codec import ID_DTYPE, MAX_K_TWO_LIMB, limb_count, tuple_columns
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import BufferPool, HeapBufferPool, TupleBlock
 from repro.seqio.tables import (
@@ -100,9 +100,9 @@ SPILL_DIR_PREFIX = "metaprep-spill-"
 #: published spill files end with this; in-flight files add ``.tmp``
 SPILL_SUFFIX = ".spill"
 
-_LO_DTYPE = np.dtype(np.uint64)
-_HI_DTYPE = np.dtype(np.uint64)
-_IDS_DTYPE = np.dtype(np.uint32)
+#: on-disk column order — the low limb, the ids, then the high limb, as
+#: the checkpoint block-spill writer has always emitted them
+_FILE_COLUMN_ORDER = ("lo", "ids", "hi")
 
 
 class SpillError(RuntimeError):
@@ -118,38 +118,41 @@ class SpillCorruption(SpillError):
 # ----------------------------------------------------------------------
 # wire format layout
 # ----------------------------------------------------------------------
-def _two_limb(k: int) -> bool:
-    return k > MAX_K_ONE_LIMB
-
-
 def _block_meta(k: int, length: int) -> dict:
     # field set and types match the historical checkpoint writer exactly
-    return {"k": int(k), "length": int(length), "two_limb": _two_limb(k)}
+    return {"k": int(k), "length": int(length), "two_limb": limb_count(k) > 1}
 
 
 def _array_specs(k: int, length: int) -> list:
-    # column order is part of the on-disk layout: lo, ids, then hi —
-    # the order the checkpoint block-spill writer has always emitted
-    specs = [("lo", _LO_DTYPE, (length,)), ("ids", _IDS_DTYPE, (length,))]
-    if _two_limb(k):
-        specs.append(("hi", _HI_DTYPE, (length,)))
-    return specs
+    """``(name, dtype, shape)`` of each column of :func:`tuple_columns`,
+    in on-disk order."""
+    dtypes = dict(tuple_columns(k))
+    return [
+        (name, dtypes[name], (length,))
+        for name in _FILE_COLUMN_ORDER
+        if name in dtypes
+    ]
+
+
+def _named_columns(tuples: KmerTuples) -> Dict[str, np.ndarray]:
+    return {
+        name: column
+        for (name, _), column in zip(tuple_columns(tuples.k), tuples.columns)
+    }
 
 
 @dataclass(frozen=True)
 class SpillLayout:
     """Byte layout of one spill file — pure function of ``(k, length)``.
 
-    ``lo_offset``/``ids_offset``/``hi_offset`` are the file offsets of
-    each column's first data byte (``hi_offset`` is ``-1`` in one-limb
-    mode); ``file_bytes`` is the complete file size.
+    ``offsets`` maps each column name (``lo``, ``ids`` and, for k >= 32,
+    ``hi``) to the file offset of its first data byte; ``file_bytes`` is
+    the complete file size.
     """
 
     k: int
     length: int
-    lo_offset: int
-    ids_offset: int
-    hi_offset: int
+    offsets: Dict[str, int]
     file_bytes: int
 
     @classmethod
@@ -160,14 +163,7 @@ class SpillLayout:
         total, offsets = table_layout(
             TUPLEBLOCK_SCHEMA, _block_meta(k, length), _array_specs(k, length)
         )
-        return cls(
-            k=int(k),
-            length=int(length),
-            lo_offset=offsets["lo"],
-            ids_offset=offsets["ids"],
-            hi_offset=offsets.get("hi", -1),
-            file_bytes=total,
-        )
+        return cls(k=int(k), length=int(length), offsets=offsets, file_bytes=total)
 
 
 @dataclass(frozen=True)
@@ -210,10 +206,8 @@ def write_spill(
     tuples.
     """
     length = block.capacity if length is None else length
-    view = block.view(0, length)
-    arrays = {"lo": view.kmers.lo, "ids": view.read_ids}
-    if block.two_limb:
-        arrays["hi"] = view.kmers.hi
+    columns = _named_columns(block.view(0, length))
+    arrays = {name: columns[name] for name, _, _ in _array_specs(block.k, length)}
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     written = write_table(tmp, TUPLEBLOCK_SCHEMA, _block_meta(block.k, length), arrays)
@@ -240,18 +234,15 @@ def read_spill(path: str | os.PathLike, pool: BufferPool) -> TupleBlock:
 
     try:
         k, length = int(meta["k"]), int(meta["length"])
-        two_limb = bool(meta["two_limb"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpillCorruption(f"{path}: incomplete spill metadata: {exc}") from exc
     if not (1 <= k <= MAX_K_TWO_LIMB) or length < 0:
         raise SpillCorruption(f"{path}: implausible spill metadata k={k}, length={length}")
-    if two_limb != _two_limb(k):
-        raise SpillCorruption(
-            f"{path}: two_limb={two_limb} contradicts k={k}"
-        )
-    expect_cols = {"lo", "ids"} | ({"hi"} if two_limb else set())
-    if set(arrays) != expect_cols or any(
-        arrays[name].shape != (length,) for name in expect_cols
+    if meta != _block_meta(k, length):
+        raise SpillCorruption(f"{path}: header {meta} contradicts k={k}")
+    names = [name for name, _ in tuple_columns(k)]
+    if sorted(arrays) != sorted(names) or any(
+        array.shape != (length,) for array in arrays.values()
     ):
         raise SpillCorruption(
             f"{path}: column set/shape does not match header "
@@ -259,8 +250,7 @@ def read_spill(path: str | os.PathLike, pool: BufferPool) -> TupleBlock:
         )
 
     block = pool.allocate(k, length)
-    hi = arrays["hi"] if two_limb else None
-    block.write(0, KmerTuples(KmerArray(k, arrays["lo"], hi), arrays["ids"]))
+    block.write(0, KmerTuples.from_columns(k, [arrays[name] for name in names]))
     if telemetry.enabled():
         telemetry.add_counter("spill.bytes_read", int(block.nbytes))
     return block
@@ -306,20 +296,14 @@ def write_spill_region(
         )
     if n == 0:
         return end
-    layout = target.layout()
+    offsets = target.layout().offsets
     nbytes = 0
     note_resident(tuples.nbytes, 0, task=task)
     try:
         with open(target.inflight, "r+b") as fh:
-            for offset, itemsize, column in (
-                (layout.lo_offset, _LO_DTYPE.itemsize, tuples.kmers.lo),
-                (layout.ids_offset, _IDS_DTYPE.itemsize, tuples.read_ids),
-                (layout.hi_offset, _HI_DTYPE.itemsize, tuples.kmers.hi),
-            ):
-                if column is None:
-                    continue
-                raw = np.ascontiguousarray(column).tobytes()
-                fh.seek(offset + itemsize * at)
+            for name, column in _named_columns(tuples).items():
+                raw = column.tobytes()
+                fh.seek(offsets[name] + column.itemsize * at)
                 fh.write(raw)
                 nbytes += len(raw)
     finally:
@@ -347,17 +331,17 @@ def map_spill_ids(
         )
     if hi == lo:
         return
-    start = target.layout().ids_offset + _IDS_DTYPE.itemsize * lo
+    start = target.layout().offsets["ids"] + ID_DTYPE.itemsize * lo
     count = hi - lo
     with open(target.inflight, "r+b") as fh:
         fh.seek(start)
-        raw = fh.read(_IDS_DTYPE.itemsize * count)
-        if len(raw) != _IDS_DTYPE.itemsize * count:
+        raw = fh.read(ID_DTYPE.itemsize * count)
+        if len(raw) != ID_DTYPE.itemsize * count:
             raise SpillCorruption(
                 f"{target.inflight}: ids region [{lo}, {hi}) truncated"
             )
-        ids = np.frombuffer(raw, dtype=_IDS_DTYPE).copy()
-        mapped = np.asarray(fn(ids), dtype=_IDS_DTYPE)
+        ids = np.frombuffer(raw, dtype=ID_DTYPE).copy()
+        mapped = np.asarray(fn(ids), dtype=ID_DTYPE)
         if mapped.shape != ids.shape:
             raise ValueError("ids mapping changed the region length")
         fh.seek(start)

@@ -79,7 +79,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import ID_DTYPE, tuple_columns
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import (
     BlockHandle,
@@ -134,9 +134,6 @@ FRAME_ERR = 65
 CONNECT_TIMEOUT = 10.0
 CONNECT_RETRIES = 20
 CONNECT_DELAY = 0.05
-
-_LO_DTYPE = np.dtype(np.uint64)
-_IDS_DTYPE = np.dtype(np.uint32)
 
 
 class TransportError(RuntimeError):
@@ -362,25 +359,21 @@ def unregister_local_store(address: str) -> None:
 # job-facing helpers (engine-agnostic: the same job functions run under
 # every engine, dispatching on the handle type)
 # ----------------------------------------------------------------------
-def _tuple_columns(tuples: KmerTuples) -> Tuple[bytes, bytes, bytes]:
-    lo = np.ascontiguousarray(tuples.kmers.lo, dtype=_LO_DTYPE).tobytes()
-    hi = (
-        np.ascontiguousarray(tuples.kmers.hi, dtype=_LO_DTYPE).tobytes()
-        if tuples.kmers.hi is not None
-        else b""
+def column_bytes(tuples: KmerTuples) -> Tuple[bytes, ...]:
+    """The raw bytes of each tuple column, in
+    :func:`~repro.kmers.codec.tuple_columns` order (the frame payload)."""
+    return tuple(column.tobytes() for column in tuples.columns)
+
+
+def tuples_from_columns(k: int, n: int, columns: Sequence[bytes]) -> KmerTuples:
+    """Rebuild a tuple batch from :func:`column_bytes` output."""
+    return KmerTuples.from_columns(
+        k,
+        [
+            np.frombuffer(raw, dtype=dtype, count=n)
+            for raw, (_, dtype) in zip(columns, tuple_columns(k))
+        ],
     )
-    ids = np.ascontiguousarray(tuples.read_ids, dtype=_IDS_DTYPE).tobytes()
-    return lo, hi, ids
-
-
-def tuples_from_columns(
-    k: int, n: int, lo: bytes, hi: bytes, ids: bytes
-) -> KmerTuples:
-    """Rebuild a tuple batch from raw column bytes (the frame payload)."""
-    lo_arr = np.frombuffer(lo, dtype=_LO_DTYPE, count=n)
-    hi_arr = np.frombuffer(hi, dtype=_LO_DTYPE, count=n) if hi else None
-    ids_arr = np.frombuffer(ids, dtype=_IDS_DTYPE, count=n)
-    return KmerTuples(KmerArray(k, lo_arr, hi_arr), ids_arr)
 
 
 def write_block_region(
@@ -405,15 +398,14 @@ def write_block_region(
         if store is not None and sender == handle.owner:
             store.get(handle.block_id).write(at, tuples)
             return
-        lo, hi, ids = _tuple_columns(tuples)
-        n = len(tuples)
+        columns = column_bytes(tuples)
         payload = pickle.dumps(
-            (handle.block_id, at, sender, handle.owner, n, lo, hi, ids)
+            (handle.block_id, at, sender, handle.owner, len(tuples), columns)
         )
         if sender != handle.owner and telemetry.enabled():
             telemetry.add_counter(
                 "net.bytes_sent",
-                len(lo) + len(hi) + len(ids),
+                sum(map(len, columns)),
                 task=sender,
                 aux=handle.owner,
             )
@@ -426,11 +418,9 @@ def write_block_region(
 def fetch_block(ref: SocketBlockRef) -> TupleBlock:
     """Fetch a full copy of a remote block into a private heap block."""
     payload = request(ref.address, FRAME_GET_BLOCK, pickle.dumps(ref.block_id))
-    k, n, lo, hi, ids = pickle.loads(payload)
-    lo_arr = np.frombuffer(lo, dtype=_LO_DTYPE, count=n).copy()
-    hi_arr = np.frombuffer(hi, dtype=_LO_DTYPE, count=n).copy() if hi else None
-    ids_arr = np.frombuffer(ids, dtype=_IDS_DTYPE, count=n).copy()
-    return TupleBlock(k, n, lo_arr, hi_arr, ids_arr)
+    k, n, columns = pickle.loads(payload)
+    tuples = tuples_from_columns(k, n, columns)
+    return TupleBlock(k, n, [column.copy() for column in tuples.columns])
 
 
 @contextmanager
@@ -586,8 +576,8 @@ class SocketBlockTransport(BlockTransport):
             FRAME_GET_IDS,
             pickle.dumps((handle.block_id, lo, hi)),
         )
-        ids = np.frombuffer(payload, dtype=_IDS_DTYPE, count=hi - lo)
-        raw = np.ascontiguousarray(fn(ids), dtype=_IDS_DTYPE).tobytes()
+        ids = np.frombuffer(payload, dtype=ID_DTYPE, count=hi - lo)
+        raw = np.ascontiguousarray(fn(ids), dtype=ID_DTYPE).tobytes()
         self._request(
             handle.address,
             FRAME_PUT_IDS,

@@ -214,26 +214,23 @@ class WorkerDaemon:
         return pickle.dumps(ref)
 
     def _on_write_region(self, payload: bytes) -> bytes:
-        block_id, at, sender, owner, n, lo, hi, ids = pickle.loads(payload)
+        block_id, at, sender, owner, n, columns = pickle.loads(payload)
         if sender != owner and self.telemetry_settings is not None:
             self._activate_telemetry()
             telemetry.add_counter(
                 "net.bytes_recv",
-                len(lo) + len(hi) + len(ids),
+                sum(map(len, columns)),
                 task=owner,
                 aux=sender,
             )
         block = self.store.get(block_id)
-        block.write(at, tp.tuples_from_columns(block.k, n, lo, hi, ids))
+        block.write(at, tp.tuples_from_columns(block.k, n, columns))
         return b""
 
     def _on_get_block(self, payload: bytes) -> bytes:
         block = self.store.get(pickle.loads(payload))
-        view = block.view()
-        lo = view.kmers.lo.tobytes()
-        hi = view.kmers.hi.tobytes() if view.kmers.hi is not None else b""
-        ids = view.read_ids.tobytes()
-        return pickle.dumps((block.k, block.capacity, lo, hi, ids))
+        columns = tp.column_bytes(block.view())
+        return pickle.dumps((block.k, block.capacity, columns))
 
     def _on_get_ids(self, payload: bytes) -> bytes:
         block_id, lo, hi = pickle.loads(payload)

@@ -31,16 +31,17 @@ from typing import List
 import numpy as np
 
 from repro import telemetry
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import LIMB_BITS, limb_count
 from repro.kmers.engine import KmerTuples
 
 RADIX_BITS = 8
 RADIX_BUCKETS = 1 << RADIX_BITS
 
 
-def radix_passes_for(k: int) -> int:
-    """Nominal radix pass count: 8 for one-limb k-mers, 16 for two."""
-    return 16 if k > 31 else 8
+def radix_passes_for(k: int, digit_bits: int = RADIX_BITS) -> int:
+    """Nominal radix pass count: one per ``digit_bits`` of key — with
+    8-bit digits, 8 for one-limb k-mers and 16 for two."""
+    return limb_count(k) * LIMB_BITS // digit_bits
 
 
 @dataclass
@@ -104,9 +105,7 @@ def radix_sort_tuples(
     """
     if digit_bits not in (8, 16):
         raise ValueError(f"digit_bits must be 8 or 16, got {digit_bits}")
-    k = tuples.k
-    key_bits = 128 if tuples.kmers.two_limb else 64
-    nominal = key_bits // digit_bits
+    nominal = radix_passes_for(tuples.k, digit_bits)
     stats = RadixSortStats(
         n_tuples=len(tuples), passes_nominal=nominal, bucket_bits=digit_bits
     )
@@ -114,35 +113,20 @@ def radix_sort_tuples(
         stats.passes_skipped = nominal
         return tuples, stats
 
-    lo = tuples.kmers.lo.copy()
-    hi = tuples.kmers.hi.copy() if tuples.kmers.hi is not None else None
-    ids = tuples.read_ids.copy()
-
-    mask = np.uint64((1 << digit_bits) - 1)
+    kmers, ids = tuples.kmers, tuples.read_ids
     digit_dtype = np.uint8 if digit_bits == 8 else np.uint16
-    digits_per_limb = 64 // digit_bits
-
     for digit_index in range(nominal):
-        if digit_index < digits_per_limb:
-            src = lo
-            shift = digit_bits * digit_index
-        else:
-            assert hi is not None
-            src = hi
-            shift = digit_bits * (digit_index - digits_per_limb)
-        digit = ((src >> np.uint64(shift)) & mask).astype(digit_dtype)
+        digit = kmers.radix_digit(digit_index, digit_bits).astype(digit_dtype)
         if skip_constant and digit[0] == digit[-1] and not np.any(digit != digit[0]):
             stats.passes_skipped += 1
             continue
         order = np.argsort(digit, kind="stable")
-        lo = lo[order]
+        kmers = kmers.take(order)
         ids = ids[order]
-        if hi is not None:
-            hi = hi[order]
         stats.passes_executed += 1
         stats.digits_histogrammed.append(digit_index)
 
-    return KmerTuples(KmerArray(k, lo, hi), ids), stats
+    return KmerTuples(kmers, ids), stats
 
 
 def radix_sort_block(block, lo: int, hi: int) -> RadixSortStats:

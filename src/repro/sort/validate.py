@@ -13,22 +13,15 @@ def is_sorted_kmers(kmers: KmerArray) -> bool:
     n = len(kmers)
     if n <= 1:
         return True
-    if not kmers.two_limb:
-        return bool(np.all(kmers.lo[:-1] <= kmers.lo[1:]))
-    assert kmers.hi is not None
-    hi, lo = kmers.hi, kmers.lo
-    ok = (hi[:-1] < hi[1:]) | ((hi[:-1] == hi[1:]) & (lo[:-1] <= lo[1:]))
-    return bool(np.all(ok))
+    return not np.any(kmers.slice(1, n).less_than(kmers.slice(0, n - 1)))
 
 
 def _tuple_multiset_key(tuples: KmerTuples) -> np.ndarray:
     """A canonical row-sorted view of the tuple multiset for comparisons."""
-    cols = [tuples.read_ids.astype(np.uint64), tuples.kmers.lo]
-    if tuples.kmers.hi is not None:
-        cols.append(tuples.kmers.hi)
-    stacked = np.stack(cols, axis=1)
-    order = np.lexsort(tuple(stacked[:, i] for i in range(stacked.shape[1])))
-    return stacked[order]
+    stacked = np.stack(
+        [tuples.read_ids.astype(np.uint64), *tuples.kmers.limbs[::-1]], axis=1
+    )
+    return stacked[np.lexsort(stacked.T)]
 
 
 def verify_sort(before: KmerTuples, after: KmerTuples) -> None:

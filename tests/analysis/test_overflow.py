@@ -89,19 +89,27 @@ class TestGuards:
         )
         assert check_kmer_overflow(project) == []
 
-    def test_two_limb_reference_passes(self, make_project):
+    def test_limb_count_reference_passes(self, make_project):
         project = make_project(
             {
                 "kmers/codec.py": """
                     class Codec:
                         def mask(self, k, x):
-                            if self.two_limb:
-                                return self._mask_two_limb(x)
+                            if limb_count(k) > 1:
+                                return self._mask_limbs(x)
                             return x << (2 * k)
                 """
             }
         )
         assert check_kmer_overflow(project) == []
+
+    def test_unguarded_message_names_the_limb_count(self, make_project):
+        project = make_project(
+            {"kmers/pack.py": "def mask(x, k):\n    return x << (2 * k)\n"}
+        )
+        (finding,) = check_kmer_overflow(project)
+        assert "limb_count(k)" in finding.message
+        assert "two-limb" not in finding.message
 
     def test_class_level_guard_covers_methods(self, make_project):
         project = make_project(

@@ -30,7 +30,7 @@ class TestComparatorSort:
         lo = rng.integers(0, 2**63, size=500, dtype=np.uint64)
         hi = rng.integers(0, 2**20, size=500, dtype=np.uint64)
         tuples = KmerTuples(
-            KmerArray(45, lo, hi), rng.integers(0, 500, 500, dtype=np.uint32)
+            KmerArray(45, (hi, lo)), rng.integers(0, 500, 500, dtype=np.uint32)
         )
         out = comparator_sort_tuples(tuples)
         verify_sort(tuples, out)

@@ -12,7 +12,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import KmerArray, limb_count
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import HeapBufferPool, SharedMemoryBufferPool
 from repro.runtime.spill import read_spill, write_spill
@@ -238,11 +238,13 @@ class TestExecutorResume:
 
 def _filled_block(pool, k, n, seed=0):
     rng = np.random.default_rng(seed)
-    lo = rng.integers(0, 2**63, size=n, dtype=np.uint64)
-    hi = rng.integers(0, 2**63, size=n, dtype=np.uint64) if k > 31 else None
+    limbs = [
+        rng.integers(0, 2**63, size=n, dtype=np.uint64)
+        for _ in range(limb_count(k))
+    ]
     ids = rng.integers(0, 2**31, size=n, dtype=np.uint32)
     block = pool.allocate(k, n)
-    block.write(0, KmerTuples(KmerArray(k, lo, hi), ids))
+    block.write(0, KmerTuples(KmerArray(k, limbs), ids))
     return block
 
 
@@ -267,10 +269,8 @@ class TestBlockSpill:
             back = read_spill(path, pools[dst])
             assert back.capacity == 40
             a, b = block.view(0, 40), back.view(0, 40)
-            assert np.array_equal(a.kmers.lo, b.kmers.lo)
-            if k > 31:
-                assert np.array_equal(a.kmers.hi, b.kmers.hi)
-            assert np.array_equal(a.read_ids, b.read_ids)
+            for x, y in zip(a.columns, b.columns, strict=True):
+                assert np.array_equal(x, y)
         finally:
             pools["shared"].close()
 

@@ -3,7 +3,7 @@ to the ``serial`` reference engine — and with it the shm block plane to
 the heap one, since each engine implies its plane — and the disk plane
 to both.
 
-For every grid point (P, T, n_passes, k in {21, 33}, LocalCC-Opt on/off)
+For every grid point (P, T, n_passes, k in {21, 32, 33}, LocalCC-Opt on/off)
 the engines run the same dataset through the same prebuilt index, and
 the partition labels, the component summary, and *every* integer counter
 in :class:`~repro.runtime.work.RunWork` are compared for exact equality.
@@ -27,10 +27,11 @@ N_CHUNKS = 12
 
 @pytest.fixture(scope="module")
 def indexes(tiny_hg):
-    """One prebuilt index per k (k=33 exercises two-limb k-mers)."""
+    """One prebuilt index per k (k=32 and k=33 take two limbs; at k=32
+    the top limb holds no bits)."""
     return {
         k: index_create(tiny_hg.units, k=k, m=M, n_chunks=N_CHUNKS)
-        for k in (21, 33)
+        for k in (21, 32, 33)
     }
 
 
@@ -40,6 +41,7 @@ GRID = [
     dict(k=21, n_tasks=2, n_threads=2, n_passes=2, localcc_opt=False),
     dict(k=21, n_tasks=3, n_threads=2, n_passes=2, localcc_opt=True),
     dict(k=21, n_tasks=4, n_threads=1, n_passes=3, localcc_opt=True),
+    dict(k=32, n_tasks=2, n_threads=2, n_passes=2, localcc_opt=True),
     dict(k=33, n_tasks=2, n_threads=2, n_passes=1, localcc_opt=True),
     dict(k=33, n_tasks=2, n_threads=3, n_passes=2, localcc_opt=True),
     dict(k=33, n_tasks=3, n_threads=1, n_passes=2, localcc_opt=False),

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from repro.kmers.codec import MAX_K_ONE_LIMB, KmerArray, KmerCodec
+from repro.kmers.codec import (
+    MAX_K_ONE_LIMB,
+    KmerArray,
+    KmerCodec,
+    limb_count,
+    tuple_bytes,
+    tuple_columns,
+)
 from repro.seqio.alphabet import reverse_complement
 
 
@@ -68,6 +75,16 @@ class TestKmerCodecScalar:
         assert KmerCodec(32).tuple_bytes == 20
         assert KmerCodec(63).tuple_bytes == 20
 
+    @pytest.mark.parametrize("k,limbs", [(1, 1), (31, 1), (32, 2), (63, 2)])
+    def test_limb_count_is_not_ceil_2k_over_64(self, k, limbs):
+        # k = 32 fills exactly 64 bits yet takes two limbs (20-byte tuples)
+        assert limb_count(k) == limbs
+        assert tuple_bytes(k) == 8 * limbs + 4
+
+    def test_tuple_columns_order(self):
+        assert [name for name, _ in tuple_columns(27)] == ["lo", "ids"]
+        assert [name for name, _ in tuple_columns(32)] == ["hi", "lo", "ids"]
+
     @pytest.mark.parametrize("bad_k", [0, 64, 100])
     def test_invalid_k_rejected(self, bad_k):
         with pytest.raises(ValueError):
@@ -77,9 +94,11 @@ class TestKmerCodecScalar:
 class TestKmerArray:
     def test_limb_policy_enforced(self):
         with pytest.raises(ValueError):
-            KmerArray(40, np.zeros(3, dtype=np.uint64))  # needs hi
+            KmerArray(40, np.zeros(3, dtype=np.uint64))  # needs two limbs
         with pytest.raises(ValueError):
-            KmerArray(10, np.zeros(3, dtype=np.uint64), np.zeros(3, dtype=np.uint64))
+            KmerArray(10, (np.zeros(3, dtype=np.uint64),) * 2)
+        with pytest.raises(ValueError, match="shape"):
+            KmerArray(40, (np.zeros(3, np.uint64), np.zeros(2, np.uint64)))
 
     def test_minimum_one_limb(self):
         a = KmerArray(5, np.array([5, 10, 3], dtype=np.uint64))
@@ -87,23 +106,15 @@ class TestKmerArray:
         assert a.minimum(b).lo.tolist() == [5, 2, 3]
 
     def test_minimum_two_limb_hi_dominates(self):
-        a = KmerArray(
-            40,
-            lo=np.array([0, 5], dtype=np.uint64),
-            hi=np.array([2, 1], dtype=np.uint64),
-        )
-        b = KmerArray(
-            40,
-            lo=np.array([100, 3], dtype=np.uint64),
-            hi=np.array([1, 1], dtype=np.uint64),
-        )
+        a = KmerCodec(40).array([(2, 0), (1, 5)])
+        b = KmerCodec(40).array([(1, 100), (1, 3)])
         result = b.minimum(a)
         assert result.hi.tolist() == [1, 1]
         assert result.lo.tolist() == [100, 3]
 
     def test_less_than_two_limb_tie_break_on_lo(self):
-        a = KmerArray(40, np.array([1], dtype=np.uint64), np.array([5], dtype=np.uint64))
-        b = KmerArray(40, np.array([2], dtype=np.uint64), np.array([5], dtype=np.uint64))
+        a = KmerCodec(40).array([(5, 1)])
+        b = KmerCodec(40).array([(5, 2)])
         assert a.less_than(b).tolist() == [True]
         assert b.less_than(a).tolist() == [False]
 
@@ -128,15 +139,17 @@ class TestKmerArray:
         arr = KmerArray(5, np.array([0x1234], dtype=np.uint64))
         assert arr.radix_digit(0)[0] == 0x34
         assert arr.radix_digit(1)[0] == 0x12
-        assert arr.n_radix_bytes == 8
+        assert arr.radix_digit(0, bits=16)[0] == 0x1234
+        with pytest.raises(ValueError):
+            arr.radix_digit(8)  # 8 byte digits in one limb
 
     def test_radix_digit_two_limb(self):
-        arr = KmerArray(
-            40, np.array([0xAB], dtype=np.uint64), np.array([0xCD], dtype=np.uint64)
-        )
+        arr = KmerCodec(40).array([(0xCD, 0xAB)])
         assert arr.radix_digit(0)[0] == 0xAB
         assert arr.radix_digit(8)[0] == 0xCD
-        assert arr.n_radix_bytes == 16
+        assert arr.radix_digit(4, bits=16)[0] == 0xCD
+        with pytest.raises(ValueError):
+            arr.radix_digit(16)
 
     def test_run_boundaries(self):
         arr = KmerArray(3, np.array([1, 1, 2, 5, 5, 5], dtype=np.uint64))
@@ -146,11 +159,7 @@ class TestKmerArray:
         assert KmerArray.empty(3).run_boundaries().tolist() == [0]
 
     def test_argsort_two_limb(self):
-        arr = KmerArray(
-            40,
-            lo=np.array([1, 0, 2], dtype=np.uint64),
-            hi=np.array([1, 2, 0], dtype=np.uint64),
-        )
+        arr = KmerCodec(40).array([(1, 1), (2, 0), (0, 2)])
         order = arr.argsort()
         s = arr.take(order)
         pairs = list(zip(s.hi.tolist(), s.lo.tolist()))
@@ -182,3 +191,12 @@ class TestKmerArray:
         hi, lo = codec.encode(s)
         assert hi == 0
         assert codec.decode(hi, lo) == s
+
+    def test_k32_mmer_prefix_reads_the_low_limb(self):
+        # k = 32: the top limb holds no bits, every prefix is in ``lo``
+        codec = KmerCodec(32)
+        s = "ACGT" * 8
+        arr = codec.from_strings([s])
+        assert arr.hi.tolist() == [0]
+        for m in (1, 6, 32):
+            assert arr.mmer_prefix(m)[0] == KmerCodec(m).encode(s[:m])[1]

@@ -40,7 +40,7 @@ class TestEnumerationCorrectness:
         got = tuples_as_pairs(enumerate_canonical_kmers(batch, k))
         assert got == brute_force_kmers(seqs, k)
 
-    @pytest.mark.parametrize("k", [33, 45, 63])
+    @pytest.mark.parametrize("k", [32, 33, 45, 63])
     def test_matches_brute_force_two_limb(self, rng, k):
         seqs = []
         for _ in range(4):
@@ -49,6 +49,14 @@ class TestEnumerationCorrectness:
         batch = ReadBatch.from_sequences(seqs)
         got = tuples_as_pairs(enumerate_canonical_kmers(batch, k))
         assert got == brute_force_kmers(seqs, k)
+
+    def test_k32_top_limb_is_empty(self):
+        # 32 bases fill the low limb exactly; nothing may carry above it
+        batch = ReadBatch.from_sequences(["T" * 40, "G" + "A" * 30 + "C"])
+        kmers = enumerate_canonical_kmers(batch, 32).kmers
+        assert len(kmers.limbs) == 2
+        assert not kmers.hi.any()
+        assert kmers.lo.max() >= 2**63  # the leading G sets the top bit
 
     def test_n_windows_skipped(self):
         batch = ReadBatch.from_sequences(["ACGNACGT"])

@@ -21,14 +21,15 @@ from hypothesis import strategies as st
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.index.create import index_create
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import KmerArray, limb_count
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import HeapBufferPool, SharedMemoryBufferPool
 from repro.seqio.fastq import write_fastq
 from repro.seqio.records import FastqRecord
 
-#: k values straddling the one-limb / two-limb boundary (<=31 / >31)
-K_VALUES = (15, 31, 33)
+#: k values straddling the limb boundary: 31 is the widest one-limb k,
+#: 32 the only k whose top limb holds no bits
+K_VALUES = (15, 31, 32, 33)
 
 # min read length 1: an empty sequence cannot round-trip through FASTQ
 reads_strategy = st.lists(
@@ -46,10 +47,12 @@ reads_strategy = st.lists(
 )
 def test_block_backing_invisible(seed, n, k):
     rng = np.random.default_rng(seed)
-    lo = rng.integers(0, 2**63, size=n, dtype=np.uint64)
-    hi = rng.integers(0, 2**63, size=n, dtype=np.uint64) if k > 31 else None
+    limbs = [
+        rng.integers(0, 2**63, size=n, dtype=np.uint64)
+        for _ in range(limb_count(k))
+    ]
     ids = rng.integers(0, 2**31, size=n, dtype=np.uint32)
-    tuples = KmerTuples(KmerArray(k, lo, hi), ids)
+    tuples = KmerTuples(KmerArray(k, limbs), ids)
 
     heap = HeapBufferPool().allocate(k, n)
     heap.write(0, tuples)
@@ -58,10 +61,8 @@ def test_block_backing_invisible(seed, n, k):
         shm = shm_pool.allocate(k, n)
         shm.write(0, tuples)
         a, b = heap.view(0, n), shm.view(0, n)
-        assert np.array_equal(a.kmers.lo, b.kmers.lo)
-        if k > 31:
-            assert np.array_equal(a.kmers.hi, b.kmers.hi)
-        assert np.array_equal(a.read_ids, b.read_ids)
+        for x, y in zip(a.columns, b.columns, strict=True):
+            assert np.array_equal(x, y)
     finally:
         shm_pool.close()
 

@@ -91,3 +91,30 @@ def test_mmer_prefix_consistent_with_strings(seqs, k, m):
     prefixes = tuples.kmers.mmer_prefix(m)
     for kmer_str, pref in zip(codec_k.decode_array(tuples.kmers), prefixes):
         assert int(pref) == codec_m.encode(kmer_str[:m])[1]
+
+
+#: one k on each side of every limb-layout edge, and the widest k
+LIMB_GRID = (15, 27, 31, 32, 33, 63)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(LIMB_GRID),
+    st.lists(st.text(alphabet="ACGTN", max_size=90), max_size=5),
+)
+def test_enumeration_matches_scalar_oracle_across_limbs(k, seqs):
+    """Every width runs one vector path; the scalar codec, which works on
+    Python integers, is its oracle, position for position and bit for
+    bit (so a stray bit above ``2k``, e.g. in k = 32's empty top limb,
+    fails)."""
+    codec = KmerCodec(k)
+    want = [
+        (codec.encode(codec.canonical(s[i : i + k])), read)
+        for read, s in enumerate(seqs)
+        for i in range(len(s) - k + 1)
+        if is_valid_dna(s[i : i + k])
+    ]
+    tuples = enumerate_canonical_kmers(ReadBatch.from_sequences(seqs), k)
+    limbs = [limb.tolist() for limb in tuples.kmers.limbs]
+    hi_lo = [[0] * len(tuples)] * (2 - len(limbs)) + limbs
+    assert list(zip(zip(*hi_lo), tuples.read_ids.tolist())) == want

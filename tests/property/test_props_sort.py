@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import KmerArray, KmerCodec
 from repro.kmers.engine import KmerTuples
 from repro.sort.partition import range_partition
 from repro.sort.radix import radix_sort_tuples
@@ -39,7 +39,7 @@ def test_radix_sort_two_limb(pairs):
     lo = np.array([p[0] for p in pairs], dtype=np.uint64)
     hi = np.array([p[1] % (1 << 16) for p in pairs], dtype=np.uint64)
     ids = np.array([p[1] for p in pairs], dtype=np.uint32)
-    tuples = KmerTuples(KmerArray(40, lo, hi), ids)
+    tuples = KmerTuples(KmerArray(40, (hi, lo)), ids)
     out, _ = radix_sort_tuples(tuples)
     verify_sort(tuples, out)
 
@@ -96,3 +96,24 @@ def test_range_partition_then_sort_equals_global_sort(pairs, n_parts, m):
     global_sorted, _ = radix_sort_tuples(tuples)
     assert is_sorted_kmers(merged.kmers)
     assert np.array_equal(merged.kmers.lo, global_sorted.kmers.lo)
+
+
+#: one k on each side of every limb-layout edge, and the widest k
+LIMB_GRID = (15, 27, 31, 32, 33, 63)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LIMB_GRID), st.data())
+def test_radix_sort_matches_python_int_sort(k, data):
+    """Across the limb boundary, the radix sort orders tuples exactly as
+    a stable sort of the k-mers as Python integers."""
+    keys = data.draw(st.lists(st.integers(0, 4**k - 1), max_size=120))
+    ids = list(range(len(keys)))
+    kmers = KmerCodec(k).array([(v >> 64, v & (2**64 - 1)) for v in keys])
+    out, _ = radix_sort_tuples(KmerTuples(kmers, np.array(ids, np.uint32)))
+    want = sorted(zip(keys, ids), key=lambda pair: pair[0])
+    got_keys = [
+        sum(int(limb) << 64 * i for i, limb in enumerate(reversed(kmer)))
+        for kmer in zip(*out.kmers.limbs)
+    ]
+    assert list(zip(got_keys, out.read_ids.tolist())) == want

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import KmerArray, limb_count
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import (
     BlockDescriptor,
@@ -27,18 +27,18 @@ from repro.runtime.buffers import (
 
 
 def random_tuples(rng, k, n):
-    lo = rng.integers(0, 2**63, size=n, dtype=np.uint64)
-    hi = rng.integers(0, 2**63, size=n, dtype=np.uint64) if k > 31 else None
+    limbs = [
+        rng.integers(0, 2**63, size=n, dtype=np.uint64)
+        for _ in range(limb_count(k))
+    ]
     ids = rng.integers(0, 2**31, size=n, dtype=np.uint32)
-    return KmerTuples(KmerArray(k, lo, hi), ids)
+    return KmerTuples(KmerArray(k, limbs), ids)
 
 
 def assert_tuples_equal(a, b):
-    assert np.array_equal(a.kmers.lo, b.kmers.lo)
-    assert (a.kmers.hi is None) == (b.kmers.hi is None)
-    if a.kmers.hi is not None:
-        assert np.array_equal(a.kmers.hi, b.kmers.hi)
-    assert np.array_equal(a.read_ids, b.read_ids)
+    assert a.k == b.k
+    for x, y in zip(a.columns, b.columns, strict=True):
+        assert np.array_equal(x, y)
 
 
 @pytest.fixture(params=["heap", "shared"])
@@ -49,7 +49,7 @@ def pool(request):
 
 
 class TestBlockSemantics:
-    @pytest.mark.parametrize("k", [15, 31, 33])
+    @pytest.mark.parametrize("k", [15, 31, 32, 33])
     def test_write_view_roundtrip(self, pool, k):
         rng = np.random.default_rng(0)
         tuples = random_tuples(rng, k, 50)
@@ -151,8 +151,8 @@ class TestDescriptor:
             attached = attach_block(block.descriptor())
             assert_tuples_equal(attached.view(0, 30), tuples)
             # and writes flow back: it is the same memory
-            attached.ids[0] = 12345
-            assert block.ids[0] == 12345
+            attached.view().read_ids[0] = 12345
+            assert block.view().read_ids[0] == 12345
         finally:
             pool.close()
 
@@ -187,7 +187,7 @@ class TestDescriptor:
             with open_block(block.descriptor()) as opened:
                 assert opened is not block
                 assert_tuples_equal(opened.view(0, 6), tuples)
-            assert opened.lo is None  # columns dropped on exit
+            assert opened.columns is None  # columns dropped on exit
         finally:
             pool.close()
 
@@ -266,6 +266,7 @@ class TestBlockNbytes:
     def test_paper_tuple_accounting(self):
         # 12 bytes one-limb (8 key + 4 id), 20 bytes two-limb (16 + 4)
         assert block_nbytes(27, 10) == 120
+        assert block_nbytes(32, 10) == 200
         assert block_nbytes(33, 10) == 200
 
     def test_block_reports_nbytes(self):
@@ -275,13 +276,7 @@ class TestBlockNbytes:
 class TestConstruction:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
-            TupleBlock(
-                21,
-                -1,
-                np.empty(0, np.uint64),
-                None,
-                np.empty(0, np.uint32),
-            )
+            TupleBlock(21, -1, [np.empty(0, np.uint64), np.empty(0, np.uint32)])
 
 
 class TestPoolStats:

@@ -2,6 +2,7 @@
 format, torn-write behavior, region writes, residency accounting, and
 spill-directory hygiene."""
 
+import hashlib
 import os
 import struct
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import KmerArray, limb_count
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import HeapBufferPool, SharedMemoryBufferPool
 from repro.runtime.spill import (
@@ -35,9 +36,17 @@ from repro.runtime.transport import (
 def make_tuples(k, n, seed=0):
     rng = np.random.default_rng(seed)
     lo = rng.integers(0, 2**63, n, dtype=np.uint64)
-    hi = rng.integers(0, 2**63, n, dtype=np.uint64) if k > 31 else None
+    upper = [
+        rng.integers(0, 2**63, n, dtype=np.uint64)
+        for _ in range(limb_count(k) - 1)
+    ]
     ids = rng.integers(0, 2**32, n, dtype=np.uint32)
-    return KmerTuples(KmerArray(k, lo, hi), ids)
+    return KmerTuples(KmerArray(k, (*upper, lo)), ids)
+
+
+def assert_tuples_equal(a, b):
+    for x, y in zip(a.columns, b.columns, strict=True):
+        assert np.array_equal(x, y)
 
 
 def make_block(pool, k, n, seed=0):
@@ -61,19 +70,33 @@ def plane(tmp_path):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("k", [15, 31, 33])
+    @pytest.mark.parametrize("k", [15, 31, 32, 33])
     def test_write_read_bit_identical(self, pool, tmp_path, k):
         block, tuples = make_block(pool, k, 123)
         path = tmp_path / "a.spill"
         write_spill(path, block)
         got = read_spill(path, pool)
-        view = got.view(0, 123)
-        assert np.array_equal(view.kmers.lo, tuples.kmers.lo)
-        if k > 31:
-            assert np.array_equal(view.kmers.hi, tuples.kmers.hi)
-        assert np.array_equal(view.read_ids, tuples.read_ids)
+        assert_tuples_equal(got.view(0, 123), tuples)
         pool.release(block)
         pool.release(got)
+
+    @pytest.mark.parametrize(
+        "k,sha256",
+        [
+            (27, "bbd95791080f31cba77074d59b74769ac68b37b016545fef398636355b61123c"),
+            (32, "bbab1e05567a67ebe2c2a67c534c82efcafbc9d3283a2d11f0abb80b2572ae31"),
+            (63, "5b815784c6964df7184e7b4c15faa7057ba935c8bfb8ab8f5a081f170604aad2"),
+        ],
+    )
+    def test_tuple_block_bytes_pinned(self, pool, tmp_path, k, sha256):
+        """The MPREPTAB tuple-block bytes of fixed, seeded blocks — header,
+        column names and order (``lo``, ``ids``, ``hi``) — are pinned, so a
+        layout change on the writer and the reader alike still fails."""
+        block, _ = make_block(pool, k, 50, seed=2017)
+        path = tmp_path / "a.spill"
+        write_spill(path, block)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+        pool.release(block)
 
     def test_partial_length_spills_live_prefix(self, pool, tmp_path):
         block, tuples = make_block(pool, 21, 100)
@@ -105,10 +128,7 @@ class TestRoundTrip:
         shared = SharedMemoryBufferPool()
         try:
             got = read_spill(path, shared)
-            view = got.view(0, 64)
-            assert np.array_equal(view.kmers.lo, tuples.kmers.lo)
-            assert np.array_equal(view.kmers.hi, tuples.kmers.hi)
-            assert np.array_equal(view.read_ids, tuples.read_ids)
+            assert_tuples_equal(got.view(0, 64), tuples)
             shared.release(got)
         finally:
             shared.close()
@@ -122,7 +142,7 @@ class TestRoundTrip:
 
 
 class TestRegionWrites:
-    @pytest.mark.parametrize("k", [15, 33])
+    @pytest.mark.parametrize("k", [15, 32, 33])
     def test_region_filled_equals_single_shot(self, pool, plane, tmp_path, k):
         """The load-bearing layout property: a published block filled
         region by region and sealed is byte-identical to one spilled in
@@ -286,22 +306,19 @@ class TestSpillLayout:
         layout = SpillLayout.for_block(33, 17)
         data = path.read_bytes()
         assert len(data) == layout.file_bytes
-        lo = np.frombuffer(
-            data[layout.lo_offset : layout.lo_offset + 8 * 17], np.uint64
-        )
-        assert np.array_equal(lo, tuples.kmers.lo)
-        ids = np.frombuffer(
-            data[layout.ids_offset : layout.ids_offset + 4 * 17], np.uint32
-        )
-        assert np.array_equal(ids, tuples.read_ids)
-        hi = np.frombuffer(
-            data[layout.hi_offset : layout.hi_offset + 8 * 17], np.uint64
-        )
-        assert np.array_equal(hi, tuples.kmers.hi)
+        assert list(layout.offsets) == ["lo", "ids", "hi"]  # file order
+        for name, column in (
+            ("lo", tuples.kmers.lo),
+            ("ids", tuples.read_ids),
+            ("hi", tuples.kmers.hi),
+        ):
+            start = layout.offsets[name]
+            got = np.frombuffer(data[start : start + column.nbytes], column.dtype)
+            assert np.array_equal(got, column)
         pool.release(block)
 
     def test_one_limb_has_no_hi_offset(self):
-        assert SpillLayout.for_block(21, 5).hi_offset == -1
+        assert list(SpillLayout.for_block(21, 5).offsets) == ["lo", "ids"]
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):

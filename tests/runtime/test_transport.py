@@ -29,6 +29,7 @@ from repro.runtime.transport import (
     TransportClosed,
     TransportCorruption,
     TransportError,
+    column_bytes,
     connect_with_retry,
     create_block_transport,
     parse_address,
@@ -370,7 +371,7 @@ def test_plane_contract(any_plane):
     lo = rng.integers(0, 2**63, n, dtype=np.uint64)
     hi = rng.integers(0, 2**63, n, dtype=np.uint64)
     ids = rng.integers(0, 2**31, n, dtype=np.uint32)
-    tuples = KmerTuples(KmerArray(k, lo, hi), ids)
+    tuples = KmerTuples(KmerArray(k, (hi, lo)), ids)
 
     handle = plane.publish(k, n, owner=0)
     # two senders, out of order: the diagonal, then an off-diagonal one
@@ -396,23 +397,20 @@ class TestColumnCodec:
         lo = np.array([1, 2, 3], np.uint64)
         hi = np.array([9, 8, 7], np.uint64)
         tuples = KmerTuples(
-            KmerArray(33, lo, hi), np.array([4, 5, 6], np.uint32)
+            KmerArray(33, (hi, lo)), np.array([4, 5, 6], np.uint32)
         )
-        from repro.runtime.transport import _tuple_columns
-
-        lo_b, hi_b, ids_b = _tuple_columns(tuples)
-        back = tuples_from_columns(33, 3, lo_b, hi_b, ids_b)
+        columns = column_bytes(tuples)
+        assert [len(c) for c in columns] == [24, 24, 12]  # hi, lo, ids
+        back = tuples_from_columns(33, 3, columns)
         assert np.array_equal(back.kmers.lo, lo)
         assert np.array_equal(back.kmers.hi, hi)
         assert np.array_equal(back.read_ids, np.array([4, 5, 6], np.uint32))
 
     def test_single_limb_roundtrip(self):
         tuples = make_tuples(21, [1, 2], [3, 4])
-        from repro.runtime.transport import _tuple_columns
-
-        lo_b, hi_b, ids_b = _tuple_columns(tuples)
-        assert hi_b == b""
-        back = tuples_from_columns(21, 2, lo_b, hi_b, ids_b)
+        columns = column_bytes(tuples)
+        assert [len(c) for c in columns] == [16, 8]  # lo, ids
+        back = tuples_from_columns(21, 2, columns)
         assert back.kmers.hi is None
         assert np.array_equal(back.kmers.lo, tuples.kmers.lo)
 

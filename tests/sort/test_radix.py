@@ -19,7 +19,7 @@ def make_tuples(rng, n, k=27):
     else:
         lo = rng.integers(0, 2**63, size=n, dtype=np.uint64)
         hi = rng.integers(0, 1 << (2 * k - 64), size=n, dtype=np.uint64)
-        kmers = KmerArray(k, lo, hi)
+        kmers = KmerArray(k, (hi, lo))
     ids = rng.integers(0, n, size=n, dtype=np.uint32)
     return KmerTuples(kmers, ids)
 
@@ -137,7 +137,7 @@ class TestRadixSort:
         from the paper-faithful ``counting_sort_by_digit`` passes."""
         tuples = make_tuples(rng, 3000, k)
         tuples.read_ids[:] = rng.integers(0, 40, size=3000)  # duplicate payloads
-        limbs = [tuples.kmers.lo] + ([tuples.kmers.hi] if k > 31 else [])
+        limbs = tuples.kmers.limbs[::-1]  # least significant first
         order = np.arange(len(tuples))
         for limb in limbs:
             limb[::3] = limb[0]  # duplicate keys
@@ -146,7 +146,7 @@ class TestRadixSort:
                 order = order[counting_sort_by_digit(digit)]
         out, _ = radix_sort_tuples(tuples, skip_constant=skip_constant)
         assert np.array_equal(out.read_ids, tuples.read_ids[order])
-        for limb, sorted_limb in zip(limbs, [out.kmers.lo, out.kmers.hi]):
+        for limb, sorted_limb in zip(limbs, out.kmers.limbs[::-1]):
             assert np.array_equal(sorted_limb, limb[order])
 
     def test_stats_merge(self, rng):

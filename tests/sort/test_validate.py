@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from repro.kmers.codec import KmerArray
+from repro.kmers.codec import KmerArray, KmerCodec
 from repro.kmers.engine import KmerTuples
 from repro.sort.validate import is_sorted_kmers, verify_sort
 
 
-def _tuples(lo, ids, k=5, hi=None):
+def _tuples(lo, ids, k=5):
     return KmerTuples(
-        KmerArray(k, np.asarray(lo, dtype=np.uint64),
-                  np.asarray(hi, dtype=np.uint64) if hi is not None else None),
+        KmerArray(k, np.asarray(lo, dtype=np.uint64)),
         np.asarray(ids, dtype=np.uint32),
     )
 
@@ -22,17 +21,9 @@ class TestIsSorted:
         assert not is_sorted_kmers(KmerArray(5, np.array([3, 1], dtype=np.uint64)))
 
     def test_two_limb_hi_priority(self):
-        arr = KmerArray(
-            40,
-            lo=np.array([9, 0], dtype=np.uint64),
-            hi=np.array([1, 2], dtype=np.uint64),
-        )
+        arr = KmerCodec(40).array([(1, 9), (2, 0)])
         assert is_sorted_kmers(arr)
-        arr2 = KmerArray(
-            40,
-            lo=np.array([0, 9], dtype=np.uint64),
-            hi=np.array([2, 1], dtype=np.uint64),
-        )
+        arr2 = KmerCodec(40).array([(2, 0), (1, 9)])
         assert not is_sorted_kmers(arr2)
 
     def test_trivial(self):

@@ -4,6 +4,7 @@ callable has a docstring, lazy top-level exports work."""
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,63 @@ def test_every_module_has_a_caller():
         if path.name != "__init__.py"
     }
     assert sorted(modules - imported - NO_CALLER_ALLOWED) == []
+
+
+#: names of the old one-limb / two-limb fork: only the codec may know
+#: how many limbs a k-mer takes
+LIMB_FORK = re.compile(r"two_limb|hi_offset|_HI_DTYPE")
+
+
+def _limb_fork_sites(path: Path) -> list:
+    """Lines of ``path`` that name the limb fork: an identifier or string
+    matching :data:`LIMB_FORK`, or ``x.hi is None`` / ``x.hi is not
+    None``.  The spill header's ``"two_limb"`` dict key is exempt — the
+    on-disk format keeps it."""
+    tree = ast.parse(path.read_text())
+    header_keys = {
+        id(key)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant) and key.value == "two_limb"
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            right = node.comparators[0]
+            hit = (
+                isinstance(node.left, ast.Attribute)
+                and node.left.attr == "hi"
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(right, ast.Constant)
+                and right.value is None
+            )
+        elif isinstance(node, ast.Constant):
+            hit = (
+                isinstance(node.value, str)
+                and id(node) not in header_keys
+                and bool(LIMB_FORK.search(node.value))
+            )
+        else:  # Name.id, Attribute.attr, def/class/alias .name, arg.arg
+            names = [getattr(node, a, None) for a in ("id", "attr", "name", "arg")]
+            hit = any(isinstance(n, str) and LIMB_FORK.search(n) for n in names)
+        if hit:
+            sites.append(node.lineno)
+    return sites
+
+
+def test_only_the_codec_knows_the_limb_count():
+    """Every k-mer width runs one code path: a batch is a tuple of
+    ``uint64`` limbs, and only ``kmers/codec.py`` decides how many."""
+    src = REPO / "src" / "repro"
+    offenders = {
+        str(path.relative_to(src)): sites
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "kmers" / "codec.py"
+        for sites in [_limb_fork_sites(path)]
+        if sites
+    }
+    assert offenders == {}
 
 
 class TestTopLevelLazyExports:
