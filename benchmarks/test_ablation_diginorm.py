@@ -25,7 +25,7 @@ def mm_batch(ctx):
     index = ctx.index("MM", k=27, n_chunks=32)
     return ReadBatch.concatenate(
         [
-            load_chunk_reads(index.fastqpart, c, keep_metadata=False)
+            load_chunk_reads(index.fastqpart, c)
             for c in range(index.fastqpart.n_chunks)
         ]
     )

@@ -31,7 +31,7 @@ def batches(ctx):
     for name in DATASETS:
         index = ctx.index(name, k=K, n_chunks=32)
         out[name] = [
-            load_chunk_reads(index.fastqpart, c, keep_metadata=False)
+            load_chunk_reads(index.fastqpart, c)
             for c in range(index.fastqpart.n_chunks)
         ]
     return out

@@ -34,7 +34,7 @@ def merged_batches(ctx):
         index = ctx.index(name, k=K, n_chunks=32)
         out[name] = ReadBatch.concatenate(
             [
-                load_chunk_reads(index.fastqpart, c, keep_metadata=False)
+                load_chunk_reads(index.fastqpart, c)
                 for c in range(index.fastqpart.n_chunks)
             ]
         )

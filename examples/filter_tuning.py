@@ -36,7 +36,7 @@ def main() -> int:
     index = index_create(dataset.units, k=K, m=6, n_chunks=16)
     batch = ReadBatch.concatenate(
         [
-            load_chunk_reads(index.fastqpart, c, keep_metadata=False)
+            load_chunk_reads(index.fastqpart, c)
             for c in range(index.fastqpart.n_chunks)
         ]
     )

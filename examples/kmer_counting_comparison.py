@@ -36,7 +36,7 @@ def main() -> int:
     dataset = build_dataset("LL", workdir / "data", seed=4, scale=0.8)
     index = index_create(dataset.units, k=K, m=6, n_chunks=16)
     batches = [
-        load_chunk_reads(index.fastqpart, c, keep_metadata=False)
+        load_chunk_reads(index.fastqpart, c)
         for c in range(index.fastqpart.n_chunks)
     ]
     merged = ReadBatch.concatenate(batches)

@@ -19,7 +19,7 @@ from repro.assembly.stats import AssemblyStats, contig_stats
 from repro.assembly.unitigs import extract_unitigs
 from repro.index.fastqpart import FastqUnit
 from repro.seqio.fastq import read_fastq
-from repro.seqio.records import FastqRecord, ReadBatch
+from repro.seqio.records import ReadBatch
 from repro.util.validation import check_in_range, check_positive
 
 
@@ -95,17 +95,12 @@ class MiniAssembler:
                 # feed contigs forward as extra "reads" for the next k:
                 # contig k-mers are high-confidence, so exempt them from
                 # the solidity filter by replicating min_count times.
-                extra = [
-                    FastqRecord(f"contig{ci}", seq, "I" * len(seq))
-                    for ci, seq in enumerate(contigs)
-                    for _ in range(cfg.min_count)
-                ]
-                extra_batch = ReadBatch.from_records(
+                extra = [seq for seq in contigs for _ in range(cfg.min_count)]
+                extra_batch = ReadBatch.from_sequences(
                     extra,
                     read_ids=range(
                         batch.n_reads, batch.n_reads + len(extra)
                     ),
-                    keep_metadata=False,
                 )
                 current = ReadBatch.concatenate([batch, extra_batch])
         dt = time.perf_counter() - t0
@@ -121,12 +116,10 @@ class MiniAssembler:
     # ------------------------------------------------------------------
     def assemble_files(self, paths: Sequence[str]) -> AssemblyResult:
         """Assemble the union of reads from FASTQ files."""
-        records: List[FastqRecord] = []
-        for path in paths:
-            records.extend(read_fastq(path))
-        if not records:
+        sequences = [r.sequence for path in paths for r in read_fastq(path)]
+        if not sequences:
             return AssemblyResult([], contig_stats([]), 0.0, 0, 0)
-        batch = ReadBatch.from_records(records, keep_metadata=False)
+        batch = ReadBatch.from_sequences(sequences)
         result = self.assemble_batch(batch)
         return result
 

@@ -221,10 +221,9 @@ def cmd_spectrum(args) -> int:
     from repro.seqio.fastq import read_fastq
     from repro.seqio.records import ReadBatch
 
-    records = []
-    for path in args.fastq:
-        records.extend(read_fastq(path))
-    batch = ReadBatch.from_records(records, keep_metadata=False)
+    batch = ReadBatch.from_sequences(
+        [r.sequence for path in args.fastq for r in read_fastq(path)]
+    )
     spectrum = count_canonical_kmers(batch, args.k)
     report = analyze_spectrum(spectrum)
     print(f"k-mer spectrum (k={args.k}) over {batch.n_reads} reads:")
@@ -240,28 +239,6 @@ def cmd_spectrum(args) -> int:
     )
     lo, hi = recommended_filter_band(report)
     print(f"  suggested --filter:    '{lo}:{hi}'")
-    return 0
-
-
-def cmd_trim(args) -> int:
-    from repro.seqio.fastq import read_fastq, write_fastq
-    from repro.seqio.quality import quality_filter
-
-    records = read_fastq(args.fastq)
-    kept, stats = quality_filter(
-        records,
-        min_mean_quality=args.min_quality,
-        trim_threshold=args.trim_threshold,
-        min_length=args.min_length,
-    )
-    print(
-        f"quality filter: kept {stats.n_kept}/{stats.n_in} reads, trimmed "
-        f"{stats.bases_trimmed} bases, dropped {stats.n_dropped_quality} "
-        f"low-quality + {stats.n_dropped_length} short"
-    )
-    if args.out:
-        write_fastq(args.out, kept)
-        print(f"filtered reads written to {args.out}")
     return 0
 
 
@@ -772,15 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", default="edison", choices=("edison", "ganga"))
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("trim", help="quality-trim and filter a FASTQ file")
-    p.add_argument("--fastq", required=True)
-    p.add_argument("--min-quality", type=float, default=20.0)
-    p.add_argument("--trim-threshold", type=int, default=20)
-    p.add_argument("--min-length", type=int, default=30)
-    p.add_argument("--out", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_trim)
 
     p = sub.add_parser(
         "spectrum", help="k-mer spectrum analysis + filter recommendation"

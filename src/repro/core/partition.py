@@ -10,6 +10,7 @@ FASTQ files.  Each thread writes to separate FASTQ files."
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
@@ -17,8 +18,8 @@ from typing import Dict, List
 import numpy as np
 
 from repro.cc.components import ComponentSummary, compact_labels, summarize_components
-from repro.index.fastqpart import FastqPartTable, load_chunk_reads
-from repro.seqio.fastq import write_fastq
+from repro.index.fastqpart import FastqPartTable, scan_chunk
+from repro.seqio.records import gather_spans
 
 
 @dataclass
@@ -40,9 +41,6 @@ class PartitionResult:
     @property
     def largest_component_fraction(self) -> float:
         return self.summary.largest_component_fraction
-
-    def read_in_largest(self, read_id: int) -> bool:
-        return bool(self.labels[read_id] == self.largest_label)
 
     def lc_mask(self) -> np.ndarray:
         """Boolean mask over global read ids: in the largest component."""
@@ -78,43 +76,34 @@ def write_partitions(
 
     Reads are re-extracted chunk by chunk using the same chunk->thread
     assignment as KmerGen, so output I/O parallelism matches the paper's.
-    Mutates and returns ``result`` with file lists and byte accounting.
+    Each chunk region is scanned once and the selected records are written
+    as their input bytes, each ending in one newline; every output file is
+    opened once per run.  Mutates and returns ``result`` with file lists
+    and byte accounting.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     bytes_written = np.zeros((n_tasks, n_threads), dtype=np.int64)
+    in_lc = result.lc_mask()
     lc_total = other_total = 0
     handles: Dict[tuple, List] = {}
 
-    for c in range(table.n_chunks):
-        slot = int(assignment[c])
-        p, t = divmod(slot, n_threads)
-        batch = load_chunk_reads(table, c, keep_metadata=True)
-        lc_records, other_records = [], []
-        for i in range(batch.n_reads):
-            rec = batch.record(i)
-            if result.read_in_largest(int(batch.read_ids[i])):
-                lc_records.append(rec)
-            else:
-                other_records.append(rec)
-        key = (p, t)
-        if key not in handles:
-            lc_path = out / f"lc_p{p}_t{t}.fastq"
-            other_path = out / f"other_p{p}_t{t}.fastq"
-            # truncate any stale files from a prior run
-            lc_path.write_text("")
-            other_path.write_text("")
-            handles[key] = [str(lc_path), str(other_path)]
-            result.lc_files.append(str(lc_path))
-            result.other_files.append(str(other_path))
-        lc_path, other_path = handles[key]
-        write_fastq(lc_path, lc_records, append=True)
-        write_fastq(other_path, other_records, append=True)
-        written = sum(len(r.to_fastq()) for r in lc_records)
-        written += sum(len(r.to_fastq()) for r in other_records)
-        bytes_written[p, t] += written
-        lc_total += len(lc_records)
-        other_total += len(other_records)
+    with ExitStack() as stack:
+        for c in range(table.n_chunks):
+            p, t = divmod(int(assignment[c]), n_threads)
+            if (p, t) not in handles:
+                paths = [out / f"lc_p{p}_t{t}.fastq", out / f"other_p{p}_t{t}.fastq"]
+                handles[p, t] = [stack.enter_context(open(f, "wb")) for f in paths]
+                result.lc_files.append(str(paths[0]))
+                result.other_files.append(str(paths[1]))
+            buf, scan, read_ids = scan_chunk(table, c)
+            lc = in_lc[read_ids]
+            for fh, keep in zip(handles[p, t], (lc, ~lc)):
+                raw, _ = gather_spans(buf, scan.start[keep], scan.end[keep])
+                fh.write(raw)
+                bytes_written[p, t] += len(raw)
+            lc_total += int(lc.sum())
+            other_total += int((~lc).sum())
 
     result.bytes_written = bytes_written
     result.lc_reads_written = lc_total

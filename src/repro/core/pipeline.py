@@ -227,7 +227,7 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
     ctx = _job_context()
     times = TimeBreakdown()
     with telemetry.span(StepNames.KMERGEN_IO, task=job.task, aux=job.chunk, times=times):
-        batch = load_chunk_reads(ctx.table, job.chunk, keep_metadata=False)
+        batch = load_chunk_reads(ctx.table, job.chunk)
 
     with telemetry.span(StepNames.KMERGEN, task=job.task, aux=job.chunk, times=times):
         tuples = enumerate_canonical_kmers(batch, ctx.k)

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.index.merhist import histogram_batch
-from repro.seqio.fastq import read_fastq_region, record_boundaries
-from repro.seqio.records import FastqRecord, ReadBatch
+from repro.seqio.alphabet import encode_sequence
+from repro.seqio.fastq import FastqScan, record_boundaries, scan_fastq
+from repro.seqio.records import ReadBatch, gather_spans
 from repro.seqio.tables import read_table, write_table
 from repro.util.timers import TimeBreakdown
 from repro.util.validation import check_in_range, check_positive
@@ -162,18 +163,6 @@ class FastqPartTable:
         )
 
 
-def _chunk_read_ranges(n_reads: int, n_chunks: int) -> List[tuple]:
-    """Split ``n_reads`` into ``n_chunks`` contiguous nearly-equal ranges."""
-    base, extra = divmod(n_reads, n_chunks)
-    ranges = []
-    start = 0
-    for c in range(n_chunks):
-        size = base + (1 if c < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
 def build_fastqpart(
     units: Sequence,
     k: int,
@@ -203,10 +192,7 @@ def build_fastqpart(
     unit_reads: List[int] = []
     with telemetry.span(STEP_FASTQPART, times=times):
         for u in units:
-            bounds = [
-                np.asarray(record_boundaries(f), dtype=np.int64)
-                for f in u.files
-            ]
+            bounds = [record_boundaries(f) for f in u.files]
             n_recs = [len(b) - 1 for b in bounds]
             if u.paired and n_recs[0] != n_recs[1]:
                 raise ValueError(
@@ -236,42 +222,25 @@ def build_fastqpart(
         if r > 0:
             alloc[i] = min(alloc[i], r)
 
-    rows = {name: [] for name in (
-        "unit", "read_lo", "read_hi", "offset1", "size1", "offset2", "size2"
-    )}
-    hists: List[np.ndarray] = []
-    next_global_id = 0
-    for ui, u in enumerate(units):
-        n_u = unit_reads[ui]
-        if n_u == 0:
-            continue
-        bounds = unit_bounds[ui]
-        for lo, hi in _chunk_read_ranges(n_u, int(alloc[ui])):
-            rows["unit"].append(ui)
-            rows["read_lo"].append(next_global_id + lo)
-            rows["read_hi"].append(next_global_id + hi)
-            rows["offset1"].append(int(bounds[0][lo]))
-            rows["size1"].append(int(bounds[0][hi] - bounds[0][lo]))
-            if u.paired:
-                rows["offset2"].append(int(bounds[1][lo]))
-                rows["size2"].append(int(bounds[1][hi] - bounds[1][lo]))
-            else:
-                rows["offset2"].append(0)
-                rows["size2"].append(0)
-        next_global_id += n_u
-
+    # Unit ui's reads split into alloc[ui] contiguous nearly-equal ranges
+    # (the first n % alloc ranges one read longer), numbered globally.
+    columns, first_id = [], 0
+    for ui, (u, bounds, n_u) in enumerate(zip(units, unit_bounds, unit_reads)):
+        if n_u:
+            c = np.arange(alloc[ui] + 1)
+            edges = c * (n_u // alloc[ui]) + np.minimum(c, n_u % alloc[ui])
+            lo, hi = edges[:-1], edges[1:]
+            b1, b2 = bounds[0], bounds[-1] if u.paired else np.zeros(n_u + 1, np.int64)
+            columns.append((
+                np.full(len(lo), ui), first_id + lo, first_id + hi,
+                b1[lo], b1[hi] - b1[lo], b2[lo], b2[hi] - b2[lo],
+            ))
+        first_id += n_u
+    # columns in FastqPartTable field order: unit .. size2
+    unit, *rest = (np.concatenate(col) for col in zip(*columns))
     table = FastqPartTable(
-        k=k,
-        m=m,
-        units=units,
-        unit=np.asarray(rows["unit"]),
-        read_lo=np.asarray(rows["read_lo"]),
-        read_hi=np.asarray(rows["read_hi"]),
-        offset1=np.asarray(rows["offset1"]),
-        size1=np.asarray(rows["size1"]),
-        offset2=np.asarray(rows["offset2"]),
-        size2=np.asarray(rows["size2"]),
-        hist=np.zeros((len(rows["unit"]), 1 << (2 * m)), dtype=np.uint32),
+        k, m, units, unit, *rest,
+        hist=np.zeros((len(unit), 1 << (2 * m)), dtype=np.uint32),
         total_reads=total_reads,
     )
 
@@ -283,34 +252,61 @@ def build_fastqpart(
     return table
 
 
-def load_chunk_reads(
-    table: FastqPartTable, c: int, keep_metadata: bool = True
-) -> ReadBatch:
-    """Materialize chunk ``c`` as a :class:`ReadBatch`.
+def scan_chunk(
+    table: FastqPartTable, c: int
+) -> Tuple[np.ndarray, FastqScan, np.ndarray]:
+    """Read chunk ``c``'s byte regions and scan them once.
 
-    For paired units the two mates of pair ``i`` are adjacent (R1 then R2)
-    and share the global read id ``read_lo + i``.
+    Returns the regions' bytes (R1's, then R2's for a paired unit) as one
+    buffer, one scan over it whose rows are the chunk's reads in batch
+    order, and each row's global read id.  For paired units the two mates
+    of pair ``i`` are rows ``2i`` (R1) and ``2i + 1`` (R2) and share the id
+    ``read_lo + i``.  A file's final region gets the newline its last line
+    may lack, so every record ends in exactly one newline.
     """
     check_in_range("chunk", c, 0, table.n_chunks - 1)
     u = table.units[int(table.unit[c])]
-    recs1 = read_fastq_region(u.r1, int(table.offset1[c]), int(table.size1[c]))
-    ids = list(range(int(table.read_lo[c]), int(table.read_hi[c])))
-    if len(recs1) != len(ids):
-        raise ValueError(
-            f"chunk {c}: expected {len(ids)} records in {u.r1}, "
-            f"parsed {len(recs1)}"
-        )
-    if not u.paired:
-        return ReadBatch.from_records(recs1, ids, keep_metadata=keep_metadata)
-    recs2 = read_fastq_region(u.r2, int(table.offset2[c]), int(table.size2[c]))
-    if len(recs2) != len(recs1):
-        raise ValueError(
-            f"chunk {c}: mate record counts differ "
-            f"({len(recs1)} vs {len(recs2)})"
-        )
-    inter: List[FastqRecord] = []
-    inter_ids: List[int] = []
-    for i, (a, b) in enumerate(zip(recs1, recs2)):
-        inter.extend((a, b))
-        inter_ids.extend((ids[i], ids[i]))
-    return ReadBatch.from_records(inter, inter_ids, keep_metadata=keep_metadata)
+    regions = [(u.r1, int(table.offset1[c]), int(table.size1[c]))]
+    if u.paired:
+        regions.append((u.r2, int(table.offset2[c]), int(table.size2[c])))
+    blobs, scans, shifts = [], [], [0]
+    for path, offset, size in regions:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read(size)
+        if data and not data.endswith(b"\n"):
+            data += b"\n"
+        scan = scan_fastq(data, f"{path}@{offset}")
+        if len(scan) != table.chunk_reads(c):
+            raise ValueError(
+                f"chunk {c}: expected {table.chunk_reads(c)} records in "
+                f"{path}, parsed {len(scan)}"
+            )
+        blobs.append(data)
+        scans.append(scan)
+        shifts.append(shifts[-1] + len(data))
+    interleaved = FastqScan(**{
+        name: np.stack(
+            [vars(s)[name] + shift for s, shift in zip(scans, shifts)], axis=1
+        ).ravel()
+        for name in vars(scans[0])
+    })
+    ids = np.arange(int(table.read_lo[c]), int(table.read_hi[c]), dtype=np.int64)
+    return np.frombuffer(b"".join(blobs), dtype=np.uint8), interleaved, np.repeat(ids, len(regions))
+
+
+def load_chunk_reads(
+    table: FastqPartTable, c: int, keep_metadata: bool = False
+) -> ReadBatch:
+    """Materialize chunk ``c`` as a :class:`ReadBatch` of 2-bit codes.
+
+    The sequence spans of :func:`scan_chunk` are encoded in one gather, in
+    its row order and with its read ids; no ``FastqRecord`` and no name or
+    quality is built.  ``keep_metadata`` remains for callers that pass it
+    and accepts only ``False``; anything else raises ``TypeError``.
+    """
+    if keep_metadata is not False:
+        raise TypeError("load_chunk_reads keeps no read metadata")
+    buf, scan, read_ids = scan_chunk(table, c)
+    raw, offsets = gather_spans(buf, scan.seq_start, scan.seq_end)
+    return ReadBatch(encode_sequence(raw), offsets, read_ids)

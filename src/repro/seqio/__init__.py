@@ -17,10 +17,9 @@ from repro.seqio.records import FastqRecord, ReadBatch
 from repro.seqio.fastq import (
     read_fastq,
     write_fastq,
-    iter_fastq,
     FastqParseError,
-    count_reads,
-    read_fastq_region,
+    FastqScan,
+    scan_fastq,
 )
 from repro.seqio.tables import BinaryTableError, read_table, write_table
 from repro.seqio.fasta import (
@@ -29,13 +28,6 @@ from repro.seqio.fasta import (
     read_fasta,
     write_contigs,
     write_fasta,
-)
-from repro.seqio.quality import (
-    decode_phred,
-    encode_phred,
-    mean_quality,
-    quality_filter,
-    trim_tail,
 )
 
 __all__ = [
@@ -54,10 +46,9 @@ __all__ = [
     "ReadBatch",
     "read_fastq",
     "write_fastq",
-    "iter_fastq",
-    "read_fastq_region",
-    "count_reads",
     "FastqParseError",
+    "FastqScan",
+    "scan_fastq",
     "BinaryTableError",
     "read_table",
     "write_table",
@@ -66,9 +57,4 @@ __all__ = [
     "read_fasta",
     "write_contigs",
     "write_fasta",
-    "decode_phred",
-    "encode_phred",
-    "mean_quality",
-    "quality_filter",
-    "trim_tail",
 ]

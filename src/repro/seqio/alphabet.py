@@ -47,8 +47,9 @@ _COMPLEMENT_LUT = _build_complement_lut()
 _DECODE_LUT = np.frombuffer((BASES + "N" * 252).encode("ascii"), dtype=np.uint8)
 
 
-def encode_sequence(seq: str | bytes) -> np.ndarray:
-    """Encode a DNA string into a ``uint8`` code array.
+def encode_sequence(seq: str | bytes | np.ndarray) -> np.ndarray:
+    """Encode a DNA string (or its ASCII bytes, as ``bytes`` or a ``uint8``
+    array) into a ``uint8`` code array.
 
     Non-ACGT characters (including ``N``) become :data:`CODE_INVALID`.
     Case-insensitive.

@@ -10,11 +10,26 @@ of a Python loop per read).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.seqio.alphabet import decode_sequence, encode_sequence
+
+
+def gather_spans(
+    buf: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``buf[start[i]:end[i]]`` over all ``i`` in one gather.
+
+    Returns the gathered values and CSR offsets (``len(start) + 1``
+    entries): span ``i`` lands at ``out[offsets[i]:offsets[i + 1]]``.
+    """
+    lengths = end - start
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    index = np.arange(offsets[-1]) + np.repeat(start - offsets[:-1], lengths)
+    return buf[index], offsets
 
 
 @dataclass(frozen=True)
@@ -50,8 +65,8 @@ class ReadBatch:
     read_ids : int64 array of *global* read identifiers.  Both mates of a
         paired-end read carry the same id (paper section 3.2), so a batch
         may contain duplicate ids.
-    names, quals : optional per-read metadata (kept only when the batch must
-        be written back out as FASTQ).
+    names, quals : optional per-read metadata (kept by :meth:`from_records`,
+        for callers that write the batch back out as FASTQ).
     """
 
     __slots__ = ("codes", "offsets", "read_ids", "names", "quals")
@@ -93,27 +108,16 @@ class ReadBatch:
         cls,
         records: Sequence[FastqRecord],
         read_ids: Iterable[int] | None = None,
-        keep_metadata: bool = True,
     ) -> "ReadBatch":
-        """Build a batch from scalar records.
+        """Build a batch from scalar records, keeping names and qualities.
 
         ``read_ids`` defaults to ``0..n-1``.
         """
         records = list(records)
-        n = len(records)
-        lengths = np.fromiter((len(r) for r in records), dtype=np.int64, count=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        codes = np.empty(int(offsets[-1]), dtype=np.uint8)
-        for i, rec in enumerate(records):
-            codes[offsets[i] : offsets[i + 1]] = encode_sequence(rec.sequence)
-        if read_ids is None:
-            ids = np.arange(n, dtype=np.int64)
-        else:
-            ids = np.fromiter((int(i) for i in read_ids), dtype=np.int64, count=n)
-        names = [r.name for r in records] if keep_metadata else None
-        quals = [r.quality for r in records] if keep_metadata else None
-        return cls(codes, offsets, ids, names, quals)
+        batch = cls.from_sequences([r.sequence for r in records], read_ids)
+        batch.names = [r.name for r in records]
+        batch.quals = [r.quality for r in records]
+        return batch
 
     @classmethod
     def from_sequences(
@@ -121,12 +125,15 @@ class ReadBatch:
         sequences: Sequence[str],
         read_ids: Iterable[int] | None = None,
     ) -> "ReadBatch":
-        """Build a metadata-free batch from plain strings (tests, internals)."""
-        records = [
-            FastqRecord(f"r{i}", seq, "I" * len(seq))
-            for i, seq in enumerate(sequences)
-        ]
-        return cls.from_records(records, read_ids=read_ids, keep_metadata=False)
+        """Build a metadata-free batch from plain strings, encoded in one
+        pass; ``read_ids`` defaults to ``0..n-1``."""
+        n = len(sequences)
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        ids = range(n) if read_ids is None else read_ids
+        ids = np.fromiter((int(i) for i in ids), dtype=np.int64, count=n)
+        return cls(encode_sequence("".join(sequences)), offsets, ids)
 
     @classmethod
     def empty(cls) -> "ReadBatch":
@@ -170,14 +177,9 @@ class ReadBatch:
     def select(self, indices: np.ndarray) -> "ReadBatch":
         """Return a new batch holding reads at ``indices`` (gather)."""
         indices = np.asarray(indices, dtype=np.int64)
-        lengths = self.lengths[indices]
-        offsets = np.zeros(len(indices) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        codes = np.empty(int(offsets[-1]), dtype=np.uint8)
-        for out_i, src_i in enumerate(indices):
-            codes[offsets[out_i] : offsets[out_i + 1]] = self.codes[
-                self.offsets[src_i] : self.offsets[src_i + 1]
-            ]
+        codes, offsets = gather_spans(
+            self.codes, self.offsets[indices], self.offsets[indices + 1]
+        )
         names = [self.names[i] for i in indices] if self.names else None
         quals = [self.quals[i] for i in indices] if self.quals else None
         return ReadBatch(codes, offsets, self.read_ids[indices], names, quals)
@@ -189,9 +191,8 @@ class ReadBatch:
         if not batches:
             return ReadBatch.empty()
         codes = np.concatenate([b.codes for b in batches])
-        counts = [b.n_reads for b in batches]
-        offsets = np.zeros(sum(counts) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([b.lengths for b in batches]), out=offsets[1:])
+        lengths = np.concatenate([b.lengths for b in batches])
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
         read_ids = np.concatenate([b.read_ids for b in batches])
         if all(b.names is not None for b in batches):
             names: List[str] | None = [n for b in batches for n in b.names or []]

@@ -32,11 +32,11 @@ def tiny_hg_batch(tiny_hg):
 
     r1 = read_fastq(tiny_hg.r1_path)
     r2 = read_fastq(tiny_hg.r2_path)
-    records, ids = [], []
+    seqs, ids = [], []
     for i, (a, b) in enumerate(zip(r1, r2)):
-        records.extend((a, b))
+        seqs.extend((a.sequence, b.sequence))
         ids.extend((i, i))
-    return ReadBatch.from_records(records, ids, keep_metadata=False)
+    return ReadBatch.from_sequences(seqs, ids)
 
 
 @pytest.fixture()

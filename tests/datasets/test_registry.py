@@ -3,7 +3,7 @@ import os
 import pytest
 
 from repro.datasets.registry import DATASETS, build_dataset
-from repro.seqio.fastq import count_reads
+from repro.seqio.fastq import read_fastq
 
 
 class TestRegistry:
@@ -42,8 +42,8 @@ class TestBuildDataset:
     def test_materializes_files(self, tiny_hg):
         assert os.path.exists(tiny_hg.r1_path)
         assert os.path.exists(tiny_hg.r2_path)
-        assert count_reads(tiny_hg.r1_path) == tiny_hg.n_pairs
-        assert count_reads(tiny_hg.r2_path) == tiny_hg.n_pairs
+        assert len(read_fastq(tiny_hg.r1_path)) == tiny_hg.n_pairs
+        assert len(read_fastq(tiny_hg.r2_path)) == tiny_hg.n_pairs
 
     def test_cached_on_second_call(self, tiny_hg, data_root):
         mtime = os.path.getmtime(tiny_hg.r1_path)
@@ -62,8 +62,6 @@ class TestBuildDataset:
     def test_different_seeds_different_data(self, tmp_path):
         a = build_dataset("HG", tmp_path, seed=1, scale=0.02)
         b = build_dataset("HG", tmp_path, seed=2, scale=0.02)
-        from repro.seqio.fastq import read_fastq
-
         sa = [r.sequence for r in read_fastq(a.r1_path)]
         sb = [r.sequence for r in read_fastq(b.r1_path)]
         assert sa != sb

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.index.merhist import MerHist, build_merhist, histogram_batch
+from repro.index.merhist import WINDOW_READS, MerHist, build_merhist, histogram_batch
 from repro.kmers.engine import enumerate_canonical_kmers
 from repro.seqio.records import ReadBatch
 
@@ -26,6 +26,16 @@ class TestHistogramBatch:
         prefixes = tuples.kmers.mmer_prefix(m).astype(np.int64)
         want = np.bincount(prefixes, minlength=4**m)
         assert np.array_equal(hist, want)
+
+    def test_windowed_scan_matches_whole_batch(self, rng):
+        from tests.conftest import random_reads
+
+        k, m = 9, 4
+        reads = random_reads(rng, 2 * WINDOW_READS + 7, 35, n_prob=0.02)
+        big = ReadBatch.from_sequences(reads)
+        prefixes = enumerate_canonical_kmers(big, k).kmers.mmer_prefix(m)
+        want = np.bincount(prefixes.astype(np.int64), minlength=4**m)
+        assert np.array_equal(histogram_batch(big, k, m), want)
 
     def test_empty_batch(self):
         hist = histogram_batch(ReadBatch.empty(), 9, 4)

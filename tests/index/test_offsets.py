@@ -51,7 +51,7 @@ class TestSendCounts:
         actual = np.zeros((P, T, P), dtype=np.int64)
         for c in range(table.n_chunks):
             p, t = divmod(int(assignment[c]), T)
-            batch = load_chunk_reads(table, c, keep_metadata=False)
+            batch = load_chunk_reads(table, c)
             tuples = enumerate_canonical_kmers(batch, K)
             bins = tuples.kmers.mmer_prefix(M).astype(np.int64)
             bins = bins[(bins >= lo) & (bins < hi)]

@@ -26,7 +26,7 @@ def ll_result(tiny_ll, tmp_path_factory):
 @pytest.fixture(scope="module")
 def ll_batch(ll_result):
     batches = [
-        load_chunk_reads(ll_result.index.fastqpart, c, keep_metadata=False)
+        load_chunk_reads(ll_result.index.fastqpart, c)
         for c in range(ll_result.index.fastqpart.n_chunks)
     ]
     return ReadBatch.concatenate(batches)

@@ -27,7 +27,7 @@ class TestSingleEndPipeline:
         )
         res = MetaPrep(cfg).run([single_end_file], output_dir=tmp_path)
         records = read_fastq(single_end_file)
-        batch = ReadBatch.from_records(records, keep_metadata=False)
+        batch = ReadBatch.from_records(records)
         ref = reference_components_networkx(batch, 27)
         got = partition_as_frozensets(res.partition.parent, batch.read_ids)
         assert got == ref

@@ -1,16 +1,14 @@
+import numpy as np
 import pytest
 
+from repro.index.fastqpart import build_fastqpart, load_chunk_reads
 from repro.seqio.fastq import (
     FastqParseError,
-    count_reads,
-    interleave_paired,
-    iter_fastq,
     read_fastq,
-    read_fastq_region,
     record_boundaries,
     write_fastq,
 )
-from repro.seqio.records import FastqRecord
+from repro.seqio.records import FastqRecord, ReadBatch
 
 
 def _recs(n=5, length=8):
@@ -32,7 +30,7 @@ class TestRoundtrip:
         path = tmp_path / "x.fastq"
         write_fastq(path, _recs(2))
         write_fastq(path, _recs(3), append=True)
-        assert count_reads(path) == 5
+        assert len(read_fastq(path)) == 5
 
     def test_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "x.fastq"
@@ -42,7 +40,7 @@ class TestRoundtrip:
     def test_count_reads(self, tmp_path):
         path = tmp_path / "x.fastq"
         write_fastq(path, _recs(7))
-        assert count_reads(path) == 7
+        assert len(read_fastq(path)) == 7
 
 
 class TestParseErrors:
@@ -90,39 +88,47 @@ class TestRegions:
         path = tmp_path / "x.fastq"
         recs = _recs(6)
         write_fastq(path, recs)
-        bounds = record_boundaries(path)
-        # middle region: records 2..4
-        region = read_fastq_region(path, bounds[2], bounds[5] - bounds[2])
-        assert region == recs[2:5]
+        # chunks of 2 reads: chunk 1 holds records 2..3
+        table = build_fastqpart([str(path)], k=5, m=2, n_chunks=3)
+        assert table.offset1[1] == record_boundaries(path)[2]
+        _assert_batch_equal(load_chunk_reads(table, 1), recs[2:4], [2, 3])
 
     def test_regions_tile_file(self, tmp_path):
         path = tmp_path / "x.fastq"
         recs = _recs(9)
         write_fastq(path, recs)
+        table = build_fastqpart([str(path)], k=5, m=2, n_chunks=3)
         bounds = record_boundaries(path)
-        collected = []
-        for lo, hi in [(0, 3), (3, 7), (7, 9)]:
-            collected.extend(
-                read_fastq_region(path, bounds[lo], bounds[hi] - bounds[lo])
-            )
-        assert collected == recs
+        assert table.offset1.tolist() == bounds[[0, 3, 6]].tolist()
+        assert int(table.size1.sum()) == path.stat().st_size
+        collected = ReadBatch.concatenate(
+            [load_chunk_reads(table, c) for c in range(table.n_chunks)]
+        )
+        _assert_batch_equal(collected, recs, range(9))
+
+
+def _assert_batch_equal(batch, records, ids):
+    want = ReadBatch.from_records(records, ids)
+    assert np.array_equal(batch.codes, want.codes)
+    assert np.array_equal(batch.offsets, want.offsets)
+    assert np.array_equal(batch.read_ids, want.read_ids)
 
 
 class TestInterleave:
-    def test_interleaves(self):
+    """Mates interleave R1, R2 per pair inside each chunk load."""
+
+    def test_interleaves(self, tmp_path):
         r1 = _recs(2)
         r2 = [FastqRecord(f"m{i}", "GGGG", "IIII") for i in range(2)]
-        out = interleave_paired(r1, r2)
-        assert [r.name for r in out] == ["read0", "m0", "read1", "m1"]
+        write_fastq(tmp_path / "a_R1.fastq", r1)
+        write_fastq(tmp_path / "a_R2.fastq", r2)
+        unit = (str(tmp_path / "a_R1.fastq"), str(tmp_path / "a_R2.fastq"))
+        batch = load_chunk_reads(build_fastqpart([unit], k=3, m=2, n_chunks=1), 0)
+        _assert_batch_equal(batch, [r1[0], r2[0], r1[1], r2[1]], [0, 0, 1, 1])
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            interleave_paired(_recs(2), _recs(3))
-
-
-class TestIterFastq:
-    def test_streaming_matches_eager(self, tmp_path):
-        path = tmp_path / "x.fastq"
-        recs = _recs(4)
-        write_fastq(path, recs)
-        assert list(iter_fastq(path)) == recs
+    def test_mismatched_lengths_rejected(self, tmp_path):
+        write_fastq(tmp_path / "a_R1.fastq", _recs(2))
+        write_fastq(tmp_path / "a_R2.fastq", _recs(3))
+        unit = (str(tmp_path / "a_R1.fastq"), str(tmp_path / "a_R2.fastq"))
+        with pytest.raises(ValueError, match="mate counts differ"):
+            build_fastqpart([unit], k=3, m=2, n_chunks=1)

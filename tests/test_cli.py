@@ -139,16 +139,6 @@ class TestIndexAndRun:
         assert "kept" in capsys.readouterr().out
         assert out_path.exists()
 
-    def test_trim(self, files, tmp_path, capsys):
-        r1, _ = files
-        out_path = tmp_path / "trimmed.fastq"
-        rc = main(
-            ["trim", "--fastq", r1, "--min-quality", "5", "--out", str(out_path)]
-        )
-        assert rc == 0
-        assert "kept" in capsys.readouterr().out
-        assert out_path.exists()
-
     def test_calibrate(self, capsys):
         rc = main(["calibrate"])
         assert rc == 0
