@@ -1,22 +1,42 @@
-"""Disjoint-set forest with the paper's concurrency-safe policy choices.
+"""Disjoint-set forest with the paper's union-by-index policy, vectorised.
 
-Paper section 3.5: *Find* uses path splitting (Tarjan & van Leeuwen's
-one-pass variant); *Union* uses union-by-index — "the parent pointer of the
-root element with lower index is set to the root element with higher index"
-— because, unlike union-by-rank/size, it cannot introduce cycles when edges
-are processed concurrently.  Threads run without synchronization; edges
-whose union might have raced are buffered and re-verified in a next
-iteration (Algorithm 1).  In this single-process reproduction races cannot
-occur, but the deferred-verification loop is implemented faithfully (and
-exercised by an adversarial interleaving in the tests) so the algorithm is
-the paper's, not a simplification.
+Paper section 3.5, Algorithm 1: *Union* uses union-by-index — "the parent
+pointer of the root element with lower index is set to the root element
+with higher index" — so every root is the maximum read index of its
+component, whatever order the edges arrive in.  That is what lets
+:meth:`DisjointSetForest.process_edges` fold a whole edge list at once:
+hook every smaller root under its largest neighbouring root, pointer-jump
+to a fixpoint, repeat until no edge crosses two roots.  The roots come out
+exactly as the paper's per-edge loop (path splitting, deferred
+verification) leaves them; only the parent arrays differ, being flat.  The
+per-edge loop itself is kept as the test oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
+
+
+def _jump_to_fixpoint(parent: np.ndarray) -> np.ndarray:
+    """Return a flat copy of ``parent``: every entry points at its root.
+
+    True pointer doubling on the whole mapping: composing the parent
+    function with itself halves every chain's depth per round, so a forest
+    of n nodes converges within log2(n) + 1 rounds.  A cycle either never
+    settles within that bound or settles on entries that are not roots
+    (a cycle of power-of-two length composes to the identity); both raise.
+    """
+    p = parent
+    for _ in range(max(len(parent), 2).bit_length() + 2):
+        nxt = p[p]
+        if np.array_equal(nxt, p):
+            if not np.array_equal(parent[nxt], nxt):
+                break
+            return nxt
+        p = nxt
+    raise ValueError("parent array contains a cycle")
 
 
 class DisjointSetForest:
@@ -63,172 +83,71 @@ class DisjointSetForest:
             raise ValueError("parent entries out of range")
         forest = cls.__new__(cls)
         forest.parent = parent.copy()
-        # cheap acyclicity check: pointer-jump n times must reach fixpoint
-        roots = forest.find_many(np.arange(n, dtype=np.int64))
-        if n and not np.array_equal(parent[roots], roots):
-            raise ValueError("parent array contains a cycle")
+        _jump_to_fixpoint(parent)  # raises on a cycle
         return forest
 
-    # ------------------------------------------------------------------
-    # scalar operations (the Algorithm 1 hot loop)
-    # ------------------------------------------------------------------
-    def find(self, x: int) -> int:
-        """Root of ``x`` with path splitting: every visited node is
-        re-pointed at its grandparent, and the walk continues through the
-        *old* parent so every node on the path is updated (Tarjan & van
-        Leeuwen's one-pass splitting — distinct from path halving, which
-        skips every other node)."""
-        p = self.parent
-        while True:
-            px = p[x]
-            if px == x:
-                return x
-            ppx = p[px]
-            if ppx == px:
-                return int(px)
-            p[x] = ppx  # path splitting
-            x = int(px)
-
-    def union(self, root_u: int, root_v: int) -> int:
-        """Union-by-index of two *roots*; returns the surviving root.
-
-        The lower-index root is attached beneath the higher-index one.
-        """
-        if root_u == root_v:
-            return root_u
-        if root_u < root_v:
-            self.parent[root_u] = root_v
-            return root_v
-        self.parent[root_v] = root_u
-        return root_u
-
     def connected(self, u: int, v: int) -> bool:
-        return self.find(u) == self.find(v)
+        ru, rv = self.find_many(np.array([u, v]))
+        return bool(ru == rv)
 
-    # ------------------------------------------------------------------
-    # vectorized helpers
-    # ------------------------------------------------------------------
     def find_many(self, xs: np.ndarray, compress: bool = False) -> np.ndarray:
-        """Roots of many vertices by repeated pointer jumping (no mutation
-        unless ``compress``).
+        """Roots of many vertices by pointer jumping (no mutation unless
+        ``compress``).
 
         Used by LocalCC-Opt (map read ids to component ids before
         re-enumeration) and by final relabeling; jump count is
         O(log depth) gathers over the whole array.
         """
         xs = np.asarray(xs, dtype=np.int64)
-        # True pointer doubling on the whole mapping: composing the parent
-        # function with itself halves every chain's depth per round, so a
-        # forest of n nodes converges within log2(n) + 1 rounds; exceeding
-        # that bound means the parent array contains a cycle.
-        p = self.parent.copy()
-        max_rounds = max(self.n_vertices, 2).bit_length() + 2
-        for _ in range(max_rounds):
-            nxt = p[p]
-            if np.array_equal(nxt, p):
-                break
-            p = nxt
-        else:
-            raise ValueError("parent array contains a cycle")
-        roots = p[xs]
+        roots = _jump_to_fixpoint(self.parent)[xs]
         if compress:
             self.parent[xs] = roots
         return roots
 
     def roots(self) -> np.ndarray:
         """Root of every vertex (vectorized full-array find)."""
-        return self.find_many(np.arange(self.n_vertices, dtype=np.int64))
+        return _jump_to_fixpoint(self.parent)
 
     def n_components(self) -> int:
-        if self.n_vertices == 0:
-            return 0
-        return int(len(np.unique(self.roots())))
+        return int(np.count_nonzero(self.parent == np.arange(self.n_vertices)))
 
-    # ------------------------------------------------------------------
-    # Algorithm 1: edge processing with deferred verification
-    # ------------------------------------------------------------------
     def process_edges(
         self, us: np.ndarray, vs: np.ndarray
     ) -> Tuple[int, int, int]:
-        """Fold an edge list into the forest per Algorithm 1.
+        """Fold an edge list into the forest with Algorithm 1's outcome.
 
-        Returns ``(n_unions, n_find_steps, n_iterations)``.  Edges that
-        trigger a Union are buffered into ``E_out`` and re-verified in the
-        next iteration until no edge produces further unions — the paper's
-        guard against concurrent lost updates.  The paper observes "the
-        overall time is dominated by the time for the first iteration";
-        the returned iteration count lets tests confirm the loop converges
-        in two iterations when uncontended.
+        Returns ``(n_unions, n_find_steps, n_rounds)``: roots removed (each
+        of Algorithm 1's unions removes exactly one), parent entries
+        rewritten by pointer jumping, and hook rounds run.  Afterwards the
+        forest is flat — every entry points at its component's root, the
+        maximum index among the roots it merged — and ``parent`` is
+        updated in place, so a :meth:`wrap`-ped array sees the result.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape:
             raise ValueError("edge endpoint arrays differ in length")
-        parent = self.parent
-        n_unions = 0
-        find_steps = 0
-        iterations = 0
-
-        e_in_u, e_in_v = us, vs
-        while len(e_in_u):
-            iterations += 1
-            out_u = []
-            out_v = []
-            for u, v in zip(e_in_u.tolist(), e_in_v.tolist()):
-                # inline find with path splitting (hot loop)
-                x = u
-                while True:
-                    px = parent[x]
-                    if px == x:
-                        break
-                    ppx = parent[px]
-                    if ppx == px:
-                        x = px
-                        break
-                    parent[x] = ppx
-                    x = px
-                    find_steps += 1
-                root_u = x
-                x = v
-                while True:
-                    px = parent[x]
-                    if px == x:
-                        break
-                    ppx = parent[px]
-                    if ppx == px:
-                        x = px
-                        break
-                    parent[x] = ppx
-                    x = px
-                    find_steps += 1
-                root_v = x
-                if root_u != root_v:
-                    if root_u < root_v:
-                        parent[root_u] = root_v
-                    else:
-                        parent[root_v] = root_u
-                    n_unions += 1
-                    out_u.append(u)
-                    out_v.append(v)
-            if not out_u:
+        flat = _jump_to_fixpoint(self.parent)
+        find_steps = int(np.count_nonzero(flat != self.parent))
+        roots_before = self.n_components()
+        ru, rv = flat[us], flat[vs]
+        rounds = 0
+        while True:
+            cross = ru != rv
+            if not cross.any():
                 break
-            # E_in <- E_out: re-verify edges whose union may have raced.
-            e_in_u = np.asarray(out_u, dtype=np.int64)
-            e_in_v = np.asarray(out_v, dtype=np.int64)
-            # On re-verification the roots now coincide, so the loop
-            # terminates after one extra quiet iteration (or immediately
-            # starts another round if a racing thread undid the work --
-            # impossible here, guaranteed converging regardless).
-            nxt_u, nxt_v = [], []
-            for u, v in zip(e_in_u.tolist(), e_in_v.tolist()):
-                if self.find(u) != self.find(v):
-                    nxt_u.append(u)
-                    nxt_v.append(v)
-            if not nxt_u:
-                break
-            e_in_u = np.asarray(nxt_u, dtype=np.int64)
-            e_in_v = np.asarray(nxt_v, dtype=np.int64)
-        return n_unions, find_steps, iterations
+            ru, rv = ru[cross], rv[cross]
+            lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+            # union-by-index, all at once: each smaller root goes under
+            # its largest neighbouring root, so no cycle can form
+            np.maximum.at(flat, lo, hi)
+            jumped = _jump_to_fixpoint(flat)
+            find_steps += int(np.count_nonzero(jumped != flat))
+            flat = jumped
+            ru, rv = flat[lo], flat[hi]
+            rounds += 1
+        self.parent[:] = flat
+        return roots_before - self.n_components(), find_steps, rounds
 
     def copy(self) -> "DisjointSetForest":
         clone = DisjointSetForest.__new__(DisjointSetForest)
@@ -252,15 +171,3 @@ class DisjointSetForest:
             return 0
         unions, _, _ = self.process_edges(nontrivial, other_parent[nontrivial])
         return unions
-
-    @staticmethod
-    def build_from_edges(
-        n_vertices: int, edges: Iterable[Tuple[int, int]]
-    ) -> "DisjointSetForest":
-        """Convenience constructor for tests."""
-        forest = DisjointSetForest(n_vertices)
-        es = list(edges)
-        if es:
-            us, vs = zip(*es)
-            forest.process_edges(np.asarray(us), np.asarray(vs))
-        return forest

@@ -31,8 +31,8 @@ class LocalCCStats:
     n_runs_filtered: int = 0
     n_edges: int = 0
     n_unions: int = 0
-    n_find_steps: int = 0
-    n_iterations: int = 0
+    n_find_steps: int = 0  # parent entries rewritten by pointer jumping
+    n_iterations: int = 0  # hook rounds of the slowest partition
 
     def merge(self, other: "LocalCCStats") -> "LocalCCStats":
         self.n_tuples += other.n_tuples
@@ -79,11 +79,8 @@ def edges_from_sorted_runs(
     firsts = ids[starts]
     us = np.repeat(firsts, lens - 1)
     # every non-first position of each kept run, in order
-    member_mask = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.add.at(member_mask, starts, 1)
-    np.add.at(member_mask, starts + lens, -1)
-    in_run = np.cumsum(member_mask[:-1]) > 0
-    in_run[starts] = False
+    in_run = np.repeat(keep, counts)
+    in_run[bounds[:-1]] = False
     vs = ids[in_run]
     if len(us) != len(vs):
         raise AssertionError(
@@ -100,7 +97,8 @@ def local_connected_components(
     forest: DisjointSetForest,
     kfilter: FrequencyFilter | None = None,
 ) -> LocalCCStats:
-    """Fold one sorted tuple partition into ``forest`` (Algorithm 1)."""
+    """Fold one sorted tuple partition into ``forest`` (Algorithm 1's
+    outcome, see :meth:`DisjointSetForest.process_edges`)."""
     us, vs, stats = edges_from_sorted_runs(tuples, kfilter)
     if len(us):
         unions, find_steps, iters = forest.process_edges(us, vs)

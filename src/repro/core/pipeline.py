@@ -11,11 +11,12 @@ pass's tuples live on one :mod:`repro.runtime.transport` block plane: the
 in-memory plane the engine implies, or disk for a spilled pass.
 
 Results are bit-identical across engines and planes — and to a real
-parallel run with the same decomposition — because no scheduling
-nondeterminism exists: union-by-index makes the forest order-sensitive, so
-we fix the paper's deterministic orders (threads in rank order, sources in
-rank order) in the job lists and result-merging loops, never in worker
-scheduling.
+parallel run with the same decomposition — because the forest state after
+each pass is canonical: flat, every read pointing at its component's
+maximum read index (union-by-index), independent of edge order.  The job
+lists and result-merging loops keep the paper's deterministic orders
+(threads in rank order, sources in rank order), never worker scheduling,
+so the per-step counters match as well.
 
 Every step is timed once, where it runs, by ``telemetry.span(step,
 times=...)``: the one clock read feeds both ``result.measured`` and, when

@@ -1,8 +1,11 @@
+import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cc.dsf import DisjointSetForest
 from repro.core.checkpoint import (
     Checkpoint,
     CheckpointMismatch,
@@ -16,6 +19,7 @@ from repro.kmers.codec import KmerArray, limb_count
 from repro.kmers.engine import KmerTuples
 from repro.runtime.buffers import HeapBufferPool, SharedMemoryBufferPool
 from repro.runtime.spill import read_spill, write_spill
+from tests.cc.reference_dsf import ReferenceForest
 
 
 class TestStore:
@@ -234,6 +238,62 @@ class TestExecutorResume:
             result.partition.parent, reference.partition.parent
         )
         assert not CheckpointStore(tmp_path).exists()
+
+
+def _hash_dir(directory) -> str:
+    h = hashlib.sha256()
+    for path in sorted(Path(directory).iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class TestAlgorithm1CheckpointResume:
+    """A checkpoint whose forests the per-edge Algorithm 1 built (path
+    split, not flat) resumes under the vectorised kernel to the
+    uninterrupted run's output bytes."""
+
+    # four threads and passes leave task 0's forest path-split, not flat,
+    # after pass 1 on this input
+    CFG = dict(k=27, m=5, n_tasks=2, n_threads=4, n_passes=4)
+
+    def test_resume_output_bytes_equal(self, tiny_hg, tmp_path):
+        reference = MetaPrep(PipelineConfig(**self.CFG)).run(
+            tiny_hg.units, output_dir=tmp_path / "ref"
+        )
+
+        def algorithm1(forest, us, vs):
+            scalar = ReferenceForest(0)
+            scalar.parent = forest.parent  # fold in place, like the kernel
+            return scalar.process_edges(us, vs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(DisjointSetForest, "process_edges", algorithm1)
+            runner = MetaPrep(PipelineConfig(**self.CFG))
+            original = runner._run_pass
+
+            def exploding(run, spec, plane):
+                if spec.index == 2:
+                    raise RuntimeError("injected interruption")
+                return original(run, spec, plane)
+
+            runner._run_pass = exploding
+            with pytest.raises(RuntimeError, match="injected interruption"):
+                runner.run(tiny_hg.units, checkpoint_dir=tmp_path / "ckpt")
+        fingerprint = config_fingerprint(
+            PipelineConfig(**self.CFG),
+            reference.n_reads,
+            reference.index.merhist.total_tuples,
+        )
+        parents = CheckpointStore(tmp_path / "ckpt").load(fingerprint).parents
+        assert any(not np.array_equal(p[p], p) for p in parents)
+
+        MetaPrep(PipelineConfig(**self.CFG)).run(
+            tiny_hg.units,
+            output_dir=tmp_path / "resumed",
+            checkpoint_dir=tmp_path / "ckpt",
+        )
+        assert _hash_dir(tmp_path / "resumed") == _hash_dir(tmp_path / "ref")
 
 
 def _filled_block(pool, k, n, seed=0):

@@ -128,14 +128,14 @@ def test_wcc_read_graph_correspondence(seqs, k):
             wcc_label[node] = i
 
     merged = in_memory_pipeline(batch, k)
-    forest = DisjointSetForest.from_parent_array(merged)
+    roots = DisjointSetForest.from_parent_array(merged).roots()
     # reads sharing a WCC's k-mers must share a read component
     read_comp_of_wcc = {}
     for kmer_str, rid in zip(
         codec.decode_array(tuples.kmers), tuples.read_ids.tolist()
     ):
         w = wcc_label[kmer_str]
-        rc = forest.find(int(rid))
+        rc = roots[rid]
         if w in read_comp_of_wcc:
             assert read_comp_of_wcc[w] == rc
         else:
