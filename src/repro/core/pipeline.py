@@ -76,7 +76,7 @@ from repro.index.passplan import (
     plan_passes,
     spill_schedule,
 )
-from repro.kmers.engine import enumerate_canonical_kmers
+from repro.kmers.engine import select_canonical_kmers
 from repro.kmers.filter import FrequencyFilter
 from repro import telemetry
 from repro.telemetry.collect import TelemetryCollector, RunTelemetry
@@ -231,11 +231,9 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
         batch = load_chunk_reads(ctx.table, job.chunk)
 
     with telemetry.span(StepNames.KMERGEN, task=job.task, aux=job.chunk, times=times):
-        tuples = enumerate_canonical_kmers(batch, ctx.k)
-        bins = tuples.kmers.mmer_prefix(ctx.m).astype(np.int64)
-        in_pass = (bins >= job.bin_lo) & (bins < job.bin_hi)
-        kept = tuples.take(np.flatnonzero(in_pass))
-        kept_bins = bins[in_pass]
+        kept, kept_bins, n_positions = select_canonical_kmers(
+            batch, ctx.k, ctx.m, job.bin_lo, job.bin_hi
+        )
         dest = np.searchsorted(job.task_edges, kept_bins, side="right") - 1
         dest = np.clip(dest, 0, ctx.n_tasks - 1)
         parts, counts = kept.split_by_destination(dest, ctx.n_tasks)
@@ -268,7 +266,7 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
     return _ChunkResult(
         chunk=job.chunk,
         counts=counts,
-        n_positions=len(tuples),
+        n_positions=n_positions,
         times=times,
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kmers.engine import enumerate_canonical_kmers
+from repro.kmers.engine import DoublingTables, valid_windows
 from repro.seqio.records import ReadBatch
 from repro.seqio.tables import read_table, write_table
 from repro.util.validation import check_in_range
@@ -80,20 +80,12 @@ class MerHist:
         return cls(k=int(meta["k"]), m=int(meta["m"]), counts=arrays["counts"])
 
 
-#: reads enumerated at a time: a window's k-mer arrays stay in cache, so
-#: the scan's cost per base does not grow with the chunk size
-WINDOW_READS = 512
-
-
 def histogram_batch(batch: ReadBatch, k: int, m: int) -> np.ndarray:
-    """m-mer prefix histogram of one read batch (uint32, 4^m bins),
-    enumerated :data:`WINDOW_READS` reads at a time."""
-    counts = np.zeros(1 << (2 * m), dtype=np.int64)
-    for lo in range(0, batch.n_reads, WINDOW_READS):
-        window = batch.select(np.arange(lo, min(lo + WINDOW_READS, batch.n_reads)))
-        prefixes = enumerate_canonical_kmers(window, k).kmers.mmer_prefix(m)
-        counts += np.bincount(prefixes.astype(np.int64), minlength=len(counts))
-    return counts.astype(np.uint32)
+    """m-mer prefix histogram of one read batch (uint32, 4^m bins); it
+    builds no k-mer and no doubling table above ``m``."""
+    valid = valid_windows(batch, k)
+    bins = DoublingTables(batch.codes, m).canonical_prefixes(k, m, len(valid))
+    return np.bincount(bins[valid], minlength=1 << (2 * m)).astype(np.uint32)
 
 
 def build_merhist(batches: "list[ReadBatch]", k: int, m: int) -> MerHist:

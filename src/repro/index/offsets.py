@@ -62,19 +62,9 @@ def send_counts_matrix(
     ``[pass_lo, pass_hi)`` restricts to the current pass's bin range (edges
     outside it contribute zero).
     """
-    task_edges = np.asarray(task_edges, dtype=np.int64)
-    if len(task_edges) != n_tasks + 1:
-        raise ValueError(
-            f"need {n_tasks + 1} task edges, got {len(task_edges)}"
-        )
-    if pass_hi is None:
-        pass_hi = table.n_bins
-    clipped = np.clip(task_edges, pass_lo, pass_hi)
-    per_chunk = _bin_range_counts(table.hist, clipped)  # (C, P)
+    per_chunk = chunk_send_counts(table, task_edges, n_tasks, pass_lo, pass_hi)
     out = np.zeros((n_tasks, n_threads, n_tasks), dtype=np.int64)
-    tasks = assignment // n_threads
-    threads = assignment % n_threads
-    np.add.at(out, (tasks, threads), per_chunk)
+    np.add.at(out, (assignment // n_threads, assignment % n_threads), per_chunk)
     return out
 
 

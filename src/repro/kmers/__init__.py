@@ -1,12 +1,12 @@
 """Vectorized canonical k-mer machinery.
 
 The paper generates four k-mers at a time with 128-bit SIMD registers
-(section 3.2.1, Figure 3).  Here the same dataflow runs over whole read
-chunks at once with NumPy: a k-step shift loop builds all forward k-mers and
-all reverse complements simultaneously, and canonicalization is an
-elementwise minimum.  k <= 31 uses a single ``uint64`` limb; 32 <= k <= 63
-uses two limbs, mirroring the paper's 64-bit / 128-bit k-mer encodings.
-Every kernel loops over the limbs, so both widths run one code path.
+(section 3.2.1, Figure 3).  Here whole read chunks go at once, prefix
+first: doubling tables give every window's canonical m-mer prefix, and only
+the windows a pass keeps get a full k-mer, built from ``popcount(k)``
+pieces per strand.  k <= 31 uses a single ``uint64`` limb; 32 <= k <= 63
+uses two, mirroring the paper's 64-bit / 128-bit k-mer encodings.  Every
+kernel loops over the limbs, so both widths run one code path.
 """
 
 from repro.kmers.codec import (

@@ -199,6 +199,21 @@ class KmerArray:
             k, tuple(np.empty(0, LIMB_DTYPE) for _ in range(limb_count(k)))
         )
 
+    @staticmethod
+    def from_pieces(k: int, pieces: Sequence[tuple]) -> "KmerArray":
+        """Assemble k-mers from packed pieces that tile them: each is
+        ``(values, at, size)``, ``size`` bases (at most 32) whose last base
+        lies ``at`` bases before the k-mer's last, i.e. at bit ``2 * at``."""
+        limbs = [np.zeros(len(pieces[0][0]), LIMB_DTYPE) for _ in range(limb_count(k))]
+        for values, at, size in pieces:  # limbs[0] is the least significant
+            v = values.astype(LIMB_DTYPE)
+            limb, shift = divmod(2 * at, LIMB_BITS)
+            if shift + 2 * size > LIMB_BITS:  # the top bits go one limb up
+                limbs[limb + 1] |= v >> _U64(LIMB_BITS - shift)
+            v <<= _U64(shift)
+            limbs[limb] |= v
+        return KmerArray(k, tuple(limbs[::-1]))
+
     # ------------------------------------------------------------------
     # sort-key helpers
     # ------------------------------------------------------------------

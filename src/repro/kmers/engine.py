@@ -2,31 +2,27 @@
 
 The paper's SIMD kernel (section 3.2.1) keeps four k-mers in flight in
 128-bit registers and advances them one base per step.  The NumPy analogue
-keeps *every* k-mer of a read chunk in flight: a ``k``-iteration shift loop
-over the chunk's concatenated code array builds all forward k-mers and all
-reverse complements as whole-array operations, then canonicalizes with an
-elementwise minimum.  Per-element work is identical; the "vector width" is
-the chunk length instead of 4.
-
-Windows that cross a read boundary or contain an ``N`` are masked out
-(section 3.2: "We do not enumerate k-mers that contain the N symbol").
+takes a whole read chunk at once and goes prefix first, because a KmerGen
+pass keeps only ~1/S of a chunk's k-mers: :func:`valid_windows` masks the
+windows that cross a read or contain an ``N`` (section 3.2: "We do not
+enumerate k-mers that contain the N symbol"); :class:`DoublingTables`
+packs the 1-, 2-, 4-, ...-mer at every start of both strands; every
+window's canonical m-mer prefix is read from table slices; and only the
+windows a pass keeps get a full k-mer, ``popcount(k)`` gathered pieces per
+strand (27 = 16 + 8 + 2 + 1) — O(log k) per k-mer, not the O(k) of a
+one-base-per-step shift loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.kmers.codec import MAX_K_TWO_LIMB, KmerArray, limb_count, tuple_bytes
+from repro.kmers.codec import MAX_K_TWO_LIMB, KmerArray, tuple_bytes
 from repro.seqio.records import ReadBatch
 from repro.util.validation import check_in_range
-
-_U64 = np.uint64
-_TWO = _U64(2)
-_THREE = _U64(3)
-_SIXTYTWO = _U64(62)
 
 
 @dataclass
@@ -96,14 +92,9 @@ class KmerTuples:
             raise ValueError(
                 f"dest contains values >= n_dest ({n_dest})"
             )
-        order = np.argsort(dest, kind="stable")
-        gathered = self.take(order)
-        parts: "List[KmerTuples]" = []
-        start = 0
-        for d in range(n_dest):
-            end = start + int(counts[d])
-            parts.append(gathered.slice(start, end))
-            start = end
+        gathered = self.take(np.argsort(dest, kind="stable"))
+        ends = np.cumsum(counts).tolist()
+        parts = [gathered.slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
         return parts, counts
 
     @staticmethod
@@ -120,18 +111,100 @@ class KmerTuples:
         return KmerTuples(KmerArray.empty(k), np.empty(0, dtype=np.uint32))
 
 
-def _shift_in(codes: np.ndarray, starts, n_limbs: int, npos: int) -> tuple:
-    """Shift the 2-bit codes ``codes[j : j + npos]``, for each ``j`` of
-    ``starts`` in turn, into ``n_limbs`` limbs, most significant first,
-    carrying each limb's top base into the limb above.  Starting from
-    zero, ``k`` steps set exactly the low ``2k`` bits, so the top limb of
-    a 32-mer stays 0 without a mask."""
-    limbs = [np.zeros(npos, dtype=np.uint64) for _ in range(n_limbs)]
-    for j in starts:
-        for i in range(n_limbs - 1):
-            limbs[i] = (limbs[i] << _TWO) | (limbs[i + 1] >> _SIXTYTWO)
-        limbs[-1] = (limbs[-1] << _TWO) | codes[j : j + npos]
-    return tuple(limbs)
+def _pieces(length: int) -> List[Tuple[int, int]]:
+    """``(offset, size)`` of the power-of-two pieces that tile a window of
+    ``length`` bases, largest first: 27 -> (0, 16), (16, 8), (24, 2), (26, 1)."""
+    bits = reversed(range(length.bit_length()))
+    return [((length >> b + 1) << b + 1, 1 << b) for b in bits if length >> b & 1]
+
+
+def _mer_dtype(length: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds a packed ``length``-mer."""
+    return np.min_scalar_type((1 << 2 * length) - 1)
+
+
+def valid_windows(batch: ReadBatch, k: int) -> np.ndarray:
+    """True at each flat start ``j`` whose window ``codes[j : j + k]``
+    lies in one read and holds no ``N``: its last base is no ``N``, and
+    none of the others is an ``N`` or a read's last base — the OR of
+    ``popcount(k - 1)`` slices of a doubling table of such stops."""
+    codes = batch.codes
+    npos = len(codes) - k + 1
+    if npos <= 0:
+        return np.zeros(0, dtype=bool)
+    stops = codes > 3
+    ends = batch.offsets[1:] - 1
+    stops[ends[ends >= 0]] = True
+    levels = [stops]  # levels[i][j]: a stop in stops[j : j + 2**i]
+    for i in range((k - 1).bit_length() - 1):
+        levels.append(levels[i][: -(1 << i)] | levels[i][1 << i :])
+    valid = codes[k - 1 :] <= 3
+    for o, size in _pieces(k - 1):
+        valid &= ~levels[size.bit_length() - 1][o : o + npos]
+    return valid
+
+
+class DoublingTables:
+    """The packed L-mer at every start of a code array, both strands, for
+    L = 1, 2, 4, ... up to ``max_len``.
+
+    ``fwd[i][j]`` packs ``codes[j : j + 2**i]`` and ``rc[i][j]`` its
+    reverse complement, in the narrowest unsigned dtype that holds it.
+    Each level is two slices of the one below: an L-mer then the next is
+    a 2L-mer, whose reverse complement is the second's then the first's.
+    Entries whose window holds an ``N`` are meaningless; callers mask them.
+    """
+
+    def __init__(self, codes: np.ndarray, max_len: int) -> None:
+        fwd = codes & np.uint8(3)
+        self.fwd, self.rc = [fwd], [fwd ^ np.uint8(3)]
+        for size in (1 << i for i in range(max_len.bit_length() - 1)):
+            dtype = _mer_dtype(2 * size)
+            f, r = (t[-1].astype(dtype, copy=False) for t in (self.fwd, self.rc))
+            # a shift by 2 * size bits, as a multiply: NumPy vectorizes
+            # that for uint8, where its shift is ~10x slower
+            n, shift = max(len(f) - size, 0), dtype.type(4**size)
+            self.fwd.append((f[:n] * shift) | f[size:])
+            self.rc.append((r[size:] * shift) | r[:n])
+
+    def mers(self, length: int, offset: int, npos: int, reverse: bool) -> np.ndarray:
+        """The packed ``length``-mers at ``offset + j`` for every ``j <
+        npos``, reverse-complemented when ``reverse``, from contiguous
+        slices of the tables."""
+        dtype = _mer_dtype(length)
+        out = np.zeros(npos, dtype)
+        for o, size in _pieces(length):
+            piece = (self.rc if reverse else self.fwd)[size.bit_length() - 1][offset + o :][:npos]
+            if reverse:  # the window's first bases end its reverse complement
+                out |= piece.astype(dtype) << dtype.type(2 * o)
+            else:
+                out <<= dtype.type(2 * size)
+                out |= piece
+        return out
+
+    def canonical_prefixes(self, k: int, m: int, npos: int) -> np.ndarray:
+        """The canonical k-mer's m-mer prefix at every start ``j < npos``:
+        min(forward m-mer at ``j``, reverse complement of the m-mer at
+        ``j + k - m``).  The smaller decides which strand is canonical;
+        on a tie both strands carry it."""
+        return np.minimum(
+            self.mers(m, 0, npos, reverse=False),
+            self.mers(m, k - m, npos, reverse=True),
+        )
+
+    def tuples_at(self, batch: ReadBatch, k: int, starts: np.ndarray) -> KmerTuples:
+        """(canonical k-mer, read id) of the windows at ``starts``: per
+        strand, ``popcount(k)`` gathered pieces folded into limbs, then
+        the minimum of the two strands."""
+        if len(starts) == 0:
+            return KmerTuples.empty(k)
+        fwd, rc = [], []
+        for o, size in _pieces(k):
+            level = size.bit_length() - 1
+            fwd.append((self.fwd[level][o:][starts], k - o - size, size))
+            rc.append((self.rc[level][o:][starts], o, size))
+        kmers = KmerArray.from_pieces(k, fwd).minimum(KmerArray.from_pieces(k, rc))
+        return KmerTuples(kmers, np.repeat(batch.read_ids, batch.lengths)[starts])
 
 
 def enumerate_canonical_kmers(batch: ReadBatch, k: int) -> KmerTuples:
@@ -141,53 +214,27 @@ def enumerate_canonical_kmers(batch: ReadBatch, k: int) -> KmerTuples:
     right within each read — the same order a sequential scan would produce.
     """
     check_in_range("k", k, 1, MAX_K_TWO_LIMB)
-    codes = batch.codes
-    n_bases = len(codes)
-    npos = n_bases - k + 1
-    if batch.n_reads == 0 or npos <= 0:
-        return KmerTuples.empty(k)
+    starts = np.flatnonzero(valid_windows(batch, k))
+    return DoublingTables(batch.codes, k).tuples_at(batch, k, starts)
 
-    # Which read does each base belong to?
-    base_read = np.repeat(
-        np.arange(batch.n_reads, dtype=np.int64), batch.lengths
-    )
-    # Window validity: stays within one read, and contains no invalid code.
-    within_read = base_read[:npos] == base_read[k - 1 :]
-    bad = np.zeros(n_bases + 1, dtype=np.int64)
-    np.cumsum(codes > 3, out=bad[1:])
-    clean = (bad[k:] - bad[:npos]) == 0
-    valid = within_read & clean
 
-    # 2-bit codes (an N's window is masked out by ``valid`` anyway) and
-    # their complements, which the reverse strand reads back to front
-    c64 = codes.astype(np.uint64) & _THREE
-    n_limbs = limb_count(k)
-    fwd = _shift_in(c64, range(k), n_limbs, npos)
-    rc = _shift_in(_THREE - c64, range(k - 1, -1, -1), n_limbs, npos)
-    canon = KmerArray(k, fwd).minimum(KmerArray(k, rc))
-    keep = np.flatnonzero(valid)
-    kmers = canon.take(keep)
-    read_ids = batch.read_ids[base_read[keep]].astype(np.uint32)
-    return KmerTuples(kmers, read_ids)
+def select_canonical_kmers(
+    batch: ReadBatch, k: int, m: int, bin_lo: int, bin_hi: int
+) -> Tuple[KmerTuples, np.ndarray, int]:
+    """One KmerGen pass: the canonical k-mers of ``batch`` whose m-mer
+    prefix bin lies in ``[bin_lo, bin_hi)``, in scan order, their bins, and
+    the valid windows scanned before that filter (the work the projection
+    charges).  Only the kept windows get a full k-mer."""
+    check_in_range("k", k, 1, MAX_K_TWO_LIMB)
+    check_in_range("m", m, 1, min(k, 32))
+    valid = valid_windows(batch, k)
+    tables = DoublingTables(batch.codes, k)
+    bins = tables.canonical_prefixes(k, m, len(valid))
+    starts = np.flatnonzero(valid & (bins >= bin_lo) & (bins < bin_hi))
+    return tables.tuples_at(batch, k, starts), bins[starts], int(np.count_nonzero(valid))
 
 
 def count_kmer_positions(batch: ReadBatch, k: int) -> int:
     """Number of canonical k-mers :func:`enumerate_canonical_kmers` would
     emit, without materializing them (used for capacity planning tests)."""
-    if batch.n_reads == 0:
-        return 0
-    total = 0
-    codes = batch.codes
-    for i in range(batch.n_reads):
-        lo, hi = int(batch.offsets[i]), int(batch.offsets[i + 1])
-        length = hi - lo
-        if length < k:
-            continue
-        invalid = codes[lo:hi] > 3
-        if not invalid.any():
-            total += length - k + 1
-            continue
-        bad = np.concatenate(([0], np.cumsum(invalid)))
-        windows = bad[k:] - bad[: length - k + 1]
-        total += int((windows == 0).sum())
-    return total
+    return int(np.count_nonzero(valid_windows(batch, k)))

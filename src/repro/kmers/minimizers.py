@@ -18,39 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kmers.engine import DoublingTables, valid_windows
 from repro.seqio.records import ReadBatch
 from repro.util.validation import check_in_range
 
-_U64 = np.uint64
-_TWO = _U64(2)
-_THREE = _U64(3)
 
-
-def _forward_mmers(codes: np.ndarray, m: int) -> np.ndarray:
-    """Packed forward m-mer starting at every base position (vectorized)."""
-    n = len(codes)
-    npos = n - m + 1
-    if npos <= 0:
-        return np.empty(0, dtype=np.uint64)
-    c64 = codes.astype(np.uint64)
-    vals = np.zeros(npos, dtype=np.uint64)
-    for j in range(m):
-        vals = (vals << _TWO) | (c64[j : j + npos] & _THREE)
-    return vals
-
-
-def _valid_kmer_positions(batch: ReadBatch, k: int) -> np.ndarray:
-    """Boolean mask over flat start positions: window within one read, no N."""
-    codes = batch.codes
-    npos = len(codes) - k + 1
-    if npos <= 0:
-        return np.zeros(0, dtype=bool)
-    base_read = np.repeat(np.arange(batch.n_reads, dtype=np.int64), batch.lengths)
-    within = base_read[:npos] == base_read[k - 1 :]
-    bad = np.zeros(len(codes) + 1, dtype=np.int64)
-    np.cumsum(codes > 3, out=bad[1:])
-    clean = (bad[k:] - bad[:npos]) == 0
-    return within & clean
+def _window_minimizers(batch: ReadBatch, k: int, m: int) -> tuple:
+    """``(valid, mins)`` over the flat k-mer starts: the engine's
+    valid-window mask, and the smallest forward m-mer of each window."""
+    check_in_range("m", m, 1, min(k, 32))
+    valid = valid_windows(batch, k)
+    npos = len(valid)
+    mmers = DoublingTables(batch.codes, m).mers(
+        m, 0, max(len(batch.codes) - m + 1, 0), reverse=False
+    )
+    mins = mmers[:npos].copy()
+    for j in range(1, k - m + 1):
+        np.minimum(mins, mmers[j : j + npos], out=mins)
+    return valid, mins.astype(np.uint64)
 
 
 def minimizer_of_each_kmer(batch: ReadBatch, k: int, m: int) -> np.ndarray:
@@ -60,16 +45,7 @@ def minimizer_of_each_kmer(batch: ReadBatch, k: int, m: int) -> np.ndarray:
     :func:`repro.kmers.engine.enumerate_canonical_kmers`, so the two line up
     index-by-index.
     """
-    check_in_range("m", m, 1, min(k, 32))
-    valid = _valid_kmer_positions(batch, k)
-    if not valid.any():
-        return np.empty(0, dtype=np.uint64)
-    mvals = _forward_mmers(batch.codes, m)
-    windows = k - m + 1
-    npos = len(batch.codes) - k + 1
-    mins = mvals[:npos].copy()
-    for j in range(1, windows):
-        np.minimum(mins, mvals[j : j + npos], out=mins)
+    valid, mins = _window_minimizers(batch, k, m)
     return mins[valid]
 
 
@@ -118,40 +94,20 @@ def split_super_kmers(batch: ReadBatch, k: int, m: int) -> SuperKmers:
     Invariant (tested): ``sum(n_kmers)`` equals the number of valid k-mer
     positions, i.e. no k-mer is lost or duplicated by the segmentation.
     """
-    check_in_range("m", m, 1, min(k, 32))
-    valid = _valid_kmer_positions(batch, k)
-    npos = len(valid)
-    empty = np.empty(0, dtype=np.int64)
-    if npos == 0 or not valid.any():
-        return SuperKmers(k, m, empty, empty.copy(), np.empty(0, dtype=np.uint64), empty.copy())
-
-    mvals = _forward_mmers(batch.codes, m)
-    windows = k - m + 1
-    mins = mvals[:npos].copy()
-    for j in range(1, windows):
-        np.minimum(mins, mvals[j : j + npos], out=mins)
-
-    # A new super-k-mer starts at valid position p when p-1 is invalid
-    # (start of a fresh run) or the minimizer changed.
-    prev_valid = np.zeros(npos, dtype=bool)
-    prev_valid[1:] = valid[:-1]
-    same_min = np.zeros(npos, dtype=bool)
-    same_min[1:] = mins[1:] == mins[:-1]
-    is_start = valid & ~(prev_valid & same_min)
-
+    valid, mins = _window_minimizers(batch, k, m)
+    # A super-k-mer starts at a valid window whose predecessor is invalid
+    # (a fresh run) or has another minimizer; it runs to the next start.
+    is_start = valid.copy()
+    is_start[1:] &= ~(valid[:-1] & (mins[1:] == mins[:-1]))
     starts = np.flatnonzero(is_start)
-    # Run length: distance to the next start or the end of the valid run.
-    valid_idx = np.flatnonzero(valid)
-    # map each valid position to its run id via cumulative count of starts
-    run_id = np.cumsum(is_start[valid_idx]) - 1
-    n_kmers = np.bincount(run_id, minlength=len(starts)).astype(np.int64)
+    first = np.flatnonzero(is_start[valid])  # run starts among valid windows
+    n_kmers = np.diff(np.append(first, np.count_nonzero(valid)))
 
-    base_read = np.repeat(np.arange(batch.n_reads, dtype=np.int64), batch.lengths)
     return SuperKmers(
         k=k,
         m=m,
-        start=starts.astype(np.int64),
+        start=starts,
         n_kmers=n_kmers,
         minimizer=mins[starts],
-        read_index=base_read[starts],
+        read_index=np.repeat(np.arange(batch.n_reads), batch.lengths)[starts],
     )

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from repro.index.merhist import WINDOW_READS, MerHist, build_merhist, histogram_batch
-from repro.kmers.engine import enumerate_canonical_kmers
+from repro.index.merhist import MerHist, build_merhist, histogram_batch
 from repro.seqio.records import ReadBatch
+from tests.kmers.reference_engine import enumerate_canonical_kmers
 
 
 @pytest.fixture()
@@ -27,11 +27,13 @@ class TestHistogramBatch:
         want = np.bincount(prefixes, minlength=4**m)
         assert np.array_equal(hist, want)
 
-    def test_windowed_scan_matches_whole_batch(self, rng):
+    @pytest.mark.parametrize("k,m", [(9, 4), (27, 6), (63, 10)])
+    def test_large_batch_matches_oracle(self, rng, k, m):
+        # more reads than the 512-read windows the histogram once took,
+        # with N's and reads shorter than k among them
         from tests.conftest import random_reads
 
-        k, m = 9, 4
-        reads = random_reads(rng, 2 * WINDOW_READS + 7, 35, n_prob=0.02)
+        reads = random_reads(rng, 1031, 70, n_prob=0.02) + ["ACGT", "N" * 80]
         big = ReadBatch.from_sequences(reads)
         prefixes = enumerate_canonical_kmers(big, k).kmers.mmer_prefix(m)
         want = np.bincount(prefixes.astype(np.int64), minlength=4**m)

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.index.merhist import histogram_batch
 from repro.kmers.codec import KmerCodec
 from repro.kmers.engine import (
     KmerTuples,
     count_kmer_positions,
     enumerate_canonical_kmers,
+    select_canonical_kmers,
 )
 from repro.seqio.records import ReadBatch
+from tests.kmers import reference_engine
 
 
 def brute_force_kmers(seqs, k, read_ids=None):
@@ -162,3 +167,78 @@ class TestCountKmerPositions:
 
     def test_empty(self):
         assert count_kmer_positions(ReadBatch.empty(), 5) == 0
+
+
+#: a read: runs of bases and of N's, from empty to longer than 2k
+_read = st.lists(
+    st.one_of(st.text("ACGT", min_size=1, max_size=40), st.text("N", min_size=1, max_size=3)),
+    max_size=5,
+).map("".join)
+
+
+@st.composite
+def _bin_range(draw, m):
+    """An empty range, the whole range, a single bin, or any range."""
+    n_bins = 4**m
+    lo = draw(st.integers(0, n_bins))
+    return draw(
+        st.sampled_from([
+            (lo, lo),
+            (0, n_bins),
+            (min(lo, n_bins - 1), min(lo, n_bins - 1) + 1),
+            tuple(sorted((lo, draw(st.integers(0, n_bins))))),
+        ])
+    )
+
+
+class TestWindowKernelAgainstOracle:
+    """The prefix-first, doubling kernel emits exactly the tuples of the
+    k-step shift loop (``tests/kmers/reference_engine.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_read, max_size=6),
+        st.sampled_from([15, 27, 31, 32, 33, 63]),
+        st.sampled_from([1, 6, 10]),
+        st.data(),
+    )
+    def test_selection_matches_the_shift_loop(self, seqs, k, m, data):
+        batch = ReadBatch.from_sequences(seqs, read_ids=range(7, 7 + len(seqs)))
+        want = reference_engine.enumerate_canonical_kmers(batch, k)
+        assert_same_tuples(enumerate_canonical_kmers(batch, k), want)
+
+        bins = want.kmers.mmer_prefix(m).astype(np.int64)
+        lo, hi = data.draw(_bin_range(m))
+        kept, kept_bins, n_positions = select_canonical_kmers(batch, k, m, lo, hi)
+        in_range = (bins >= lo) & (bins < hi)
+        assert_same_tuples(kept, want.take(np.flatnonzero(in_range)))
+        assert np.array_equal(kept_bins, bins[in_range])
+        assert n_positions == len(want) == count_kmer_positions(batch, k)
+        assert np.array_equal(
+            histogram_batch(batch, k, m),
+            np.bincount(bins, minlength=4**m),
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 15, 27, 31, 32, 33, 63])
+    def test_one_read_and_empty_batches(self, rng, k):
+        from tests.conftest import random_reads
+
+        for batch in (
+            ReadBatch.from_sequences(random_reads(rng, 1, 2 * k + 5, n_prob=0.05)),
+            ReadBatch.from_sequences(["ACGT" * 20], read_ids=[2**32 - 1]),
+            ReadBatch.from_sequences([""]),
+            ReadBatch.empty(),
+        ):
+            want = reference_engine.enumerate_canonical_kmers(batch, k)
+            assert_same_tuples(enumerate_canonical_kmers(batch, k), want)
+            kept, _, n_positions = select_canonical_kmers(batch, k, 1, 0, 4)
+            assert_same_tuples(kept, want)
+            assert n_positions == len(want)
+
+
+def assert_same_tuples(got: KmerTuples, want: KmerTuples) -> None:
+    assert got.k == want.k
+    assert len(got.columns) == len(want.columns)
+    for a, b in zip(got.columns, want.columns):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
