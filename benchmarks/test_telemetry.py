@@ -1,8 +1,8 @@
 """Telemetry overhead benchmark: instrumented pipeline vs dark probes.
 
 The subsystem's overhead contract has two halves.  Enabled, collection
-must stay cheap enough to leave on for real runs (fixed-size binary
-appends, no locks).  Disabled — the default — every probe site reduces
+must stay cheap enough to leave on for real runs (in-memory tuple
+appends that ride home with each job's result, no locks, no files).  Disabled — the default — every probe site reduces
 to one ``enabled()`` predicate, and that residue must cost under 2% of
 pipeline wall-clock.
 
@@ -10,7 +10,7 @@ Both halves are measured on the real pipeline over the IS analogue
 (set ``METAPREP_BENCH_TELEMETRY_DATASET=HG`` for the CI smoke variant)
 and recorded to ``BENCH_telemetry.json`` at the repo root:
 
-- an A/B of full runs, telemetry off vs on (spool + merge + artifacts);
+- an A/B of full runs, telemetry off vs on (capture + fold + artifacts);
 - the dark-probe residue, priced directly: per-call cost of a disabled
   probe times the number of probe emissions an enabled run actually
   performs, as a fraction of the disabled run's wall-clock.
@@ -83,10 +83,10 @@ def test_telemetry_overhead(bench_root, benchmark, tmp_path):
     run = instrumented.telemetry
     assert run is not None and run.spans
 
-    # probe emissions as merged: spans are 1:1 with records, counters and
+    # probe emissions as merged: spans are 1:1 with events, counters and
     # gauges aggregate per (name, task).  Hot-loop emission sites are
     # per-chunk, so scale the aggregate count by the chunking factor to
-    # bound the raw record count from above.
+    # bound the raw event count from above.
     chunk_factor = max(1, instrumented.plan.n_passes * CFG["n_threads"])
     n_probes = len(run.spans) + chunk_factor * (sum(
         len(per_task) for per_task in run.counters.values()

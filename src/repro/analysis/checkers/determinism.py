@@ -59,7 +59,7 @@ RESULT_AFFECTING_SCOPES = (
 )
 
 #: monotonic measurement clocks MP201 deliberately allows — the clocks
-#: the telemetry spool timeline is defined over (CLOCK_MONOTONIC, shared
+#: the telemetry span timeline is defined over (CLOCK_MONOTONIC, shared
 #: across processes on one host).  Kept as an explicit allowlist so the
 #: trip/pass fixtures can pin the split; every entry here must stay
 #: absent from :data:`WALL_CLOCK`.

@@ -195,7 +195,7 @@ def prune_checkpoints(root: str | os.PathLike, keep_latest: int = 0) -> List[Pat
 
     ``root`` is a directory whose immediate children are per-run
     checkpoint directories (the layout the job service uses:
-    ``<spool>/checkpoints/<job_id>/metaprep_checkpoint.bin``).  A
+    ``<service dir>/checkpoints/<job_id>/metaprep_checkpoint.bin``).  A
     checkpoint file directly under ``root`` counts too.  Checkpoints are
     ranked by mtime; all but the ``keep_latest`` newest are removed, and
     a per-run directory emptied by the removal is deleted as well.

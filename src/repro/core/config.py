@@ -74,8 +74,8 @@ class PipelineConfig:
     #: Perfetto ``trace.json``, metrics snapshot, Prometheus textfile)
     #: under this directory.  Setting it implies ``telemetry``; with
     #: ``telemetry=True`` and no directory the merged record is returned
-    #: on the :class:`~repro.core.pipeline.PipelineResult` only and the
-    #: spool lives in a private temp directory.
+    #: on the :class:`~repro.core.pipeline.PipelineResult` only and
+    #: nothing is written.
     telemetry_dir: str | None = None
     #: which passes run on the disk block plane
     #: (:mod:`repro.runtime.spill`) instead of the engine's in-memory

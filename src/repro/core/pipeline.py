@@ -80,7 +80,6 @@ from repro.kmers.engine import select_canonical_kmers
 from repro.kmers.filter import FrequencyFilter
 from repro import telemetry
 from repro.telemetry.collect import TelemetryCollector, RunTelemetry
-from repro.telemetry.runtime import TelemetrySettings
 from repro.runtime.comm import AllToAllStats, block_exchange_stats
 from repro.runtime.transport import (
     BlockTransport,
@@ -163,18 +162,9 @@ class _WorkerContext:
     n_tasks: int
     n_threads: int
     kmer_filter: FrequencyFilter
-    #: spool settings when the run collects telemetry; workers activate
-    #: the thread-local emitter from this on first job
-    telemetry: TelemetrySettings | None = None
-
-
-def _job_context() -> _WorkerContext:
-    """The calling worker's run context, its telemetry emitter active
-    (a no-op when already active, or when the run collects none)."""
-    ctx: _WorkerContext = worker_shared()
-    if ctx.telemetry is not None:
-        telemetry.activate(ctx.telemetry)
-    return ctx
+    #: whether the run collects telemetry: a worker daemon then sends
+    #: each request's events home with its reply
+    telemetry: bool = False
 
 
 def _sample_peak_rss(task: int) -> None:
@@ -225,7 +215,7 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
     this chunk's precomputed offsets — the all-to-all "send" is the
     write itself; only the tiny count/stat result crosses back.
     """
-    ctx = _job_context()
+    ctx: _WorkerContext = worker_shared()
     times = TimeBreakdown()
     with telemetry.span(StepNames.KMERGEN_IO, task=job.task, aux=job.chunk, times=times):
         batch = load_chunk_reads(ctx.table, job.chunk)
@@ -313,7 +303,7 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
     the union sequence — and with it the resulting parent array — is
     identical on every engine.
     """
-    ctx = _job_context()
+    ctx: _WorkerContext = worker_shared()
     times = TimeBreakdown()
     forest = DisjointSetForest.wrap(job.parent)
 
@@ -360,7 +350,6 @@ class _RunState:
     forests: List[DisjointSetForest]
     work: RunWork
     executor: ExecutionBackend
-    collector: TelemetryCollector | None
     #: measured seconds per step, summed over the workers that ran it
     times: TimeBreakdown = field(default_factory=TimeBreakdown)
     sort_stats: RadixSortStats = field(default_factory=RadixSortStats)
@@ -466,8 +455,8 @@ class MetaPrep:
         cfg = self.config
         collector = None
         if cfg.telemetry_enabled:
-            collector = TelemetryCollector(cfg.telemetry_dir)
-            telemetry.activate(collector.settings)
+            collector = TelemetryCollector()
+            telemetry.activate(collector)
         try:
             return self._run(
                 units,
@@ -481,7 +470,6 @@ class MetaPrep:
         finally:
             if collector is not None:
                 telemetry.deactivate()
-                collector.close()
 
     def _run(
         self,
@@ -607,10 +595,10 @@ class MetaPrep:
                     n_tasks=p_tasks,
                     n_threads=t_threads,
                     kmer_filter=cfg.kmer_filter,
-                    telemetry=collector.settings if collector is not None else None,
+                    telemetry=collector is not None,
                 )
             )
-            run = _RunState(table, assignment, forests, work, executor, collector)
+            run = _RunState(table, assignment, forests, work, executor)
             for spec in plan.passes:
                 if spec.index < start_pass:
                     continue
@@ -769,8 +757,6 @@ class MetaPrep:
                     for c in range(table.n_chunks)
                 ],
             )
-            if run.collector is not None:
-                run.collector.merge()  # KmerGen barrier: chunk spools final
 
             actual_counts = np.zeros(
                 (p_tasks, t_threads, p_tasks), dtype=np.int64
@@ -857,8 +843,6 @@ class MetaPrep:
                     for d in range(p_tasks)
                 ],
             )
-            if run.collector is not None:
-                run.collector.merge()  # LocalSort+LocalCC barrier
             nominal_passes = radix_passes_for(cfg.k)
             for res in owner_results:
                 d = res.task

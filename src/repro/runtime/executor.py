@@ -28,6 +28,12 @@ every engine produces bit-identical partitions, work counters, and
 static-count checks.  ``tests/integration/test_executor_equivalence.py``
 enforces this.
 
+**Telemetry contract.**  Jobs' events ride home with their results.
+The serial engine runs jobs on the calling thread, so they emit
+straight into its sink; the pool engines return each job's captured
+events beside its result, and ``map`` folds them into the calling
+thread's sink after the last job is back, in submission order.
+
 **Failure contract.**  A job that raises propagates its exception to the
 caller.  A worker process that dies abruptly (segfault, ``os._exit``,
 OOM-kill) raises :class:`ExecutorError` — never a hang — courtesy of
@@ -45,8 +51,10 @@ import os
 import pickle
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro import telemetry
 from repro.util.logging import get_logger
 
 _LOG = get_logger("runtime.executor")
@@ -107,6 +115,16 @@ def worker_shared():
     runs).  Returns ``None`` when no run is active on this thread.
     """
     return getattr(_WORKER_SHARED, "value", None)
+
+
+def _pool_job(fn: Callable[[T], R], collect: bool, job: T) -> Tuple[R, list]:
+    """A process-pool job: ``fn(job)`` and the events it emitted, which
+    ride home with the result when the run collects."""
+    if not collect:
+        return fn(job), []
+    with telemetry.capture() as events:
+        result = fn(job)
+    return result, events
 
 
 class ExecutionBackend:
@@ -204,7 +222,13 @@ class ProcessExecutor(ExecutionBackend):
             # chunksize=1 keeps scheduling granular (jobs are coarse
             # units — whole FASTQ chunks or whole owner tasks); map
             # yields results in submission order by construction.
-            return list(pool.map(fn, jobs, chunksize=1))
+            returned = list(
+                pool.map(
+                    partial(_pool_job, fn, telemetry.enabled()),
+                    jobs,
+                    chunksize=1,
+                )
+            )
         except BrokenExecutor as exc:
             self.close()
             raise ExecutorError(
@@ -212,6 +236,11 @@ class ProcessExecutor(ExecutionBackend):
                 f"{getattr(fn, '__name__', fn)!r} (abrupt exit, signal, or "
                 "out-of-memory kill); partial results were discarded"
             ) from exc
+        results = []
+        for result, events in returned:
+            telemetry.fold(events)
+            results.append(result)
+        return results
 
     def close(self) -> None:
         if self._pool is not None:
@@ -230,8 +259,10 @@ class DistributedExecutor(ExecutionBackend):
     submission order overall, preserving the determinism contract.
 
     Shared state is broadcast eagerly by :meth:`set_shared` — workers
-    must hold the run context (and its telemetry settings) before any
+    must hold the run context (and its telemetry flag) before any
     block allocation or job executes, mirroring the pool initializer.
+    A job's events come back ahead of its result; ``map`` stamps their
+    spans with the worker's address.
 
     Failure contract: a job exception comes back pickled and is
     re-raised as itself; a dead or unreachable worker raises
@@ -280,14 +311,14 @@ class DistributedExecutor(ExecutionBackend):
         if sock is not None:
             sock.close()
 
-    def _roundtrip(self, address: str, kind: int, payload: bytes) -> bytes:
-        """One request/response on the worker's persistent channel."""
+    def _roundtrip(
+        self, address: str, kind: int, payload: bytes
+    ) -> Tuple[bytes, list]:
+        """One request/response on the worker's persistent channel:
+        the OK payload and the events the worker sent home with it."""
         sock = self._channel(address)
         self._tp.send_frame(sock, kind, payload)
-        rkind, rpayload = self._tp.recv_frame(sock)
-        if rkind == self._tp.FRAME_ERR:
-            raise pickle.loads(rpayload)
-        return rpayload
+        return self._tp.recv_reply(sock)
 
     # ------------------------------------------------------------------
     def set_shared(self, shared) -> None:
@@ -314,16 +345,24 @@ class DistributedExecutor(ExecutionBackend):
             queues[addresses[rank % len(addresses)]].append((i, job))
 
         results: List[Optional[R]] = [None] * len(jobs)
+        # drain threads have no sink of the caller's: each job's events
+        # wait in `job_events`, each channel's own JOB frames in `sent`,
+        # and both are folded on this thread after the join
+        job_events: List[Tuple[str, list]] = [("", [])] * len(jobs)
+        collect = telemetry.enabled()
+        sent: Dict[str, list] = {a: [] for a in addresses}
         job_errors: Dict[int, BaseException] = {}
         dead: Dict[str, OSError | RuntimeError] = {}
         abort = threading.Event()
 
         def drain(address: str) -> None:
+            if collect:
+                telemetry.activate(sent[address])
             for i, job in queues[address]:
                 if abort.is_set():
                     return
                 try:
-                    payload = self._roundtrip(
+                    payload, events = self._roundtrip(
                         address, self._tp.FRAME_JOB, pickle.dumps((fn, job))
                     )
                 except (self._tp.TransportError, OSError) as exc:
@@ -336,6 +375,7 @@ class DistributedExecutor(ExecutionBackend):
                     abort.set()
                     return
                 results[i] = pickle.loads(payload)
+                job_events[i] = (address, events)
 
         threads = [
             threading.Thread(target=drain, args=(a,))
@@ -358,6 +398,10 @@ class DistributedExecutor(ExecutionBackend):
                 "signal, or network failure); partial results were "
                 "discarded"
             ) from exc
+        for address in addresses:
+            telemetry.fold(sent[address])
+        for address, events in job_events:
+            telemetry.fold(events, host=address)
         return results  # type: ignore[return-value]
 
     def close(self) -> None:

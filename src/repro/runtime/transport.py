@@ -50,8 +50,15 @@ exactly the tuple-column payload bytes of those off-diagonal
 WRITE_REGION frames — framing and pickle overhead excluded — so their
 totals equal ``wire_bytes_total`` of
 :func:`repro.runtime.comm.block_exchange_stats`, byte for byte.
-``net.frames`` counts every frame sent and ``worker.connects`` every
-connection established.
+``net.frames`` counts the request frames the run's driver and jobs
+send — a worker's replies, EVENTS frames included, are sent after its
+capture closes and are not counted — and ``worker.connects`` every
+connection the driver and jobs establish.
+
+Telemetry rides the replies: a worker serving a request for a run that
+collects sends the events it captured as one EVENTS frame ahead of its
+OK frame, and :func:`recv_reply` — the one reader of OK/ERR/EVENTS —
+hands them back to the requester.
 
 Lifecycle
 ---------
@@ -129,6 +136,9 @@ FRAME_SHUTDOWN = 11
 # response frame kinds
 FRAME_OK = 64
 FRAME_ERR = 65
+#: the events a worker captured while serving the request, sent ahead
+#: of its OK frame when the run collects telemetry
+FRAME_EVENTS = 66
 
 #: default connect behavior (retries cover worker daemons still binding)
 CONNECT_TIMEOUT = 10.0
@@ -245,6 +255,25 @@ def connect_with_retry(
     ) from last
 
 
+def recv_reply(sock: socket.socket) -> Tuple[bytes, list]:
+    """Read a worker's reply: ``(OK payload, events)``.
+
+    ``events`` are the telemetry events the worker sent home in an
+    EVENTS frame ahead of its OK frame (empty when it sent none).  An
+    ERR reply re-raises the pickled exception the worker sent back.
+    """
+    events: list = []
+    rkind, rpayload = recv_frame(sock)
+    if rkind == FRAME_EVENTS:
+        events = pickle.loads(rpayload)
+        rkind, rpayload = recv_frame(sock)
+    if rkind == FRAME_ERR:
+        raise pickle.loads(rpayload)
+    if rkind != FRAME_OK:
+        raise TransportCorruption(f"unexpected response frame kind {rkind}")
+    return rpayload, events
+
+
 def request(
     address: str,
     kind: int,
@@ -254,16 +283,14 @@ def request(
 ) -> bytes:
     """One request/response round trip on a fresh connection.
 
-    Returns the OK payload; an ERR response re-raises the pickled
+    Returns the OK payload and folds the worker's events into the
+    calling thread's sink; an ERR response re-raises the pickled
     exception the worker sent back.
     """
     with connect_with_retry(address, timeout=timeout, retries=retries) as sock:
         send_frame(sock, kind, payload)
-        rkind, rpayload = recv_frame(sock)
-    if rkind == FRAME_ERR:
-        raise pickle.loads(rpayload)
-    if rkind != FRAME_OK:
-        raise TransportCorruption(f"unexpected response frame kind {rkind}")
+        rpayload, events = recv_reply(sock)
+    telemetry.fold(events)
     return rpayload
 
 

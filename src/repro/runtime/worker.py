@@ -23,21 +23,28 @@ into its store — the write targets are disjoint ``[offset, offset+n)``
 regions by construction of the offset tables, making concurrent writes
 safe without locks.
 
+Telemetry rides the replies.  SET_SHARED tells the daemon whether the
+run collects (``_WorkerContext.telemetry``); while it does, every
+request is served under :func:`repro.telemetry.capture` and whatever it
+emitted — a job's spans and counters, an ALLOC's ``buffers.*``, a
+peer's ``net.bytes_recv`` — goes back as one EVENTS frame ahead of the
+OK frame.  The daemon writes nothing outside its own process.
+
 Failure semantics: a killed worker takes its heap-backed block store
 with it — nothing to orphan (no ``/dev/shm`` names, no sockets beyond
 the kernel-reaped fds, no spill files of its own).  The driver surfaces
 the dead channel as :class:`~repro.runtime.executor.ExecutorError`, and
-the pipeline's ``finally`` sweeps driver-owned spill/telemetry state
-exactly as for a dead process-pool worker.
+the pipeline's ``finally`` sweeps driver-owned spill state exactly as
+for a dead process-pool worker.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import socketserver
 import threading
+from contextlib import nullcontext
 from typing import Optional
 
 import numpy as np
@@ -70,21 +77,24 @@ class _Handler(socketserver.BaseRequestHandler):
                     kind, payload = tp.recv_frame(self.request)
                 except tp.TransportClosed:
                     return
+                scope = (
+                    telemetry.capture() if daemon.collecting else nullcontext([])
+                )
                 try:
-                    reply = daemon.dispatch(kind, payload)
+                    with scope as events:
+                        reply = daemon.dispatch(kind, payload)
                 except Exception as exc:  # noqa: BLE001 - shipped to driver
                     tp.send_frame(
                         self.request, tp.FRAME_ERR, pickle.dumps(exc)
                     )
-                else:
-                    tp.send_frame(self.request, tp.FRAME_OK, reply)
+                    continue
+                if events:
+                    tp.send_frame(
+                        self.request, tp.FRAME_EVENTS, pickle.dumps(events)
+                    )
+                tp.send_frame(self.request, tp.FRAME_OK, reply)
         except (tp.TransportError, OSError) as exc:
             _LOG.debug("connection dropped: %s", exc)
-        finally:
-            # this handler thread may have opened a telemetry spool
-            # writer (job execution / store accounting); close it so the
-            # collector never reads a dangling fd's file mid-write
-            telemetry.deactivate()
 
 
 class WorkerDaemon:
@@ -99,12 +109,13 @@ class WorkerDaemon:
     ) -> None:
         self._server = _WorkerServer((host, port), _Handler, self)
         bound_port = self._server.server_address[1]
-        #: the address peers reach this worker at — also the host id
-        #: stamped onto telemetry spools and span attribution
+        #: the address peers reach this worker at — also the host the
+        #: driver stamps on the spans of the jobs this worker ran
         self.address = advertise or f"{host}:{bound_port}"
         self.store = tp.BlockStore()
         self.shared = None
-        self.telemetry_settings: Optional[telemetry.TelemetrySettings] = None
+        #: whether the current run collects telemetry (set by SET_SHARED)
+        self.collecting = False
         self._jobs_done = 0
         self._jobs_lock = threading.Lock()
         #: crash injection for the differential harness: hard-exit the
@@ -135,10 +146,6 @@ class WorkerDaemon:
         self.store.sweep()
 
     # ------------------------------------------------------------------
-    def _activate_telemetry(self) -> None:
-        if self.telemetry_settings is not None:
-            telemetry.activate(self.telemetry_settings)
-
     def dispatch(self, kind: int, payload: bytes) -> bytes:
         if kind == tp.FRAME_HELLO:
             return pickle.dumps(self.address)
@@ -171,18 +178,8 @@ class WorkerDaemon:
 
     # ------------------------------------------------------------------
     def _on_set_shared(self, payload: bytes) -> bytes:
-        shared = pickle.loads(payload)
-        settings = getattr(shared, "telemetry", None)
-        if settings is not None:
-            # stamp this worker's identity onto the spool settings so
-            # merged spools from many hosts cannot collide on (pid, tid)
-            settings = dataclasses.replace(settings, host_id=self.address)
-            try:
-                shared = dataclasses.replace(shared, telemetry=settings)
-            except TypeError:
-                shared.telemetry = settings
-        self.shared = shared
-        self.telemetry_settings = settings
+        self.shared = pickle.loads(payload)
+        self.collecting = bool(getattr(self.shared, "telemetry", False))
         return b""
 
     def _on_job(self, payload: bytes) -> bytes:
@@ -195,14 +192,12 @@ class WorkerDaemon:
                     os._exit(1)
         fn, job = pickle.loads(payload)
         _install_shared(self.shared)
-        self._activate_telemetry()
         return pickle.dumps(fn(job))
 
     def _on_alloc(self, payload: bytes) -> bytes:
         k, capacity, owner = pickle.loads(payload)
-        # activate first: the store's pool emits buffers.* occupancy
-        # telemetry, same names and totals as the in-host planes
-        self._activate_telemetry()
+        # the store's pool emits buffers.* occupancy telemetry, same
+        # names and totals as the in-host planes
         block_id = self.store.allocate(k, capacity)
         ref = tp.SocketBlockRef(
             address=self.address,
@@ -215,8 +210,7 @@ class WorkerDaemon:
 
     def _on_write_region(self, payload: bytes) -> bytes:
         block_id, at, sender, owner, n, columns = pickle.loads(payload)
-        if sender != owner and self.telemetry_settings is not None:
-            self._activate_telemetry()
+        if sender != owner and telemetry.enabled():
             telemetry.add_counter(
                 "net.bytes_recv",
                 sum(map(len, columns)),

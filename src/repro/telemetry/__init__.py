@@ -7,11 +7,11 @@ every run, with near-zero overhead when disabled:
 * :mod:`~repro.telemetry.runtime` — the span/counter API stage code
   calls (thread-local, no-op unless activated); ``span(..., times=)``
   is the one place a pipeline step is timed, telemetry on or off;
-* :mod:`~repro.telemetry.events` — the fixed-size binary record format
-  workers append to per-(process, thread) spool files, lock-free and
-  crash-safe;
-* :mod:`~repro.telemetry.collect` — the driver-side collector merging
-  spools at stage barriers into a :class:`RunTelemetry`;
+  ``capture()`` buffers one job's events so they ride home with its
+  result, and ``fold()`` hands them to the caller's sink; the event
+  kinds and the static name registry live here too;
+* :mod:`~repro.telemetry.collect` — the driver-side collector (the
+  run's sink) and the merged :class:`RunTelemetry` it finalizes into;
 * :mod:`~repro.telemetry.exporters` — Perfetto trace, Prometheus
   textfile, JSON metrics snapshot;
 * :mod:`~repro.telemetry.compare` — the measured-vs-projected gap
@@ -22,24 +22,24 @@ The emission API is re-exported here so instrumentation sites read
 """
 
 from repro.telemetry.runtime import (
-    TelemetrySettings,
     activate,
-    active_settings,
     add_counter,
+    capture,
     deactivate,
     enabled,
+    fold,
     record_span,
     set_gauge,
     span,
 )
 
 __all__ = [
-    "TelemetrySettings",
     "activate",
-    "active_settings",
     "add_counter",
+    "capture",
     "deactivate",
     "enabled",
+    "fold",
     "record_span",
     "set_gauge",
     "span",

@@ -1,18 +1,13 @@
-"""Driver-side spool collection and the merged run record.
+"""The driver's event sink and the merged run record.
 
-The driver owns one :class:`TelemetryCollector` per run.  Workers append
-records to per-(process, thread) spool files under the collector's
-spool directory; the driver calls :meth:`TelemetryCollector.merge` at
-stage barriers (after each ``executor.map`` returns, i.e. when every
-writer of the stage has finished its records), which folds complete
-records into the in-memory accumulators and remembers per-file offsets
-so each merge reads only the new tail.
-
-Crash safety mirrors :class:`~repro.runtime.buffers.SharedMemoryBufferPool`:
-:meth:`close` sweeps the spool directory and is called from the
-pipeline's ``finally``; an abandoned collector is swept by a
-``weakref.finalize`` at GC/interpreter exit.  Either way a run — clean
-or crashed — leaves no orphaned spool files behind.
+The driver owns one :class:`TelemetryCollector` per run and installs it
+as its thread's sink (:func:`repro.telemetry.activate`).  Driver-side
+events land in it directly; events a pool job or a worker daemon
+captured come home with the job's result or the daemon's reply and are
+folded in by the thread that called ``map`` — so by the time a stage's
+``map`` returns, its events are already in the collector, and
+:meth:`TelemetryCollector.finalize` only has to sort and sum.  Nothing
+touches the filesystem until the exporters write a finished record.
 
 :class:`RunTelemetry` is the merged, JSON-serializable product: spans,
 counter totals and gauge high-water marks keyed by (name, task), the
@@ -26,10 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 import time
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -38,19 +30,12 @@ import numpy as np
 
 from repro.runtime.timing import ProjectedTimes
 from repro.runtime.work import StepNames
-from repro.telemetry.events import (
-    KIND_COUNTER,
-    KIND_GAUGE,
-    KIND_SPAN,
-    read_spool,
-)
-from repro.telemetry.runtime import TelemetrySettings
+from repro.telemetry.runtime import KIND_COUNTER, KIND_SPAN
 from repro.util.timers import TimeBreakdown
 
 #: task id used for driver-side events
 DRIVER_TASK = -1
 
-SPOOL_SUBDIR = "spool"
 RUN_FILENAME = "telemetry.json"
 
 
@@ -63,8 +48,8 @@ class SpanEvent:
     aux: int
     t0_ns: int
     t1_ns: int
-    #: spool host identity (the emitting worker daemon's address);
-    #: "" for in-host spools — see ``TelemetrySettings.host_id``
+    #: address of the worker daemon that ran the span's job; "" for
+    #: spans emitted in the driver's host (serial and process engines)
     host: str = ""
 
     @property
@@ -72,20 +57,9 @@ class SpanEvent:
         return (self.t1_ns - self.t0_ns) / 1e9
 
 
-def spool_host(filename: str) -> str:
-    """Host identity encoded in a spool filename.
-
-    ``w<pid>-<tid>.evt`` -> ``""`` (in-host spool);
-    ``w<pid>-<tid>@<host>.evt`` -> ``"<host>"``.
-    """
-    stem = filename[: -len(".evt")] if filename.endswith(".evt") else filename
-    _, sep, host = stem.partition("@")
-    return host if sep else ""
-
-
 @dataclass
 class RunTelemetry:
-    """Everything the spools said about one run, merged."""
+    """Everything one run's events said, merged."""
 
     t0_ns: int
     n_tasks: int
@@ -158,8 +132,8 @@ class RunTelemetry:
             "t0_ns": self.t0_ns,
             "n_tasks": self.n_tasks,
             "spans": [
-                # the 6th (host) element appears only on spans merged
-                # from host-stamped spools, keeping in-host documents
+                # the 6th (host) element appears only on spans a worker
+                # daemon sent home, keeping in-host documents
                 # byte-compatible with the pre-distributed format
                 (
                     [s.name, s.task, s.aux, s.t0_ns, s.t1_ns, s.host]
@@ -239,103 +213,43 @@ class RunTelemetry:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _sweep_spool(spool_dir: str, owned_root: Optional[str]) -> None:
-    """Remove the spool directory (and a collector-owned temp root)."""
-    shutil.rmtree(spool_dir, ignore_errors=True)
-    if owned_root is not None:
-        shutil.rmtree(owned_root, ignore_errors=True)
-
-
 class TelemetryCollector:
-    """Owns one run's spool directory and merges its records.
+    """One run's event sink: an append-only list of event tuples.
 
-    ``directory=None`` spools under a private temp directory that is
-    removed entirely on :meth:`close` (telemetry consumed in memory);
-    otherwise ``directory`` is created if needed, the spool lives in a
-    ``spool/`` subdirectory, and only the spool is swept — exported
-    artifacts written next to it persist.
+    Install it with :func:`repro.telemetry.activate`; the run's
+    emissions and every folded job's events are appended here, and
+    :meth:`finalize` turns them into the :class:`RunTelemetry`.
     """
 
-    def __init__(self, directory: str | os.PathLike | None = None) -> None:
-        if directory is None:
-            self.root = Path(tempfile.mkdtemp(prefix="metaprep-telemetry-"))
-            owned_root = str(self.root)
-        else:
-            self.root = Path(directory)
-            self.root.mkdir(parents=True, exist_ok=True)
-            owned_root = None
-        self.spool_dir = self.root / SPOOL_SUBDIR
-        self.spool_dir.mkdir(exist_ok=True)
+    def __init__(self) -> None:
         self.t0_ns = time.perf_counter_ns()
-        self._offsets: Dict[str, int] = {}
-        self._spans: List[SpanEvent] = []
-        self._counters: Dict[str, Dict[int, int]] = {}
-        self._gauges: Dict[str, Dict[int, int]] = {}
-        self._finalizer = weakref.finalize(
-            self, _sweep_spool, str(self.spool_dir), owned_root
-        )
-
-    @property
-    def settings(self) -> TelemetrySettings:
-        return TelemetrySettings(spool_dir=str(self.spool_dir))
-
-    @property
-    def closed(self) -> bool:
-        return not self._finalizer.alive
-
-    # ------------------------------------------------------------------
-    def merge(self) -> int:
-        """Fold new complete spool records into the accumulators.
-
-        Called at stage barriers (every writer of the preceding stage
-        has returned, so its records are fully on disk).  Incremental:
-        per-file offsets make each call read only bytes appended since
-        the previous one.  Returns the number of records merged.
-        """
-        if not self.spool_dir.is_dir():
-            return 0
-        n = 0
-        for path in sorted(self.spool_dir.glob("*.evt")):
-            key = path.name
-            host = spool_host(key)
-            records, offset = read_spool(path, self._offsets.get(key, 0))
-            self._offsets[key] = offset
-            for rec in records:
-                if rec.kind == KIND_SPAN:
-                    self._spans.append(
-                        SpanEvent(
-                            name=rec.name,
-                            task=rec.task,
-                            aux=rec.aux,
-                            t0_ns=rec.value_a,
-                            t1_ns=rec.value_b,
-                            host=host,
-                        )
-                    )
-                elif rec.kind == KIND_COUNTER:
-                    per = self._counters.setdefault(rec.name, {})
-                    per[rec.task] = per.get(rec.task, 0) + rec.value_a
-                elif rec.kind == KIND_GAUGE:
-                    per = self._gauges.setdefault(rec.name, {})
-                    per[rec.task] = max(per.get(rec.task, 0), rec.value_a)
-                # unknown kinds: forward-compatibly ignored
-            n += len(records)
-        return n
+        self.events: List[tuple] = []
+        self.append = self.events.append
+        self.extend = self.events.extend
 
     def finalize(
         self, n_tasks: int, projected: ProjectedTimes | None = None
     ) -> RunTelemetry:
-        """One last merge, then the immutable run record."""
-        self.merge()
+        """The immutable run record: spans sorted by start, counters
+        summed and gauges maxed per (name, task)."""
+        spans: List[SpanEvent] = []
+        counters: Dict[str, Dict[int, int]] = {}
+        gauges: Dict[str, Dict[int, int]] = {}
+        for kind, name, task, aux, a, b, *host in self.events:
+            task = int(task)
+            if kind == KIND_SPAN:
+                spans.append(SpanEvent(name, task, int(aux), a, b, *host))
+            elif kind == KIND_COUNTER:
+                per = counters.setdefault(name, {})
+                per[task] = per.get(task, 0) + a
+            else:
+                per = gauges.setdefault(name, {})
+                per[task] = max(per.get(task, 0), a)
         return RunTelemetry(
             t0_ns=self.t0_ns,
             n_tasks=n_tasks,
-            spans=sorted(self._spans, key=lambda s: (s.t0_ns, s.task, s.name)),
-            counters={k: dict(v) for k, v in self._counters.items()},
-            gauges={k: dict(v) for k, v in self._gauges.items()},
+            spans=sorted(spans, key=lambda s: (s.t0_ns, s.task, s.name)),
+            counters=counters,
+            gauges=gauges,
             projected=projected,
         )
-
-    def close(self) -> None:
-        """Sweep the spool (idempotent; the pipeline's ``finally``)."""
-        self._finalizer()

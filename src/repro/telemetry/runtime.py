@@ -1,20 +1,33 @@
 """The span/counter API stage code calls on the hot path.
 
 Mirrors the worker-shared-context pattern of
-:mod:`repro.runtime.executor`: state is thread-local, installed by
-:func:`activate` (the driver activates its collector's settings; worker
-job functions re-activate the settings shipped in the worker context,
-which is a no-op when already active), and every emission function is a
-no-op when nothing is active — a disabled run pays one thread-local
-``getattr`` per call site.
+:mod:`repro.runtime.executor`: state is thread-local.  :func:`activate`
+installs the driver's sink (the run's
+:class:`~repro.telemetry.collect.TelemetryCollector`), :func:`capture`
+installs a fresh buffer around one unit of work and hands back what was
+emitted inside it, and every emission function is a no-op when the
+thread has no sink — a disabled run pays one thread-local ``getattr``
+per call site.
 
-Each (process, thread) writes its own spool file, named
-``w<pid>-<tid>.evt`` inside the collector's spool directory, so no two
-writers ever share a file and the hot path takes no locks.  A fork
-guard re-opens the writer under the child's pid: under the process
-engine's ``fork`` start method a worker inherits the driver's
-thread-local state, and appending to the parent's file through the
-inherited fd would interleave two processes' streams.
+Events ride home with the work.  A process-pool job runs under
+:func:`capture` and returns its events beside its result; a worker
+daemon serves each request under :func:`capture` and sends the events
+ahead of its reply.  The thread that called ``map`` or sent the request
+hands them to :func:`fold`, which appends them to its own sink.  Only a
+capture buffer ever leaves a process, so a forked pool worker never
+re-reports the driver state it inherited.
+
+An event is the plain tuple ``(kind, name, task, aux, a, b)``.
+``kind`` selects the payload interpretation: a :data:`KIND_SPAN`
+carries monotonic nanosecond timestamps ``(t0_ns, t1_ns)`` in
+``(a, b)``; a :data:`KIND_COUNTER` carries a delta in ``a``; a
+:data:`KIND_GAUGE` carries a sampled value in ``a`` (kept by max — the
+high-water interpretation).  ``task`` is the owning MPI-rank analogue
+(``-1`` for driver-side events) and ``aux`` is a per-name discriminator
+(chunk id, pass index, destination task...).  A span the driver
+received from a worker daemon carries that daemon's address as a
+seventh element.  Names come from the static :data:`WELL_KNOWN_NAMES`
+registry; an unregistered name raises at emission.
 
 All timestamps are ``time.perf_counter_ns()`` — CLOCK_MONOTONIC on
 Linux, which is comparable across processes on the same host (the
@@ -25,97 +38,129 @@ that, see :mod:`repro.analysis.checkers.determinism`.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from dataclasses import dataclass
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.telemetry.events import (
-    KIND_COUNTER,
-    KIND_GAUGE,
-    KIND_SPAN,
-    SpoolWriter,
-)
+from repro.runtime.work import StepNames
 from repro.util.timers import TimeBreakdown
 
+# ----------------------------------------------------------------------
+# events and the name registry
+# ----------------------------------------------------------------------
+KIND_SPAN = 1
+KIND_COUNTER = 2
+KIND_GAUGE = 3
 
-@dataclass(frozen=True)
-class TelemetrySettings:
-    """What a worker needs to emit events: the spool directory.
+#: span names: the paper's steps, the two IndexCreate sub-steps of
+#: Table 5 (:mod:`repro.index.fastqpart`, on the driver row of a run that
+#: builds its own index) and the gateway's per-request span
+SPAN_NAMES = tuple(StepNames.ORDER) + (
+    "IndexCreate-FASTQPart",
+    "IndexCreate-merHist",
+    "gateway.request",
+)
 
-    Picklable by design — it rides inside the executor's shared worker
-    context across the process-pool boundary.
+#: counter names wired through the hot paths (driver, jobs, workers,
+#: the distributed block plane and the HTTP gateway)
+COUNTER_NAMES = (
+    "kmergen.tuples_routed",
+    "comm.bytes_moved",
+    "comm.wire_bytes",
+    "buffers.bytes_allocated",
+    "sort.radix_passes",
+    "sort.histogram_fills",
+    "cc.unions",
+    "cc.find_steps",
+    "cc.retries",
+    "store.hits",
+    "store.misses",
+    "spill.bytes_written",
+    "spill.bytes_read",
+    "net.bytes_sent",
+    "net.bytes_recv",
+    "net.frames",
+    "worker.connects",
+    "gateway.requests",
+    "gateway.bytes_streamed",
+    "gateway.coalesced",
+    "gateway.rejected",
+)
 
-    ``host_id`` disambiguates spools merged from multiple hosts: the
-    (pid, tid) identity in the spool filename can collide across hosts,
-    so a distributed-engine worker daemon stamps its advertised address
-    here before any of its threads open a writer.  Empty for in-host
-    engines (the historical filenames are unchanged).
-    """
+#: gauge names (kept by max: high-water marks)
+GAUGE_NAMES = (
+    "buffers.pool_in_use_blocks",
+    "buffers.pool_in_use_bytes",
+    "buffers.pool_hwm_bytes",
+    "service.queue_depth",
+    "spill.blocks_resident",
+    "spill.tuple_bytes_resident",
+    "proc.peak_rss_kb",
+)
 
-    spool_dir: str
-    host_id: str = ""
+#: the static name registry
+WELL_KNOWN_NAMES: Tuple[str, ...] = SPAN_NAMES + COUNTER_NAMES + GAUGE_NAMES
+
+_REGISTERED = frozenset(WELL_KNOWN_NAMES)
+
+
+def registered(name: str) -> str:
+    """``name`` itself; unknown names are a programming error (register
+    them in :data:`WELL_KNOWN_NAMES`), not a runtime fallback."""
+    if name not in _REGISTERED:
+        raise ValueError(
+            f"unregistered telemetry name {name!r}; add it to "
+            "repro.telemetry.runtime.WELL_KNOWN_NAMES"
+        )
+    return name
 
 
 _STATE = threading.local()
 
 
-def activate(settings: TelemetrySettings) -> None:
-    """Install ``settings`` for this thread.  Idempotent for the same
-    spool directory (the serial engine re-activates the driver's own
-    settings on every job); switching directories closes the old writer.
-    """
-    current = getattr(_STATE, "settings", None)
-    if current is not None and current.spool_dir == settings.spool_dir:
-        return
-    deactivate()
-    _STATE.settings = settings
+def activate(sink) -> None:
+    """Install ``sink`` as this thread's event sink: anything with
+    ``append`` and ``extend`` (the run's collector, or a plain list)."""
+    _STATE.sink = sink
 
 
 def deactivate() -> None:
-    """Drop this thread's telemetry state and close its writer."""
-    writer = getattr(_STATE, "writer", None)
-    if writer is not None:
-        writer.close()
-    _STATE.settings = None
-    _STATE.writer = None
-    _STATE.writer_pid = -1
-
-
-def active_settings() -> Optional[TelemetrySettings]:
-    return getattr(_STATE, "settings", None)
+    """Drop this thread's sink; emissions become no-ops again."""
+    _STATE.sink = None
 
 
 def enabled() -> bool:
     """True when this thread will emit events.  Call sites computing a
     non-trivial value for a counter should gate on this."""
-    return getattr(_STATE, "settings", None) is not None
+    return getattr(_STATE, "sink", None) is not None
 
 
-def _writer() -> Optional[SpoolWriter]:
-    settings = getattr(_STATE, "settings", None)
-    if settings is None:
-        return None
-    writer = getattr(_STATE, "writer", None)
-    pid = os.getpid()
-    if writer is None or getattr(_STATE, "writer_pid", -1) != pid:
-        # first event on this thread, or a fork-inherited writer whose
-        # fd belongs to the parent's stream: open this process's own file
-        suffix = f"@{settings.host_id}" if settings.host_id else ""
-        path = os.path.join(
-            settings.spool_dir,
-            f"w{pid}-{threading.get_native_id()}{suffix}.evt",
-        )
-        try:
-            writer = SpoolWriter(path)
-        except OSError:
-            # spool already swept (the run is over); disable quietly
-            deactivate()
-            return None
-        _STATE.writer = writer
-        _STATE.writer_pid = pid
-    return writer
+@contextmanager
+def capture() -> Iterator[List[tuple]]:
+    """Collect this thread's events of the ``with`` body in a fresh
+    list (yielded), then restore the sink that was active before."""
+    outer = getattr(_STATE, "sink", None)
+    events: List[tuple] = []
+    _STATE.sink = events
+    try:
+        yield events
+    finally:
+        _STATE.sink = outer
+
+
+def fold(events: Sequence[tuple], host: str = "") -> None:
+    """Append events another process captured to this thread's sink.
+
+    ``host`` — the worker daemon's address — is stamped on the spans,
+    which is what :meth:`RunTelemetry.hosts_seen` reports.
+    """
+    sink = getattr(_STATE, "sink", None)
+    if sink is None or not events:
+        return
+    if host:
+        events = [ev + (host,) if ev[0] == KIND_SPAN else ev for ev in events]
+    sink.extend(events)
 
 
 # ----------------------------------------------------------------------
@@ -126,9 +171,9 @@ def record_span(
 ) -> None:
     """Emit a completed span from timestamps already taken (by
     :class:`span`); a no-op when telemetry is not active."""
-    writer = _writer()
-    if writer is not None:
-        writer.write(KIND_SPAN, name, task, aux, t0_ns, t1_ns)
+    sink = getattr(_STATE, "sink", None)
+    if sink is not None:
+        sink.append((KIND_SPAN, registered(name), task, aux, t0_ns, t1_ns))
 
 
 class span:
@@ -136,7 +181,7 @@ class span:
 
     With ``times`` (a :class:`~repro.util.timers.TimeBreakdown`) the
     clock is always read and the seconds are added under ``name``; the
-    spool span is emitted from the same two timestamps, and only when
+    span event is emitted from the same two timestamps, and only when
     telemetry is active.  Without ``times`` a disabled run reads no
     clock at all.  The interval is recorded even when the body raises.
 
@@ -178,14 +223,14 @@ class span:
 def add_counter(
     name: str, value: int = 1, task: int = -1, aux: int = -1
 ) -> None:
-    """Add ``value`` to a counter; totals are summed at merge time."""
-    writer = _writer()
-    if writer is not None:
-        writer.write(KIND_COUNTER, name, task, aux, int(value), 0)
+    """Add ``value`` to a counter; totals are summed when the run folds."""
+    sink = getattr(_STATE, "sink", None)
+    if sink is not None:
+        sink.append((KIND_COUNTER, registered(name), task, aux, int(value), 0))
 
 
 def set_gauge(name: str, value: int, task: int = -1, aux: int = -1) -> None:
-    """Sample a gauge; merge keeps the maximum (high-water mark)."""
-    writer = _writer()
-    if writer is not None:
-        writer.write(KIND_GAUGE, name, task, aux, int(value), 0)
+    """Sample a gauge; the run keeps the maximum (high-water mark)."""
+    sink = getattr(_STATE, "sink", None)
+    if sink is not None:
+        sink.append((KIND_GAUGE, registered(name), task, aux, int(value), 0))

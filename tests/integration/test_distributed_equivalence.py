@@ -18,6 +18,7 @@ instances over loopback (real frames, fast setup); the crash leg forks
 a real subprocess so ``os._exit`` kills a worker and not the test.
 """
 
+import collections
 import dataclasses
 import gc
 import glob
@@ -193,6 +194,57 @@ class TestWireAccounting:
         assert serial.telemetry.hosts_seen() == []
         hosts = dist.telemetry.hosts_seen()
         assert set(hosts) == {d.address for d in daemons}
+
+
+class TestEventsRideHome:
+    """Every engine sends the same events home.  Serial jobs emit into
+    the driver's sink, pool jobs return theirs with the result, daemon
+    jobs send theirs ahead of the reply; all three fold to the same
+    span multiset and counter totals — a wrapper or handler that folded
+    a job's events twice would double both."""
+
+    GRID_POINT = dict(
+        k=21, n_tasks=3, n_threads=2, n_passes=2, localcc_opt=True
+    )
+
+    @pytest.fixture(scope="class")
+    def records(self, tiny_hg, indexes, daemons):
+        addresses = tuple(d.address for d in daemons)
+        return {
+            engine: _run(
+                tiny_hg, indexes, self.GRID_POINT, engine, workers,
+                telemetry=True,
+            ).telemetry
+            for engine, workers in (
+                ("serial", ()),
+                ("process", ()),
+                ("distributed", addresses),
+            )
+        }
+
+    def test_same_span_multiset(self, records):
+        def multiset(run):
+            return collections.Counter(
+                (s.name, s.task, s.aux) for s in run.spans
+            )
+
+        serial = multiset(records["serial"])
+        assert serial
+        assert multiset(records["process"]) == serial
+        assert multiset(records["distributed"]) == serial
+
+    def test_same_counter_totals_off_the_network(self, records):
+        def totals(run):
+            return {
+                name: total
+                for name, total in run.counter_totals().items()
+                if not name.startswith("net.") and name != "worker.connects"
+            }
+
+        serial = totals(records["serial"])
+        assert serial
+        assert totals(records["process"]) == serial
+        assert totals(records["distributed"]) == serial
 
 
 def _doomed_worker_main(q, exit_after):

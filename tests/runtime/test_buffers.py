@@ -328,19 +328,18 @@ class TestPoolStats:
         s = fresh_pool.stats()
         assert (s.in_use_blocks, s.in_use_bytes) == (0, 0)
 
-    def test_allocate_emits_telemetry_gauges(self, fresh_pool, tmp_path):
+    def test_allocate_emits_telemetry_gauges(self, fresh_pool):
         from repro import telemetry
         from repro.telemetry.collect import TelemetryCollector
 
-        collector = TelemetryCollector(tmp_path)
-        telemetry.activate(collector.settings)
+        collector = TelemetryCollector()
+        telemetry.activate(collector)
         try:
             block = fresh_pool.allocate(27, 10)
             fresh_pool.release(block)
         finally:
             telemetry.deactivate()
         run = collector.finalize(n_tasks=1)
-        collector.close()
         nbytes = block_nbytes(27, 10)
         assert run.counter_total("buffers.bytes_allocated") == nbytes
         assert run.gauge_max("buffers.pool_hwm_bytes") == nbytes

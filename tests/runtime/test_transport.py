@@ -11,15 +11,20 @@ one lifecycle contract all four planes satisfy.
 import pickle
 import socket
 import struct
+import types
 
 import numpy as np
 import pytest
 
 from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples
+from repro import telemetry
 from repro.runtime.transport import (
+    FRAME_ERR,
+    FRAME_EVENTS,
     FRAME_HEADER,
     FRAME_OK,
+    FRAME_SET_SHARED,
     TRANSPORT_NAMES,
     BlockStore,
     DiskBlockTransport,
@@ -34,6 +39,8 @@ from repro.runtime.transport import (
     create_block_transport,
     parse_address,
     recv_frame,
+    recv_reply,
+    request,
     resolve_block,
     send_frame,
     tuples_from_columns,
@@ -150,6 +157,37 @@ class TestFrameProtocol:
             b.close()
 
 
+class TestReplyReader:
+    """``recv_reply`` is the one reader of a worker's OK/ERR/EVENTS."""
+
+    def reply(self, *frames):
+        a, b = socket.socketpair()
+        try:
+            for kind, payload in frames:
+                send_frame(a, kind, payload)
+            return recv_reply(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_ok_without_events(self):
+        assert self.reply((FRAME_OK, b"done")) == (b"done", [])
+
+    def test_events_ride_ahead_of_ok(self):
+        events = [(2, "cc.unions", 0, -1, 5, 0)]
+        assert self.reply(
+            (FRAME_EVENTS, pickle.dumps(events)), (FRAME_OK, b"done")
+        ) == (b"done", events)
+
+    def test_err_reraises_the_workers_exception(self):
+        with pytest.raises(KeyError, match="gone"):
+            self.reply((FRAME_ERR, pickle.dumps(KeyError("gone"))))
+
+    def test_unexpected_kind_is_corruption(self):
+        with pytest.raises(TransportCorruption, match="unexpected"):
+            self.reply((FRAME_SET_SHARED, b""))
+
+
 class TestConnectWithRetry:
     def test_unreachable_raises_transport_error(self):
         with pytest.raises(TransportError, match="could not connect"):
@@ -243,6 +281,31 @@ class TestSocketBlockTransport:
             plane.release(handle)
             with pytest.raises(TransportError, match="unknown block id"):
                 plane.map_ids(handle, 0, 3, lambda ids: ids)
+
+    def test_worker_events_fold_into_the_callers_buffer(self, daemon):
+        """A collecting daemon sends each request's events home: the
+        ALLOC's ``buffers.*`` and the receiver's ``net.bytes_recv`` land
+        in the requester's buffer; its replies are not counted frames."""
+        request(
+            daemon.address,
+            FRAME_SET_SHARED,
+            pickle.dumps(types.SimpleNamespace(telemetry=True)),
+        )
+        with SocketBlockTransport((daemon.address,)) as plane:
+            with telemetry.capture() as events:
+                handle = plane.publish(21, 6, owner=0)
+                write_block_region(
+                    handle, 0, make_tuples(21, [5, 3, 9], [1, 2, 3]), sender=1
+                )
+            plane.release(handle)
+        totals = {}
+        for kind, name, task, aux, a, b in events:
+            if name.startswith(("net.", "buffers.bytes")):
+                totals[name] = totals.get(name, 0) + a
+        nbytes = sum(map(len, column_bytes(make_tuples(21, [5, 3, 9], [1, 2, 3]))))
+        assert totals["net.bytes_sent"] == totals["net.bytes_recv"] == nbytes
+        assert totals["net.frames"] == 2  # ALLOC + WRITE_REGION requests
+        assert totals["buffers.bytes_allocated"] > 0
 
     def test_local_store_resolves_zero_copy(self, daemon):
         with SocketBlockTransport((daemon.address,)) as plane:

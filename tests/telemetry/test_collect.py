@@ -1,6 +1,4 @@
-"""Collector merging, barrier aggregation semantics, and spool sweeping."""
-
-import gc
+"""Collector folding and barrier aggregation semantics."""
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from repro.telemetry.collect import (
     SpanEvent,
     TelemetryCollector,
 )
-from repro.telemetry.runtime import TelemetrySettings
 
 
 @pytest.fixture(autouse=True)
@@ -25,16 +22,23 @@ def clean_state():
 
 
 def emit_into(collector, fn):
-    telemetry.activate(collector.settings)
+    telemetry.activate(collector)
     try:
         fn()
     finally:
         telemetry.deactivate()
 
 
+def job_events(fn):
+    """What a pool job or worker reply carries home: ``fn``'s events."""
+    with telemetry.capture() as events:
+        fn()
+    return events
+
+
 class TestMerge:
-    def test_counters_sum_gauges_max(self, tmp_path):
-        collector = TelemetryCollector(tmp_path)
+    def test_counters_sum_gauges_max(self):
+        collector = TelemetryCollector()
 
         def emit():
             telemetry.add_counter("cc.unions", 5, task=0)
@@ -48,23 +52,22 @@ class TestMerge:
         assert run.counters["cc.unions"] == {0: 12, 1: 1}
         assert run.counter_total("cc.unions") == 13
         assert run.gauge_max("buffers.pool_hwm_bytes") == 100
-        collector.close()
 
-    def test_incremental_merge_reads_only_new_tail(self, tmp_path):
-        collector = TelemetryCollector(tmp_path)
-        telemetry.activate(collector.settings)
-        telemetry.add_counter("cc.unions", 1)
-        assert collector.merge() == 1
-        assert collector.merge() == 0  # nothing new
-        telemetry.add_counter("cc.unions", 2)
-        assert collector.merge() == 1
+    def test_incremental_merge_reads_only_new_tail(self):
+        """Folding is incremental: each ``map``'s fold adds only its own
+        jobs' events, never again what an earlier fold added."""
+        collector = TelemetryCollector()
+        first = job_events(lambda: telemetry.add_counter("cc.unions", 1))
+        second = job_events(lambda: telemetry.add_counter("cc.unions", 2))
+        telemetry.activate(collector)
+        telemetry.fold(first)
+        telemetry.fold(second)
         telemetry.deactivate()
         run = collector.finalize(n_tasks=1)
-        assert run.counter_total("cc.unions") == 3  # no double counting
-        collector.close()
+        assert run.counter_total("cc.unions") == 3
 
-    def test_spans_sorted_by_start(self, tmp_path):
-        collector = TelemetryCollector(tmp_path)
+    def test_spans_sorted_by_start(self):
+        collector = TelemetryCollector()
 
         def emit():
             telemetry.record_span(StepNames.LOCALSORT, 200, 300, task=0)
@@ -76,15 +79,35 @@ class TestMerge:
             StepNames.KMERGEN,
             StepNames.LOCALSORT,
         ]
-        collector.close()
 
-    def test_finalize_merges_pending_records(self, tmp_path):
-        collector = TelemetryCollector(tmp_path)
-        emit_into(collector, lambda: telemetry.add_counter("cc.unions", 4))
-        # no explicit merge() call
+    def test_finalize_merges_pending_records(self):
+        collector = TelemetryCollector()
+        events = job_events(lambda: telemetry.add_counter("cc.unions", 4))
+        emit_into(collector, lambda: telemetry.fold(events))
         run = collector.finalize(n_tasks=1)
         assert run.counter_total("cc.unions") == 4
-        collector.close()
+
+    def test_folded_worker_spans_carry_their_host(self, tmp_path):
+        collector = TelemetryCollector()
+        events = job_events(
+            lambda: telemetry.record_span(
+                StepNames.KMERGEN, 5, 9, task=np.int64(1), aux=np.int64(2)
+            )
+        )
+
+        def emit():
+            telemetry.record_span(StepNames.MERGECC, 10, 12, task=0)
+            telemetry.fold(events, host="10.0.0.2:7000")
+
+        emit_into(collector, emit)
+        run = collector.finalize(n_tasks=2)
+        assert run.spans == [
+            SpanEvent(StepNames.KMERGEN, 1, 2, 5, 9, host="10.0.0.2:7000"),
+            SpanEvent(StepNames.MERGECC, 0, -1, 10, 12),
+        ]
+        assert run.hosts_seen() == ["10.0.0.2:7000"]
+        loaded = RunTelemetry.load(run.save(tmp_path / RUN_FILENAME))
+        assert loaded.spans == run.spans
 
 
 class TestBarrierSemantics:
@@ -139,34 +162,3 @@ class TestSerialization:
         np.testing.assert_allclose(
             loaded.projected.per_task[StepNames.LOCALSORT], [1.5, 2.5]
         )
-
-
-class TestSweep:
-    def test_close_removes_owned_temp_root(self):
-        collector = TelemetryCollector()  # directory=None -> private tmp
-        root = collector.root
-        assert root.is_dir()
-        collector.close()
-        assert not root.exists()
-        assert collector.closed
-
-    def test_close_keeps_artifact_directory(self, tmp_path):
-        collector = TelemetryCollector(tmp_path)
-        (tmp_path / "trace.json").write_text("{}")  # an exported artifact
-        collector.close()
-        assert not collector.spool_dir.exists()  # spool swept...
-        assert (tmp_path / "trace.json").exists()  # ...artifacts persist
-
-    def test_close_idempotent(self, tmp_path):
-        collector = TelemetryCollector(tmp_path)
-        collector.close()
-        collector.close()
-
-    def test_abandoned_collector_swept_by_finalizer(self, tmp_path):
-        collector = TelemetryCollector(tmp_path)
-        spool = collector.spool_dir
-        emit_into(collector, lambda: telemetry.add_counter("cc.unions", 1))
-        assert any(spool.iterdir())
-        del collector  # crash analogue: nobody called close()
-        gc.collect()
-        assert not spool.exists()

@@ -1,126 +1,16 @@
-"""Wire format: fixed-size records, truncated tails, incremental reads."""
+"""The static event-name registry."""
 
 import pytest
 
 from repro.runtime.work import StepNames
-from repro.telemetry.events import (
-    HEADER,
-    KIND_COUNTER,
-    KIND_SPAN,
-    MAGIC,
-    RECORD,
-    VERSION,
-    WELL_KNOWN_NAMES,
-    SpoolWriter,
-    name_id,
-    read_spool,
-)
+from repro.telemetry.runtime import registered
 
 
 class TestRegistry:
-    def test_ids_are_positions(self):
-        for i, name in enumerate(WELL_KNOWN_NAMES):
-            assert name_id(name) == i
-
     def test_step_names_all_registered(self):
         for step in StepNames.ORDER:
-            name_id(step)  # does not raise
+            assert registered(step) == step  # does not raise
 
     def test_unregistered_name_rejected(self):
         with pytest.raises(ValueError, match="unregistered"):
-            name_id("no.such.metric")
-
-    def test_registry_fits_u16(self):
-        assert len(WELL_KNOWN_NAMES) < (1 << 16)
-
-    def test_record_is_28_bytes(self):
-        # the documented size; offset arithmetic in the merger relies on it
-        assert RECORD.size == 28
-
-
-class TestRoundtrip:
-    def test_write_read(self, tmp_path):
-        path = tmp_path / "w1-1.evt"
-        w = SpoolWriter(path)
-        w.write(KIND_SPAN, StepNames.KMERGEN, task=3, aux=7,
-                value_a=100, value_b=250)
-        w.write(KIND_COUNTER, "cc.unions", task=0, value_a=42)
-        w.close()
-
-        records, offset = read_spool(path)
-        assert offset == HEADER.size + 2 * RECORD.size
-        span, counter = records
-        assert span.kind == KIND_SPAN
-        assert span.name == StepNames.KMERGEN
-        assert (span.task, span.aux) == (3, 7)
-        assert (span.value_a, span.value_b) == (100, 250)
-        assert counter.name == "cc.unions"
-        assert counter.value_a == 42
-
-    def test_incremental_offsets(self, tmp_path):
-        path = tmp_path / "w.evt"
-        w = SpoolWriter(path)
-        w.write(KIND_COUNTER, "cc.unions", value_a=1)
-        first, offset = read_spool(path)
-        assert len(first) == 1
-
-        w.write(KIND_COUNTER, "cc.unions", value_a=2)
-        w.close()
-        second, offset2 = read_spool(path, offset)
-        assert [r.value_a for r in second] == [2]
-        assert offset2 == offset + RECORD.size
-
-    def test_reopen_does_not_duplicate_header(self, tmp_path):
-        path = tmp_path / "w.evt"
-        SpoolWriter(path).close()
-        w = SpoolWriter(path)  # e.g. the fork guard re-opening
-        w.write(KIND_COUNTER, "cc.unions", value_a=5)
-        w.close()
-        records, _ = read_spool(path)
-        assert [r.value_a for r in records] == [5]
-
-
-class TestCrashTails:
-    def test_truncated_tail_left_for_next_read(self, tmp_path):
-        path = tmp_path / "w.evt"
-        w = SpoolWriter(path)
-        w.write(KIND_COUNTER, "cc.unions", value_a=1)
-        w.close()
-        # simulate a writer dying mid-record
-        with open(path, "ab") as fh:
-            fh.write(RECORD.pack(KIND_COUNTER, 0, 0, 0, 9, 0)[: RECORD.size // 2])
-
-        records, offset = read_spool(path)
-        assert [r.value_a for r in records] == [1]
-        # the partial tail was not consumed
-        assert offset == HEADER.size + RECORD.size
-
-    def test_header_only_file(self, tmp_path):
-        path = tmp_path / "w.evt"
-        SpoolWriter(path).close()
-        assert read_spool(path) == ([], HEADER.size)
-
-    def test_incomplete_header(self, tmp_path):
-        path = tmp_path / "w.evt"
-        path.write_bytes(MAGIC)  # half a header
-        assert read_spool(path) == ([], 0)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "w.evt"
-        path.write_bytes(HEADER.pack(b"NOPE", VERSION, 0))
-        with pytest.raises(ValueError, match="not a telemetry spool"):
-            read_spool(path)
-
-    def test_future_version_rejected(self, tmp_path):
-        path = tmp_path / "w.evt"
-        path.write_bytes(HEADER.pack(MAGIC, VERSION + 1, 0))
-        with pytest.raises(ValueError, match="version"):
-            read_spool(path)
-
-    def test_unknown_name_id_rejected(self, tmp_path):
-        path = tmp_path / "w.evt"
-        with open(path, "wb") as fh:
-            fh.write(HEADER.pack(MAGIC, VERSION, 0))
-            fh.write(RECORD.pack(KIND_COUNTER, 65000, 0, 0, 1, 0))
-        with pytest.raises(ValueError, match="unknown name id"):
-            read_spool(path)
+            registered("no.such.metric")

@@ -1,4 +1,4 @@
-"""Thread-local emission API: no-op paths, activation, the fork guard."""
+"""Thread-local emission API: no-op paths, sinks, capture and fold."""
 
 import os
 import pickle
@@ -6,8 +6,7 @@ import pickle
 import pytest
 
 from repro import telemetry
-from repro.telemetry.events import read_spool
-from repro.telemetry.runtime import _STATE, TelemetrySettings
+from repro.telemetry.runtime import KIND_COUNTER, KIND_GAUGE, KIND_SPAN
 
 
 @pytest.fixture(autouse=True)
@@ -17,18 +16,9 @@ def clean_state():
     telemetry.deactivate()
 
 
-def spool_records(spool_dir):
-    out = []
-    for path in sorted(spool_dir.glob("*.evt")):
-        records, _ = read_spool(path)
-        out.extend(records)
-    return out
-
-
 class TestDisabled:
     def test_disabled_by_default(self):
         assert not telemetry.enabled()
-        assert telemetry.active_settings() is None
 
     def test_emissions_are_noops(self, tmp_path):
         telemetry.add_counter("cc.unions", 5)
@@ -36,86 +26,106 @@ class TestDisabled:
         telemetry.set_gauge("service.queue_depth", 3)
         with telemetry.span("LocalSort"):
             pass
+        telemetry.fold([(KIND_COUNTER, "cc.unions", 0, -1, 1, 0)])
         assert list(tmp_path.iterdir()) == []  # nothing written anywhere
 
 
 class TestActivation:
-    def test_activate_emit_deactivate(self, tmp_path):
-        telemetry.activate(TelemetrySettings(str(tmp_path)))
+    def test_activate_emit_deactivate(self):
+        sink = []
+        telemetry.activate(sink)
         assert telemetry.enabled()
         telemetry.add_counter("cc.unions", 5, task=2)
+        telemetry.set_gauge("service.queue_depth", 3)
         telemetry.deactivate()
         assert not telemetry.enabled()
+        telemetry.add_counter("cc.unions", 7)  # dropped: no sink
 
-        (record,) = spool_records(tmp_path)
-        assert (record.name, record.task, record.value_a) == ("cc.unions", 2, 5)
+        assert sink == [
+            (KIND_COUNTER, "cc.unions", 2, -1, 5, 0),
+            (KIND_GAUGE, "service.queue_depth", -1, -1, 3, 0),
+        ]
 
-    def test_reactivation_same_dir_is_noop(self, tmp_path):
-        settings = TelemetrySettings(str(tmp_path))
-        telemetry.activate(settings)
+    def test_span_contextmanager(self):
+        with telemetry.capture() as events:
+            with telemetry.span("LocalSort", task=1, aux=0):
+                pass
+        ((kind, name, task, aux, t0_ns, t1_ns),) = events
+        assert (kind, name, task, aux) == (KIND_SPAN, "LocalSort", 1, 0)
+        assert t1_ns >= t0_ns
+
+    def test_unregistered_name_raises_at_emission(self):
+        with telemetry.capture():
+            with pytest.raises(ValueError, match="unregistered"):
+                telemetry.add_counter("no.such.metric")
+
+
+class TestCapture:
+    def test_capture_shadows_and_restores_the_outer_sink(self):
+        outer = []
+        telemetry.activate(outer)
         telemetry.add_counter("cc.unions", 1)
-        writer = _STATE.writer
-        telemetry.activate(TelemetrySettings(str(tmp_path)))  # same dir
-        assert _STATE.writer is writer  # not reopened
+        with telemetry.capture() as inner:
+            telemetry.add_counter("cc.unions", 2)
+        telemetry.add_counter("cc.unions", 3)
+        assert [ev[4] for ev in inner] == [2]
+        assert [ev[4] for ev in outer] == [1, 3]
 
-    def test_switching_dirs_closes_old_writer(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        a.mkdir(), b.mkdir()
-        telemetry.activate(TelemetrySettings(str(a)))
-        telemetry.add_counter("cc.unions", 1)
-        telemetry.activate(TelemetrySettings(str(b)))
-        telemetry.add_counter("cc.unions", 2)
-        assert [r.value_a for r in spool_records(a)] == [1]
-        assert [r.value_a for r in spool_records(b)] == [2]
-
-    def test_span_contextmanager(self, tmp_path):
-        telemetry.activate(TelemetrySettings(str(tmp_path)))
-        with telemetry.span("LocalSort", task=1, aux=0):
-            pass
-        (record,) = spool_records(tmp_path)
-        assert record.name == "LocalSort"
-        assert record.value_b >= record.value_a  # t1 >= t0
-
-    def test_settings_picklable(self, tmp_path):
-        # rides inside the executor's worker context across the pool
-        settings = TelemetrySettings(str(tmp_path))
-        assert pickle.loads(pickle.dumps(settings)) == settings
-
-    def test_swept_spool_disables_quietly(self, tmp_path):
-        gone = tmp_path / "gone"
-        gone.mkdir()
-        telemetry.activate(TelemetrySettings(str(gone)))
-        gone.rmdir()  # the collector swept mid-run (e.g. crash path)
-        telemetry.add_counter("cc.unions", 1)  # must not raise
+    def test_capture_without_outer_sink_disables_on_exit(self):
+        with telemetry.capture() as events:
+            assert telemetry.enabled()
+            telemetry.add_counter("cc.unions", 4)
         assert not telemetry.enabled()
+        assert [ev[4] for ev in events] == [4]
+
+    def test_fold_appends_in_order_and_stamps_span_hosts(self):
+        with telemetry.capture() as job:
+            telemetry.record_span("KmerGen", 10, 20, task=1, aux=3)
+            telemetry.add_counter("cc.unions", 5, task=1)
+        sink = []
+        telemetry.activate(sink)
+        telemetry.fold(job, host="10.0.0.2:7000")
+        telemetry.fold(job)
+        assert sink == [
+            (KIND_SPAN, "KmerGen", 1, 3, 10, 20, "10.0.0.2:7000"),
+            (KIND_COUNTER, "cc.unions", 1, -1, 5, 0),
+            (KIND_SPAN, "KmerGen", 1, 3, 10, 20),
+            (KIND_COUNTER, "cc.unions", 1, -1, 5, 0),
+        ]
+
+    def test_events_are_picklable(self):
+        # they ride home inside pool results and worker EVENTS frames
+        with telemetry.capture() as events:
+            with telemetry.span("LocalSort", task=0):
+                pass
+            telemetry.add_counter("net.frames")
+        assert pickle.loads(pickle.dumps(events)) == events
 
 
-class TestForkGuard:
-    def test_writer_reopened_when_pid_changes(self, tmp_path):
-        telemetry.activate(TelemetrySettings(str(tmp_path)))
+class TestFork:
+    def test_child_capture_returns_only_child_events(self):
+        """A forked child inherits the driver's thread-local sink; what
+        it sends home is its capture buffer, never the inherited events."""
+        driver = []
+        telemetry.activate(driver)
         telemetry.add_counter("cc.unions", 1)
-        inherited = _STATE.writer
-        # simulate a fork: thread-local state survives, pid does not match
-        _STATE.writer_pid = os.getpid() - 1
-        telemetry.add_counter("cc.unions", 2)
-        assert _STATE.writer is not inherited
-        assert _STATE.writer_pid == os.getpid()
-        # both records decodable (same file name in this simulation, but
-        # the reopen went through the append-mode no-duplicate-header path)
-        assert sorted(r.value_a for r in spool_records(tmp_path)) == [1, 2]
-
-    def test_real_fork_writes_child_spool(self, tmp_path):
-        telemetry.activate(TelemetrySettings(str(tmp_path)))
-        telemetry.add_counter("cc.unions", 1)
+        read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child
             try:
-                telemetry.add_counter("cc.unions", 100)
+                os.close(read_fd)
+                telemetry.add_counter("cc.unions", 10)  # the inherited sink
+                with telemetry.capture() as events:
+                    telemetry.add_counter("cc.unions", 100)
+                with os.fdopen(write_fd, "wb") as out:
+                    pickle.dump(events, out)
                 os._exit(0)
             except BaseException:
                 os._exit(1)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as inp:
+            child_events = pickle.load(inp)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        files = sorted(p.name for p in tmp_path.glob("*.evt"))
-        assert len(files) == 2  # parent spool + child spool
-        assert sorted(r.value_a for r in spool_records(tmp_path)) == [1, 100]
+        assert [ev[4] for ev in child_events] == [100]
+        assert [ev[4] for ev in driver] == [1]

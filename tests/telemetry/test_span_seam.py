@@ -1,6 +1,6 @@
 """The one timing seam: ``telemetry.span(step, times=...)`` reads the
 clock once and feeds both the ``TimeBreakdown`` and, when telemetry is
-on, the spool span."""
+on, the span event in the thread's buffer."""
 
 import pytest
 
@@ -8,8 +8,7 @@ from repro import telemetry
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.runtime.work import StepNames
-from repro.telemetry.events import KIND_SPAN, read_spool
-from repro.telemetry.runtime import TelemetrySettings
+from repro.telemetry.runtime import KIND_SPAN
 from repro.util.timers import TimeBreakdown
 
 
@@ -20,12 +19,8 @@ def clean_state():
     telemetry.deactivate()
 
 
-def spool_spans(spool_dir):
-    out = []
-    for path in sorted(spool_dir.glob("*.evt")):
-        records, _ = read_spool(path)
-        out.extend(r for r in records if r.kind == KIND_SPAN)
-    return out
+def captured_spans(events):
+    return [ev for ev in events if ev[0] == KIND_SPAN]
 
 
 class TestSpanTimes:
@@ -37,6 +32,7 @@ class TestSpanTimes:
         assert timed.t1_ns >= timed.t0_ns
         assert list(times.seconds) == ["LocalSort"]
         assert times.get("LocalSort") >= (timed.t1_ns - timed.t0_ns) / 1e9
+        assert not telemetry.enabled()
         assert list(tmp_path.iterdir()) == []
 
     def test_no_times_and_telemetry_off_reads_no_clock(self):
@@ -44,24 +40,24 @@ class TestSpanTimes:
             pass
         assert timed.t0_ns is None and timed.t1_ns is None
 
-    def test_one_span_with_the_same_nanoseconds_when_on(self, tmp_path):
-        telemetry.activate(TelemetrySettings(str(tmp_path)))
+    def test_one_span_with_the_same_nanoseconds_when_on(self):
         times = TimeBreakdown()
-        with telemetry.span("LocalSort", task=1, aux=3, times=times) as timed:
-            pass
-        (record,) = spool_spans(tmp_path)
-        assert (record.name, record.task, record.aux) == ("LocalSort", 1, 3)
-        assert (record.value_a, record.value_b) == (timed.t0_ns, timed.t1_ns)
-        assert times.get("LocalSort") == (record.value_b - record.value_a) / 1e9
+        with telemetry.capture() as events:
+            with telemetry.span("LocalSort", task=1, aux=3, times=times) as timed:
+                pass
+        ((_, name, task, aux, t0_ns, t1_ns),) = captured_spans(events)
+        assert (name, task, aux) == ("LocalSort", 1, 3)
+        assert (t0_ns, t1_ns) == (timed.t0_ns, timed.t1_ns)
+        assert times.get("LocalSort") == (t1_ns - t0_ns) / 1e9
 
-    def test_records_when_the_body_raises(self, tmp_path):
-        telemetry.activate(TelemetrySettings(str(tmp_path)))
+    def test_records_when_the_body_raises(self):
         times = TimeBreakdown()
-        with pytest.raises(RuntimeError, match="boom"):
-            with telemetry.span("LocalCC-Opt", times=times):
-                raise RuntimeError("boom")
-        (record,) = spool_spans(tmp_path)
-        assert times.get("LocalCC-Opt") == (record.value_b - record.value_a) / 1e9
+        with telemetry.capture() as events:
+            with pytest.raises(RuntimeError, match="boom"):
+                with telemetry.span("LocalCC-Opt", times=times):
+                    raise RuntimeError("boom")
+        ((*_, t0_ns, t1_ns),) = captured_spans(events)
+        assert times.get("LocalCC-Opt") == (t1_ns - t0_ns) / 1e9
 
 
 def test_serial_run_measured_equals_span_seconds(tiny_hg):

@@ -42,7 +42,7 @@ class TestTimeBreakdown:
 
 class TestStepTimer:
     """Steps are timed by ``telemetry.span(step, times=)``, telemetry on or
-    off (the spool side is covered in ``tests/telemetry/test_span_seam``)."""
+    off (the event side is covered in ``tests/telemetry/test_span_seam``)."""
 
     def test_step_context_records(self):
         times = TimeBreakdown()
