@@ -1,23 +1,18 @@
 """Invariant-checking static analysis for the METAPREP codebase.
 
-``metaprep check`` runs six AST-based checkers over ``src/repro`` and
+``metaprep check`` runs two AST-based checkers over ``src/repro`` and
 reports structured findings (file, line, rule id, message):
 
-* **fingerprint** (MP101–MP104) — every ``PipelineConfig`` field read by
-  partition-affecting code must be covered by the checkpoint/artifact
-  fingerprint (:func:`repro.core.checkpoint.config_payload`) or
-  explicitly declared partition-irrelevant;
-* **determinism** (MP201–MP203) — no wall-clock time, unseeded RNGs, or
-  unordered-set iteration in result-affecting paths;
-* **purity** (MP301–MP302) — callables submitted to the execution
-  backends must be picklable module-level functions free of
-  module-global writes;
-* **overflow** (MP401) — k-derived shift widths must not exceed one
-  64-bit packed-kmer limb unless guarded by the limb count;
-* **resources** (MP502) — spill files and the tupleblock spill schema
-  are touched only inside the disk block plane's spill module;
+* **determinism** (MP201–MP203) — no wall-clock time outside the service
+  layer, no unseeded RNGs, and no unordered-set iteration in
+  result-affecting paths;
 * **gateway** (MP605) — ``async`` gateway handlers must not write
   module globals or block the event loop in ``time.sleep``.
+
+A rule stays here only while it guards a hazard no test sees: the
+config fingerprint, executor payloads, k-mer limb overflow and spill
+file access are guarded by tests instead (DESIGN.md §9 maps each to
+its test).
 
 Findings are silenced only inline, with ``# metaprep: ignore[RULE]``;
 the MP001 audit reports a suppression comment that is malformed, names

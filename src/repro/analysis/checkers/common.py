@@ -10,11 +10,7 @@ heuristics in :mod:`repro.analysis.findings`.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, Iterator, List, Optional, Tuple
-
-#: identifiers treated as a k-mer length in the overflow checker
-K_NAME = re.compile(r"^k[0-9]?$")
 
 
 def dotted_name(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
@@ -82,38 +78,3 @@ def walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
                 (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
             ):
                 stack.append(child)
-
-
-def function_scopes(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.AST, Optional[ast.ClassDef]]]:
-    """All function-like scopes of a module with their owning class.
-
-    Yields ``(module, None)`` first, then every ``FunctionDef`` /
-    ``AsyncFunctionDef`` paired with the innermost ``ClassDef`` that
-    contains it (``None`` for plain functions).
-    """
-    yield tree, None
-
-    def visit(node: ast.AST, owner: Optional[ast.ClassDef]):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, owner
-                yield from visit(child, owner)
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, child)
-            else:
-                yield from visit(child, owner)
-
-    yield from visit(tree, None)
-
-
-def contains_k_name(node: ast.expr) -> bool:
-    """True when the expression mentions a k-like identifier (``k``,
-    ``k1``, ``self.k``, ``cfg.k``, ...)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and K_NAME.match(sub.id):
-            return True
-        if isinstance(sub, ast.Attribute) and K_NAME.match(sub.attr):
-            return True
-    return False

@@ -8,10 +8,11 @@ Two classes of bug are cheap to write and expensive to debug there, so
 * **module-global writes** — handler state must live on the app
   instance (or in the spool), never in module globals: a module global
   written from a handler is shared across tenants, lost on restart,
-  and invisible to the ownership ledger's replay.  The write detection
-  is :func:`repro.analysis.checkers.purity.global_write_sites` — the
-  same definition MP302 uses for executor jobs, so the two rules can
-  never disagree on what counts as a write.
+  and invisible to the ownership ledger's replay.  A write is a
+  ``global`` statement, an attribute/item assignment through a module
+  name, or a mutating method call on one (:func:`global_write_sites`);
+  ``threading.local``/``ContextVar`` carriers are per-context by design
+  and do not count.
 * **blocking the event loop with ``time.sleep``** — one sleeping
   handler stalls every connection.  Handlers must use
   ``asyncio.sleep`` or push blocking work through
@@ -30,10 +31,6 @@ from typing import List, Set
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 from repro.analysis.checkers.common import dotted_name
-from repro.analysis.checkers.purity import (
-    _THREAD_LOCAL_FACTORIES,
-    global_write_sites,
-)
 
 #: the package prefix this rule polices
 GATEWAY_PREFIX = "gateway/"
@@ -41,10 +38,72 @@ GATEWAY_PREFIX = "gateway/"
 #: blocking sleep callables (resolved through import aliases)
 _BLOCKING_SLEEPS = ("time.sleep",)
 
+#: module-level carriers of deliberately per-thread/per-context state —
+#: writing through these is the sanctioned alternative to a module global
+_THREAD_LOCAL_FACTORIES = ("threading.local", "contextvars.ContextVar")
+
+#: container-mutating method names
+MUTATORS = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "remove",
+        "pop",
+        "popitem",
+        "clear",
+        "add",
+        "discard",
+        "update",
+        "setdefault",
+        "sort",
+        "appendleft",
+        "extendleft",
+    }
+)
+
+
+def global_write_sites(fn: ast.AST, module_names: Set[str]) -> List[tuple]:
+    """``(line, detail)`` for every module-global write inside ``fn``."""
+    sites = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Global):
+            sites.append((node.lineno, f"declares global {', '.join(node.names)}"))
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                base = target
+                while isinstance(base, (ast.Attribute, ast.Subscript)):
+                    base = base.value
+                if (
+                    target is not base  # an attribute/item write, not a local
+                    and isinstance(base, ast.Name)
+                    and base.id in module_names
+                ):
+                    sites.append(
+                        (node.lineno, f"writes module-level object '{base.id}'")
+                    )
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in MUTATORS
+                and isinstance(func.value, ast.Name)
+                and func.value.id in module_names
+            ):
+                sites.append(
+                    (
+                        node.lineno,
+                        f"mutates module-level object '{func.value.id}."
+                        f"{func.attr}(...)'",
+                    )
+                )
+    return sites
+
 
 def _module_names(module: SourceModule) -> Set[str]:
-    """Module-level bindings that count as global state (same
-    thread-local carve-out as the MP302 context)."""
+    """Module-level bindings that count as global state (thread-local
+    carriers excepted)."""
     names: Set[str] = set()
     for node in module.tree.body:
         if isinstance(node, ast.Assign):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterator, List, Sequence
 
 from repro.analysis.suppress import (
     SuppressionComment,
@@ -85,7 +85,6 @@ class Project:
     def __init__(self, root: Path, modules: List[SourceModule]) -> None:
         self.root = root
         self.modules = modules
-        self._by_pkgpath = {m.pkgpath: m for m in modules}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -126,10 +125,6 @@ class Project:
         return cls(root, modules)
 
     # ------------------------------------------------------------------
-    def module(self, pkgpath: str) -> Optional[SourceModule]:
-        """Look up one module by package-relative path, or ``None``."""
-        return self._by_pkgpath.get(pkgpath)
-
     def select(self, scopes: Sequence[str]) -> Iterator[SourceModule]:
         """Modules whose package path matches any scope.
 

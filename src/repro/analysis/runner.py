@@ -2,9 +2,7 @@
 
 :meth:`Project.load <repro.analysis.project.Project.load>` parses and
 tokenizes each source file once; every checker in :data:`CHECKERS`
-then runs over that one :class:`~repro.analysis.project.Project`, the
-cross-file ones (fingerprint coverage, the call-graph MP201/MP302
-upgrades) sharing the same parsed modules as the per-site scans.  The
+then runs over that one :class:`~repro.analysis.project.Project`.  The
 MP001 audit then checks every suppression comment against the raw
 findings, and inline suppressions (``# metaprep: ignore[RULE]``) — the
 only way to silence a finding — split the rest into suppressed and new.
@@ -17,22 +15,14 @@ from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from repro.analysis.checkers.determinism import check_determinism
-from repro.analysis.checkers.fingerprint import check_fingerprint_coverage
 from repro.analysis.checkers.gateway import check_gateway_purity
-from repro.analysis.checkers.overflow import check_kmer_overflow
-from repro.analysis.checkers.purity import check_executor_purity
-from repro.analysis.checkers.resources import check_executor_resources
 from repro.analysis.findings import RULES, Finding
 from repro.analysis.project import Project, SourceModule
 from repro.analysis.suppress import is_suppressed
 
 #: checker name -> checker function, in run order
 CHECKERS: Dict[str, Callable[[Project], List[Finding]]] = {
-    "fingerprint": check_fingerprint_coverage,
     "determinism": check_determinism,
-    "purity": check_executor_purity,
-    "overflow": check_kmer_overflow,
-    "resources": check_executor_resources,
     "gateway": check_gateway_purity,
 }
 

@@ -3,8 +3,8 @@
 A finding is suppressed when the line it points at carries a suppression
 comment naming its rule id (or the wildcard ``*``)::
 
-    edges = executor.map(fn, jobs)  # metaprep: ignore[MP301]
-    for item in candidates:         # metaprep: ignore[MP203, MP201]
+    started = time.time()    # metaprep: ignore[MP201]
+    for item in candidates:  # metaprep: ignore[MP203, MP201]
 
 Suppressions are parsed from the token stream, not by regex over raw
 lines, so rule text inside string literals never counts.

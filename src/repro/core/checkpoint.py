@@ -46,9 +46,9 @@ def payload_fingerprint(payload: dict) -> str:
 #: ``PipelineConfig`` fields that provably cannot change the partition
 #: result, and are therefore deliberately absent from
 #: :func:`config_payload`.  Every config field must appear either here or
-#: as a payload key — ``metaprep check`` (rule MP104) enforces the split,
-#: and MP101 flags partition-affecting code that reads a field listed
-#: here.  Rationale per field:
+#: as a payload key, never both —
+#: ``tests/analysis/test_repo_invariants.py::test_every_field_classified``
+#: asserts the split on the live objects.  Rationale per field:
 #:
 #: * ``executor`` / ``max_workers`` — both engines are bit-identical by
 #:   the differential contract of :mod:`repro.runtime.executor`;
@@ -93,8 +93,7 @@ def config_payload(config: PipelineConfig) -> dict:
     Excludes the :data:`PARTITION_IRRELEVANT_FIELDS` — knobs that only
     change *how* the answer is computed (executor, worker count, output
     writing) — results are bit-identical across those by the executor
-    determinism contract.  The returned dict must stay a literal so
-    ``metaprep check`` can verify fingerprint coverage statically.
+    determinism contract.
     """
     return {
         "k": config.k,

@@ -10,7 +10,7 @@ namespaces with quotas and deterministic rate limits
 (:mod:`repro.gateway.tenants`), and a stdlib HTTP client mirroring the
 spool client's interface (:mod:`repro.gateway.client`).
 
-See DESIGN.md §13 for the architecture and tenancy semantics, and
+See DESIGN.md §12 for the architecture and tenancy semantics, and
 ``metaprep gateway --help`` for the CLI entry point.
 """
 

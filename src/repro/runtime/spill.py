@@ -50,10 +50,11 @@ plane, and this module holds every file operation behind those stages:
   opportunistically (:func:`sweep_stale_spill_dirs`; the name embeds
   the creating pid).
 
-Every open of a spill file routes through this module — rule MP502
-(``metaprep check``) statically enforces it.  Corruption (truncated
-header or payload, bad magic, version or schema skew) raises
-:class:`SpillCorruption`; a partial block is never returned.
+Every open of a spill file routes through this module — an AST test
+(``tests/test_public_api.py``) confines spill-path ``open()`` calls and
+the tupleblock schema to it.  Corruption (truncated header or payload,
+bad magic, version or schema skew) raises :class:`SpillCorruption`; a
+partial block is never returned.
 """
 
 from __future__ import annotations

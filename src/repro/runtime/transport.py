@@ -647,8 +647,8 @@ class SocketBlockTransport(BlockTransport):
 class DiskBlockTransport(BlockTransport):
     """The out-of-core plane: one spill file per published block.
 
-    Every file operation is :mod:`repro.runtime.spill`'s (rule MP502);
-    this class owns the run's private spill directory.  A block is
+    Every file operation is :mod:`repro.runtime.spill`'s; this class
+    owns the run's private spill directory.  A block is
     preallocated under its in-flight name, region-written and id-mapped
     there, renamed to its final name by :meth:`seal` (fsync first — the
     consumer never sees a torn file), and deleted by its one

@@ -51,6 +51,7 @@ class TestMP201WallClock:
         assert check_determinism(project) == []
 
     def test_wall_clock_outside_result_scope_allowed(self, make_project):
+        # job-record timestamps are the service layer's own contract
         project = make_project(
             {
                 "service/queue.py": """
@@ -59,11 +60,70 @@ class TestMP201WallClock:
                     def enqueued_at():
                         return time.time()
                 """,
+                "gateway/app.py": """
+                    import time
+
+                    def received_at():
+                        return time.time()
+                """,
+            }
+        )
+        assert check_determinism(project) == []
+
+    def test_wall_clock_in_perf_trips(self, make_project):
+        # every module outside service/ and gateway/ is in MP201's scope
+        project = make_project(
+            {
                 "perf/timer.py": """
                     import time
 
                     def now():
                         return time.time()
+                """
+            }
+        )
+        assert rules(check_determinism(project)) == ["MP201"]
+
+    def test_wall_clock_in_helper_module_trips_at_the_read(self, make_project):
+        # a result-path caller of a wall-clock helper is covered by the
+        # helper's own finding: the read itself is in scope
+        project = make_project(
+            {
+                "util/stamp.py": """
+                    import time
+
+                    def stamp():
+                        return time.time()
+                """,
+                "core/emit.py": """
+                    from repro.util.stamp import stamp
+
+                    def emit(record):
+                        record["at"] = stamp()
+                        return record
+                """,
+            }
+        )
+        findings = check_determinism(project)
+        assert [(f.rule, f.path) for f in findings] == [
+            ("MP201", "src/repro/util/stamp.py")
+        ]
+
+    def test_monotonic_helper_module_passes(self, make_project):
+        project = make_project(
+            {
+                "util/stamp.py": """
+                    import time
+
+                    def elapsed(start):
+                        return time.perf_counter() - start
+                """,
+                "core/emit.py": """
+                    from repro.util.stamp import elapsed
+
+                    def emit(record, start):
+                        record["elapsed"] = elapsed(start)
+                        return record
                 """,
             }
         )

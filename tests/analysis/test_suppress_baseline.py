@@ -177,15 +177,7 @@ class TestRunnerIntegration:
         make_project(OFFENDING)
         report = run_checks(project_root)
         assert report.per_checker["determinism"] == 1
-        assert set(report.per_checker) == {
-            "fingerprint",
-            "determinism",
-            "purity",
-            "overflow",
-            "resources",
-            "gateway",
-            "suppress",
-        }
+        assert set(report.per_checker) == {"determinism", "gateway", "suppress"}
 
     def test_each_file_parsed_and_tokenized_once(
         self, make_project, project_root, monkeypatch
@@ -197,13 +189,13 @@ class TestRunnerIntegration:
                     import time
 
                     def stamp():
-                        return time.time()
+                        return time.time()  # metaprep: ignore[MP201]
                 """,
                 "core/emit.py": """
                     from repro.util.stamp import stamp
 
                     def emit(record):
-                        record["at"] = stamp()  # metaprep: ignore[MP201]
+                        record["at"] = stamp()
                         return record
                 """,
             }
@@ -224,3 +216,4 @@ class TestRunnerIntegration:
         report = run_checks(project_root)
         assert report.files == len(project.modules) == 3
         assert calls == {"parse": 3, "tokenize": 3}
+        assert [f.rule for f in report.suppressed] == ["MP201"]

@@ -1,4 +1,7 @@
 
+import pytest
+
+from repro.kmers.codec import MAX_K_ONE_LIMB
 from repro.perf.calibrate import (
     SubstrateRates,
     measure_kmer_rate,
@@ -16,6 +19,17 @@ class TestMeasurements:
     def test_sort_rate_positive(self):
         rate = measure_sort_rate(n_tuples=20_000, repeats=1)
         assert rate > 1e4
+
+    def test_sort_rate_at_the_widest_one_limb_k(self):
+        rate = measure_sort_rate(n_tuples=1_000, k=MAX_K_ONE_LIMB, repeats=1)
+        assert rate > 0
+
+    @pytest.mark.parametrize("k", [32, 63])
+    def test_sort_rate_rejects_two_limb_k(self, k):
+        # the synthetic keys are drawn below 1 << (2 * k), which wraps a
+        # uint64 limb once k > 31
+        with pytest.raises(ValueError, match="k must be in"):
+            measure_sort_rate(n_tuples=1_000, k=k, repeats=1)
 
     def test_uf_rate_positive(self):
         rate = measure_uf_rate(n_vertices=5_000, n_edges=10_000, repeats=1)

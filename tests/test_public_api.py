@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,92 @@ def test_only_the_codec_knows_the_limb_count():
         if path != src / "kmers" / "codec.py"
         for sites in [_limb_fork_sites(path)]
         if sites
+    }
+    assert offenders == {}
+
+
+#: the spill wire format's schema tag, by value and by name
+SPILL_SCHEMA_NAMES = {"TUPLEBLOCK_SCHEMA", "_BLOCK_SCHEMA"}
+SPILL_SCHEMA_TAG = "metaprep/tupleblock"
+
+
+def _spill_access_sites(path: Path) -> list:
+    """Lines of ``path`` that open a ``.spill`` path with ``open()`` or
+    name the tupleblock schema (its constant or its literal tag)."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        func = getattr(node, "func", None)
+        if (getattr(func, "id", None) or getattr(func, "attr", None)) == "open":
+            args = [*node.args, *(kw.value for kw in node.keywords)]
+            hit = any(
+                isinstance(c, ast.Constant)
+                and isinstance(c.value, str)
+                and ".spill" in c.value
+                for a in args
+                for c in ast.walk(a)
+            )
+        elif isinstance(node, ast.Constant):
+            hit = node.value == SPILL_SCHEMA_TAG
+        else:
+            names = [getattr(node, a, None) for a in ("id", "attr", "name")]
+            hit = any(n in SPILL_SCHEMA_NAMES for n in names if isinstance(n, str))
+        if hit:
+            sites.append(node.lineno)
+    return sites
+
+
+def test_only_the_spill_module_touches_spill_files():
+    """Spill files are written, sealed, read and swept only by
+    ``runtime/spill.py``, so its torn-write detection, fsync-then-rename
+    seal and crash sweep cover every one of them."""
+    src = REPO / "src" / "repro"
+    offenders = {
+        str(path.relative_to(src)): sites
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "runtime" / "spill.py"
+        for sites in [_spill_access_sites(path)]
+        if sites
+    }
+    assert offenders == {}
+
+
+#: the service layer: the two packages whose wall-clock reads are
+#: job-record timestamps (MP201's only exemption)
+SERVICE_LAYER = re.compile(r"^repro\.(service|gateway)(\.|$)")
+
+
+def test_nothing_below_the_service_layer_imports_it():
+    """Only ``service/``, ``gateway/`` and ``cli.py`` import
+    ``repro.service`` or ``repro.gateway``.  So the service layer's
+    wall-clock job timestamps cannot reach a result, and MP201 can skip
+    those two packages and scan every other module directly."""
+    src = REPO / "src" / "repro"
+    offenders = {
+        str(path.relative_to(src)): names
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src).parts[0] not in ("service", "gateway", "cli.py")
+        for names in [sorted(filter(SERVICE_LAYER.match, _imported_names(path)))]
+        if names
+    }
+    assert offenders == {}
+
+
+def test_analysis_is_stdlib_only():
+    """``metaprep check`` runs in a CI job that installs nothing, so
+    ``repro.analysis`` may import only the stdlib and itself."""
+    package = REPO / "src" / "repro" / "analysis"
+    offenders = {
+        str(path.relative_to(package)): names
+        for path in sorted(package.rglob("*.py"))
+        for names in [
+            sorted(
+                name
+                for name in _imported_names(path)
+                if name.split(".")[0] not in sys.stdlib_module_names
+                and not re.match(r"^repro\.analysis(\.|$)", name)
+            )
+        ]
+        if names
     }
     assert offenders == {}
 
