@@ -105,11 +105,10 @@ class BenchContext:
         """Project a run's measured volumes at the paper's dataset scale."""
         return TimingModel(get_machine(machine)).project(self.scaled_work(result))
 
-    def memory_per_node(self, result: PipelineResult, machine: str = "edison") -> int:
-        """Section 3.7 memory estimate at the paper's dataset scale."""
-        return TimingModel(get_machine(machine)).estimated_memory_per_task(
-            self.scaled_work(result)
-        )
+    def memory_per_node(self, result: PipelineResult) -> int:
+        """Section 3.7 memory model at the paper's dataset scale and mean
+        pass ``M/(S P)``, as the projection charges it."""
+        return self.scaled_work(result).mean_pass_memory().total
 
 
 @pytest.fixture(scope="session")

@@ -44,20 +44,24 @@ def main() -> int:
     # Budget-driven pass planning: give each simulated task a budget that
     # forces multipass execution, exactly how the real 64 GB/node limit
     # forces 8 passes on the full dataset.  IndexCreate runs first so the
-    # budget can account for the resident tables and component arrays
-    # (the fixed terms of the section 3.7 memory model).
+    # budget can be sized with the section 3.7 memory model itself: its
+    # fixed terms (tables, FASTQ chunk buffers, component arrays) plus
+    # tuple buffers for ~1/4 of the data per pass.
     from repro.index.create import index_create
+    from repro.runtime.work import task_memory
 
     n_chunks = N_TASKS * THREADS * 2
     index = index_create(dataset.units, k=27, m=7, n_chunks=n_chunks)
-    reserved = (
-        index.fastqpart.nbytes
-        + index.merhist.nbytes
-        + 8 * index.fastqpart.total_reads
+    table = index.fastqpart
+    sized = task_memory(
+        table_bytes=table.nbytes + index.merhist.nbytes,
+        chunk_bytes=table.peak_chunk_bytes,
+        n_threads=THREADS,
+        n_reads=table.total_reads,
+        tuple_bytes=12,
+        tuples_per_task_pass=-(-index.merhist.total_tuples // (N_TASKS * 4)),
     )
-    tuples = index.merhist.total_tuples
-    # leave tuple-buffer room for ~1/4 of the data per pass => ~4 passes
-    budget = reserved + int(2 * 12 * tuples / (N_TASKS * 4))
+    budget = sized.total
     config = PipelineConfig(
         k=27,
         m=7,
@@ -69,8 +73,8 @@ def main() -> int:
         write_outputs=False,
     )
     print(
-        f"per-task memory budget: {human_bytes(budget)} "
-        f"(tables + component arrays: {human_bytes(reserved)})"
+        f"per-task memory budget: {human_bytes(budget)} (fixed terms: "
+        f"{human_bytes(budget - sized.kmer_out - sized.kmer_in)})"
     )
 
     result = MetaPrep(config).run(dataset.units, index=index)
@@ -79,6 +83,11 @@ def main() -> int:
         f"{result.total_tuples} tuples; "
         f"{result.partition.summary.n_components} components "
         f"(LC {result.partition.summary.largest_component_percent:.1f}%)"
+    )
+    print(
+        f"memory/task at the largest pass: "
+        f"{human_bytes(result.memory_per_task_bytes())} "
+        f"(budget {human_bytes(budget)})"
     )
 
     # Project at the paper's 223 Gbp scale on the Edison model.
@@ -97,7 +106,7 @@ def main() -> int:
     )
     print(
         f"\nprojected memory/task: "
-        f"{human_bytes(model.estimated_memory_per_task(scaled))} "
+        f"{human_bytes(scaled.mean_pass_memory().total)} "
         f"(paper example: ~49 GB)"
     )
     print(

@@ -14,7 +14,10 @@ with every substrate its evaluation depends on:
 * a de Bruijn unitig assembler standing in for MEGAHIT (:mod:`repro.assembly`),
 * synthetic metagenome dataset generation (:mod:`repro.datasets`),
 * the paper's comparison baselines (:mod:`repro.baselines`), and
-* the analytic cost model of paper section 3.7 (:mod:`repro.perf`).
+* substrate calibration of this host's kernel rates (:mod:`repro.perf`).
+
+Paper section 3.7's per-task memory model is one function,
+:func:`repro.runtime.work.task_memory`.
 
 The top-level convenience exports cover the common entry points::
 

@@ -79,6 +79,7 @@ def cmd_run(args) -> int:
     from repro.core.config import PipelineConfig
     from repro.core.pipeline import MetaPrep
     from repro.core.report import format_breakdown, format_partition_summary
+    from repro.index.passplan import BudgetTooSmall
     from repro.kmers.filter import FrequencyFilter
 
     budget = (
@@ -109,7 +110,11 @@ def cmd_run(args) -> int:
         spill=args.spill,
         spill_dir=args.spill_dir,
     )
-    result = MetaPrep(config).run(_units_from_args(args), output_dir=args.out)
+    try:
+        result = MetaPrep(config).run(_units_from_args(args), output_dir=args.out)
+    except BudgetTooSmall as exc:
+        print(f"metaprep run: {exc}", file=sys.stderr)
+        return 2
     if result.spilled_passes:
         print(
             f"out-of-core: pass(es) {result.spilled_passes} spilled to disk"
@@ -572,9 +577,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MB",
-        help="per-task memory budget in MiB; with --passes it drives the "
-        "spill decision only, without --passes it also derives the "
-        "fewest passes that fit (paper section 3.7)",
+        help="per-task memory budget in MiB.  Without --passes it "
+        "derives the fewest passes whose paper section 3.7 model fits; "
+        "the model covers the index tables (merHist + FASTQPart), one "
+        "FASTQ chunk buffer per thread, the kmerOut and kmerIn tuple "
+        "buffers of the largest pass, and the component arrays p and p'.  "
+        "With --spill auto, a pass whose whole in-memory tuple volume "
+        "exceeds it spills",
     )
     _add_common(p)
     p.set_defaults(func=cmd_run)

@@ -110,13 +110,6 @@ class StaticCountMismatch(AssertionError):
     output — indicates index/table corruption or a k/m mismatch."""
 
 
-def _peak_chunk_bytes(table: FastqPartTable) -> int:
-    """Largest combined (R1 + R2) chunk payload; 0 for a chunkless table."""
-    if table.n_chunks == 0:
-        return 0
-    return int(np.max(table.size1 + table.size2))
-
-
 def _estimate_ccio_bytes(
     table: FastqPartTable,
     assignment: np.ndarray,
@@ -391,16 +384,13 @@ class PipelineResult:
         return self.projected.total_seconds
 
     def memory_per_task_bytes(self) -> int:
-        """Section 3.7 memory estimate on this run's measured volumes.
+        """Section 3.7 memory model at this run's largest pass: for a
+        budget-driven run, exactly what the pass planner accepted.
 
         Well-defined for degenerate runs too: a zero-chunk table
         contributes no chunk payload (the index tables still count).
         """
-        table = self.index.fastqpart
-        chunk_bytes = _peak_chunk_bytes(table)
-        table_bytes = table.nbytes + self.index.merhist.nbytes
-        model = TimingModel(get_machine(self.config.machine))
-        return model.memory_per_task(self.work, chunk_bytes, table_bytes)
+        return self.work.memory_at(self.plan.worst_tuples_per_task).total
 
 
 class MetaPrep:
@@ -513,10 +503,11 @@ class MetaPrep:
         else:
             n_passes = passes_for_memory_budget(
                 merhist,
+                table,
                 p_tasks,
+                t_threads,
                 cfg.tuple_bytes,
                 cfg.memory_budget_per_task,
-                reserved_bytes_per_task=table.nbytes + merhist.nbytes + 8 * n_reads,
             )
         plan = plan_passes(merhist, n_passes, p_tasks, t_threads)
         assignment = chunk_assignment(table.n_chunks, p_tasks, t_threads)
@@ -538,7 +529,7 @@ class MetaPrep:
             k=cfg.k,
             tuple_bytes=cfg.tuple_bytes,
         )
-        work.fastq_chunk_bytes = _peak_chunk_bytes(table)
+        work.fastq_chunk_bytes = table.peak_chunk_bytes
         work.table_bytes = table.nbytes + merhist.nbytes
         forests = [DisjointSetForest(n_reads) for _ in range(p_tasks)]
 

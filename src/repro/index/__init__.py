@@ -30,6 +30,7 @@ from repro.index.offsets import (
     thread_write_offsets,
 )
 from repro.index.passplan import (
+    BudgetTooSmall,
     PassSpec,
     PassPlan,
     balanced_boundaries,
@@ -54,6 +55,7 @@ __all__ = [
     "balanced_boundaries",
     "plan_passes",
     "passes_for_memory_budget",
+    "BudgetTooSmall",
     "IndexCreateResult",
     "index_create",
 ]

@@ -120,6 +120,14 @@ class FastqPartTable:
         dominates, as in the paper's memory analysis."""
         return int(self.hist.nbytes + 7 * 8 * self.n_chunks)
 
+    @property
+    def peak_chunk_bytes(self) -> int:
+        """Largest combined (R1 + R2) chunk payload, the section 3.7
+        ``s_c``; 0 for a chunkless table."""
+        if self.n_chunks == 0:
+            return 0
+        return int(np.max(self.size1 + self.size2))
+
     def chunk_bytes(self, c: int) -> int:
         return int(self.size1[c] + self.size2[c])
 

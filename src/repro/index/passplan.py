@@ -19,8 +19,22 @@ from typing import List
 
 import numpy as np
 
+from repro.index.fastqpart import FastqPartTable
 from repro.index.merhist import MerHist
+from repro.runtime.work import task_memory
 from repro.util.validation import check_positive
+
+#: the planner's search bound on the pass count S
+MAX_PASSES = 64
+
+
+class BudgetTooSmall(ValueError):
+    """No pass count up to :data:`MAX_PASSES` fits the per-task budget."""
+
+
+def _per_task(tuples: int, n_tasks: int) -> int:
+    """One task's share of a pass, ``ceil(tuples / P)``."""
+    return -(-tuples // n_tasks)
 
 
 def balanced_boundaries(
@@ -98,6 +112,13 @@ class PassPlan:
     def total_tuples(self) -> int:
         return sum(p.tuples for p in self.passes)
 
+    @property
+    def worst_tuples_per_task(self) -> int:
+        """One task's share of the largest pass: where the pass planner
+        and the run report evaluate the section 3.7 memory model."""
+        worst = max((p.tuples for p in self.passes), default=0)
+        return _per_task(worst, self.n_tasks)
+
     def validate_disjoint(self, n_bins: int) -> None:
         """Passes must tile ``[0, 4^m)`` without gaps or overlap."""
         expect = 0
@@ -151,53 +172,52 @@ def plan_passes(
 
 def passes_for_memory_budget(
     merhist: MerHist,
+    table: FastqPartTable,
     n_tasks: int,
+    n_threads: int,
     tuple_bytes: int,
     memory_budget_per_task: int,
-    reserved_bytes_per_task: int = 0,
-    max_passes: int = 64,
 ) -> int:
-    """Fewest passes S so per-task tuple buffers fit the budget.
+    """Fewest passes S whose section 3.7 memory model fits the budget.
 
-    Paper section 3.7: kmerOut and kmerIn each hold ~``12 M / (S P)`` bytes
-    (with 12 generalized to ``tuple_bytes``); the dominant term is
-    ``2 * tuple_bytes * M / (S P)``.  ``reserved_bytes_per_task`` accounts
-    for the fixed arrays (tables, FASTQ buffers, p and p').
+    The model (:func:`repro.runtime.work.task_memory`) counts the index
+    tables, the T FASTQ chunk buffers, kmerOut + kmerIn and p + p', and is
+    evaluated at S's *worst* pass (max tuples over the balanced pass
+    split, :attr:`PassPlan.worst_tuples_per_task`), so a skewed histogram
+    is handled and the run's own report equals what was accepted here.
 
-    The planner uses the *actual worst pass* (max tuples over the balanced
-    pass split), not the average, so a skewed histogram is handled.
-
-    Raises ``ValueError`` for a zero/negative budget or ``tuple_bytes``, a
-    negative ``reserved_bytes_per_task``, or a reservation that consumes
-    the whole budget — a nonsensical budget must fail here, loudly, not
-    surface later as a division artifact or an absurd pass count.
+    Raises ``ValueError`` for a non-positive budget or ``tuple_bytes``,
+    and :class:`BudgetTooSmall` when no S up to :data:`MAX_PASSES` fits.
+    The worst pass need not shrink monotonically with S, so every S is
+    tried before giving up.
     """
     check_positive("memory_budget_per_task", memory_budget_per_task)
     check_positive("tuple_bytes", tuple_bytes)
-    if reserved_bytes_per_task < 0:
-        raise ValueError(
-            "reserved_bytes_per_task must be >= 0, got "
-            f"{reserved_bytes_per_task}"
-        )
-    available = memory_budget_per_task - reserved_bytes_per_task
-    if available <= 0:
-        raise ValueError(
-            "reserved bytes exceed the memory budget; nothing left for tuples"
-        )
-    counts = merhist.counts.astype(np.int64)
-    for s in range(1, max_passes + 1):
-        edges = balanced_boundaries(counts, s)
-        cum = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=cum[1:])
-        per_pass = cum[edges[1:]] - cum[edges[:-1]]
-        worst = int(per_pass.max())
-        # per task: kmerOut + kmerIn, each ~worst/P tuples (balanced split)
-        per_task_bytes = 2 * tuple_bytes * int(np.ceil(worst / n_tasks))
-        if per_task_bytes <= available:
+    table_bytes = table.nbytes + merhist.nbytes
+
+    def need(tuples_per_task_pass: int) -> int:
+        return task_memory(
+            table_bytes,
+            table.peak_chunk_bytes,
+            n_threads,
+            table.total_reads,
+            tuple_bytes,
+            tuples_per_task_pass,
+        ).total
+
+    cum = merhist.cumulative()
+    needs = []
+    for s in range(1, MAX_PASSES + 1):
+        worst = int(np.diff(cum[balanced_boundaries(merhist.counts, s)]).max())
+        needs.append(need(_per_task(worst, n_tasks)))
+        if needs[-1] <= memory_budget_per_task:
             return s
-    raise ValueError(
-        f"no pass count up to {max_passes} fits the per-task budget of "
-        f"{memory_budget_per_task} bytes"
+    raise BudgetTooSmall(
+        f"no pass count up to {MAX_PASSES} fits the per-task memory budget "
+        f"of {memory_budget_per_task} bytes: the fixed terms (index "
+        f"tables, {n_threads} FASTQ chunk buffers, p and p') alone take "
+        f"{need(0)} bytes, and the least any pass count needs is {min(needs)} "
+        f"bytes"
     )
 
 

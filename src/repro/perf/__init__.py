@@ -1,20 +1,8 @@
-"""Analytic cost model of paper section 3.7."""
+"""Substrate calibration: this host's kernel throughputs, measured."""
 
-from repro.perf.costmodel import (
-    CostModelInputs,
-    MemoryEstimate,
-    estimate_memory_per_task,
-    estimate_step_complexities,
-    IOWA_EXAMPLE,
-)
 from repro.perf.calibrate import SubstrateRates, calibrate
 
 __all__ = [
-    "CostModelInputs",
-    "MemoryEstimate",
-    "estimate_memory_per_task",
-    "estimate_step_complexities",
-    "IOWA_EXAMPLE",
     "SubstrateRates",
     "calibrate",
 ]

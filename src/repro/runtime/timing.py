@@ -149,17 +149,21 @@ class TimingModel:
             parse + gen + work.n_passes * m.pass_overhead
         )
 
-        # --- KmerGen-Comm: P synchronized stages per pass; each stage costs
-        # its largest message (all links run concurrently).  Under memory
-        # pressure (few passes => huge buffers) the volume term degrades;
-        # see MachineSpec.comm_memory_pressure_penalty.
-        comm = np.zeros(p)
+        # Under memory pressure (few passes => huge buffers) message volume
+        # degrades; see MachineSpec.comm_memory_pressure_penalty.  The
+        # section 3.7 model is taken at the paper's mean pass M/(S P).
+        pressure = 1.0
         if p > 1:
-            util = self.estimated_memory_per_task(work) / m.memory_per_node
+            util = work.mean_pass_memory().total / m.memory_per_node
             floor = m.comm_pressure_floor
             pressure = 1.0 + m.comm_memory_pressure_penalty * max(
                 0.0, util - floor
             ) / (1.0 - floor)
+
+        # --- KmerGen-Comm: P synchronized stages per pass; each stage costs
+        # its largest message (all links run concurrently).
+        comm = np.zeros(p)
+        if p > 1:
             for pass_idx, stage_maxes in enumerate(work.comm_stage_max_bytes):
                 setup = (
                     m.comm_setup_first_pass
@@ -215,11 +219,6 @@ class TimingModel:
         merge_comm = np.zeros(p)
         merge_compute = np.zeros(p)
         if p > 1:
-            util = self.estimated_memory_per_task(work) / m.memory_per_node
-            floor = m.comm_pressure_floor
-            pressure = 1.0 + m.comm_memory_pressure_penalty * max(
-                0.0, util - floor
-            ) / (1.0 - floor)
             per_send_t = (
                 work.merge_bytes_per_send * pressure / m.link_bw
                 + m.link_latency
@@ -242,25 +241,3 @@ class TimingModel:
             work.ccio_bytes, write_bw, m.io_scales_with_nodes
         )
         return out
-
-    # ------------------------------------------------------------------
-    def estimated_memory_per_task(self, work: RunWork) -> int:
-        """Section 3.7 memory estimate using the volumes carried by the
-        work record itself (chunk/table sizes set by the pipeline)."""
-        return self.memory_per_task(
-            work, work.fastq_chunk_bytes, work.table_bytes
-        )
-
-    def memory_per_task(self, work: RunWork, fastq_chunk_bytes: int, table_bytes: int) -> int:
-        """Paper section 3.7 memory model, evaluated on measured volumes:
-        tables + T * chunk + kmerOut + kmerIn + p + p'."""
-        per_pass_tuples = work.kmergen_tuples.sum() / max(work.n_passes, 1)
-        per_task_pass_tuples = int(np.ceil(per_pass_tuples / work.n_tasks))
-        kmer_buffers = 2 * work.tuple_bytes * per_task_pass_tuples
-        p_arrays = 2 * 4 * work.n_reads
-        return int(
-            table_bytes
-            + work.n_threads * fastq_chunk_bytes
-            + kmer_buffers
-            + p_arrays
-        )

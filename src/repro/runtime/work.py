@@ -9,7 +9,7 @@ per pass) from which every projected figure follows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,6 +37,50 @@ class StepNames:
         MERGECC,
         CC_IO,
     ]
+
+
+class TaskMemory(NamedTuple):
+    """Paper section 3.7's per-task memory, term by term, in bytes."""
+
+    #: merHist + FASTQPart, ``4^(m+1) (C + 1)`` in the paper
+    tables: int
+    #: one FASTQ chunk buffer per thread, ``T s_c``
+    fastq_buffer: int
+    #: outgoing and incoming tuple buffers of one pass
+    kmer_out: int
+    kmer_in: int
+    #: the component arrays p and p', 4 bytes per read each
+    components: int
+
+    @property
+    def total(self) -> int:
+        return sum(self)
+
+
+def task_memory(
+    table_bytes: int,
+    chunk_bytes: int,
+    n_threads: int,
+    n_reads: int,
+    tuple_bytes: int,
+    tuples_per_task_pass: int,
+) -> TaskMemory:
+    """Paper section 3.7: ``4^(m+1)(C+1) + T s_c + 2 tuple_bytes M/(S P) + 8R``.
+
+    The only copy of the formula.  ``tuples_per_task_pass`` is where it is
+    evaluated: the pass planner and the run report take the plan's worst
+    pass (:attr:`~repro.index.passplan.PassPlan.worst_tuples_per_task`),
+    the timing projection the paper's mean pass ``M/(S P)``
+    (:meth:`RunWork.mean_pass_memory`).
+    """
+    kmer_buffer = tuple_bytes * tuples_per_task_pass
+    return TaskMemory(
+        tables=table_bytes,
+        fastq_buffer=n_threads * chunk_bytes,
+        kmer_out=kmer_buffer,
+        kmer_in=kmer_buffer,
+        components=2 * 4 * n_reads,
+    )
 
 
 @dataclass
@@ -85,8 +129,7 @@ class RunWork:
     ccio_bytes: np.ndarray = field(default=None)  # (P, T)
 
     # memory-model inputs (paper section 3.7): largest FASTQ chunk and the
-    # resident index tables.  Used by the timing model to estimate per-task
-    # memory utilization (which feeds the communication pressure penalty).
+    # resident index tables; see task_memory.
     fastq_chunk_bytes: int = 0
     table_bytes: int = 0
 
@@ -128,6 +171,24 @@ class RunWork:
         off = self.comm_bytes_matrix.copy()
         np.fill_diagonal(off, 0)
         return int(off.sum())
+
+    def memory_at(self, tuples_per_task_pass: int) -> TaskMemory:
+        """The section 3.7 model on this run's fixed terms, for a pass
+        that hands each task ``tuples_per_task_pass`` tuples."""
+        return task_memory(
+            self.table_bytes,
+            self.fastq_chunk_bytes,
+            self.n_threads,
+            self.n_reads,
+            self.tuple_bytes,
+            tuples_per_task_pass,
+        )
+
+    def mean_pass_memory(self) -> TaskMemory:
+        """The model at the paper's mean pass ``M/(S P)``: what the timing
+        projection charges for memory pressure."""
+        per_pass_tuples = self.kmergen_tuples.sum() / max(self.n_passes, 1)
+        return self.memory_at(int(np.ceil(per_pass_tuples / self.n_tasks)))
 
     def scaled(self, factor: float) -> "RunWork":
         """A copy with every volume multiplied by ``factor``.

@@ -141,16 +141,26 @@ class TestAutoPasses:
     def test_budget_derives_passes(self, tiny_hg):
         generous = run(tiny_hg, n_passes=None, memory_budget_per_task=10**12)
         assert generous.n_passes == 1
-        # a budget sized to ~1/3 of the tuple buffers forces more passes
-        need = 2 * 12 * generous.total_tuples
-        tight = run(
-            tiny_hg,
-            n_passes=None,
-            memory_budget_per_task=need // 3 + generous.index.fastqpart.nbytes
-            + generous.index.merhist.nbytes
-            + 8 * generous.n_reads,
-        )
+        # a budget with room for ~1/3 of the tuple buffers forces more passes
+        budget = generous.work.memory_at(generous.total_tuples // 3).total
+        tight = run(tiny_hg, n_passes=None, memory_budget_per_task=budget)
         assert tight.n_passes >= 2
+        assert tight.memory_per_task_bytes() <= budget
+
+    @pytest.mark.parametrize("budget_kib", [100, 140, 200])
+    def test_planner_keeps_its_budget(self, tiny_hg, budget_kib):
+        """Regression: the planner once reserved the index tables and
+        p + p' but not the T FASTQ chunk buffers, and picked S = 18, 8 and
+        4 here, each over the budget by the run's own section 3.7 model."""
+        budget = budget_kib * 1024
+        res = run(
+            tiny_hg,
+            n_tasks=2,
+            n_passes=None,
+            memory_budget_per_task=budget,
+            spill="never",
+        )
+        assert res.memory_per_task_bytes() <= budget
 
     def test_index_mismatch_rejected(self, tiny_hg):
         from repro.index.create import index_create

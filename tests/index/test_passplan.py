@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from repro.index.fastqpart import FastqPartTable
 from repro.index.merhist import MerHist
 from repro.index.passplan import (
+    BudgetTooSmall,
     balanced_boundaries,
     passes_for_memory_budget,
     plan_passes,
     spill_schedule,
 )
+from repro.runtime.work import task_memory
 
 
 def hist_of(counts, k=9):
@@ -15,6 +18,38 @@ def hist_of(counts, k=9):
     m = int(np.log2(len(counts)) / 2)
     assert 4**m == len(counts)
     return MerHist(k=k, m=m, counts=counts)
+
+
+def table_of(hist, n_chunks=0, chunk_bytes=0, reads=0):
+    """A FASTQPart table that only carries the model's fixed terms: its
+    size, its largest chunk and its read count."""
+    zeros = np.zeros(n_chunks, dtype=np.int64)
+    return FastqPartTable(
+        k=hist.k,
+        m=hist.m,
+        units=[],
+        unit=zeros,
+        read_lo=zeros,
+        read_hi=zeros,
+        offset1=zeros,
+        size1=np.full(n_chunks, chunk_bytes, dtype=np.int64),
+        offset2=zeros,
+        size2=zeros,
+        hist=np.zeros((n_chunks, hist.n_bins), dtype=np.uint32),
+        total_reads=reads,
+    )
+
+
+def fixed_bytes(hist, table, n_threads=1, tuple_bytes=12):
+    """The model's terms that no pass count changes."""
+    return task_memory(
+        table.nbytes + hist.nbytes,
+        table.peak_chunk_bytes,
+        n_threads,
+        table.total_reads,
+        tuple_bytes,
+        0,
+    ).total
 
 
 @pytest.fixture()
@@ -104,54 +139,72 @@ class TestPassesForMemoryBudget:
     def test_one_pass_when_budget_large(self):
         hist = hist_of(np.full(256, 100))
         s = passes_for_memory_budget(
-            hist, n_tasks=1, tuple_bytes=12, memory_budget_per_task=10**9
+            hist,
+            table_of(hist),
+            n_tasks=1,
+            n_threads=1,
+            tuple_bytes=12,
+            memory_budget_per_task=10**9,
         )
         assert s == 1
 
     def test_more_passes_when_budget_tight(self):
         hist = hist_of(np.full(256, 1000))
+        table = table_of(hist)
         total = hist.total_tuples
-        # budget fits half the tuples' buffers
-        budget = 2 * 12 * total // 2
-        s = passes_for_memory_budget(hist, 1, 12, budget)
+        # budget fits the fixed terms and half the tuples' buffers
+        budget = fixed_bytes(hist, table) + 2 * 12 * total // 2
+        s = passes_for_memory_budget(hist, table, 1, 1, 12, budget)
         assert s >= 2
         # and the chosen s actually fits
-        worst_per_pass = int(np.ceil(total / s))
-        assert 2 * 12 * worst_per_pass <= budget
+        worst_per_pass = plan_passes(hist, s, 1, 1).worst_tuples_per_task
+        assert fixed_bytes(hist, table) + 2 * 12 * worst_per_pass <= budget
 
     def test_more_tasks_fewer_passes(self):
         hist = hist_of(np.full(256, 1000))
-        budget = 2 * 12 * hist.total_tuples // 3
-        s1 = passes_for_memory_budget(hist, 1, 12, budget)
-        s4 = passes_for_memory_budget(hist, 4, 12, budget)
+        table = table_of(hist)
+        budget = fixed_bytes(hist, table) + 2 * 12 * hist.total_tuples // 3
+        s1 = passes_for_memory_budget(hist, table, 1, 1, 12, budget)
+        s4 = passes_for_memory_budget(hist, table, 4, 1, 12, budget)
         assert s4 <= s1
 
     def test_reserved_bytes_reduce_budget(self):
+        """The fixed terms (tables, T chunk buffers, p + p') are reserved
+        before any tuple buffer: larger ones force at least as many
+        passes."""
         hist = hist_of(np.full(256, 1000))
-        budget = 2 * 12 * hist.total_tuples
-        s_clean = passes_for_memory_budget(hist, 1, 12, budget)
-        s_reserved = passes_for_memory_budget(
-            hist, 1, 12, budget, reserved_bytes_per_task=budget // 2
-        )
-        assert s_reserved >= s_clean
+        clean = table_of(hist)
+        budget = fixed_bytes(hist, clean) + 2 * 12 * hist.total_tuples
+        s_clean = passes_for_memory_budget(hist, clean, 1, 4, 12, budget)
+        heavy = table_of(hist, n_chunks=4, chunk_bytes=budget // 16, reads=1000)
+        s_reserved = passes_for_memory_budget(hist, heavy, 1, 4, 12, budget)
+        assert s_clean == 1
+        assert s_reserved > s_clean
 
     def test_impossible_budget_rejected(self):
+        """A budget the fixed terms alone exceed raises the typed error,
+        which names the fixed bytes and the least any S needs."""
         hist = hist_of(np.full(256, 1000))
-        with pytest.raises(ValueError):
-            passes_for_memory_budget(
-                hist, 1, 12, 100, reserved_bytes_per_task=200
-            )
+        table = table_of(hist, n_chunks=2, chunk_bytes=500, reads=100)
+        fixed = fixed_bytes(hist, table, n_threads=2)
+        least = fixed + 2 * 12 * plan_passes(hist, 64, 1, 2).worst_tuples_per_task
+        with pytest.raises(BudgetTooSmall) as err:
+            passes_for_memory_budget(hist, table, 1, 2, 12, fixed - 1)
+        assert f"alone take {fixed} bytes" in str(err.value)
+        assert f"needs is {least} bytes" in str(err.value)
+        assert isinstance(err.value, ValueError)
 
     def test_heavy_single_bin_bounds_passes(self):
         # one bin holds everything: more passes cannot help
         counts = np.zeros(256, dtype=np.uint32)
         counts[7] = 10_000
         hist = hist_of(counts)
-        need = 2 * 12 * 10_000
-        s = passes_for_memory_budget(hist, 1, 12, need)
+        table = table_of(hist)
+        need = fixed_bytes(hist, table) + 2 * 12 * 10_000
+        s = passes_for_memory_budget(hist, table, 1, 1, 12, need)
         assert s == 1
-        with pytest.raises(ValueError):
-            passes_for_memory_budget(hist, 1, 12, need // 2)
+        with pytest.raises(BudgetTooSmall):
+            passes_for_memory_budget(hist, table, 1, 1, 12, need - 1)
 
     @pytest.mark.parametrize("budget", [0, -1, -(1 << 30)])
     def test_zero_or_negative_budget_rejected(self, budget):
@@ -159,19 +212,18 @@ class TestPassesForMemoryBudget:
         front, not surface downstream as a division artifact."""
         hist = hist_of(np.full(256, 1000))
         with pytest.raises(ValueError, match="memory_budget_per_task"):
-            passes_for_memory_budget(hist, 1, 12, budget)
+            passes_for_memory_budget(hist, table_of(hist), 1, 1, 12, budget)
 
     def test_nonpositive_tuple_bytes_rejected(self):
         hist = hist_of(np.full(256, 1000))
         with pytest.raises(ValueError, match="tuple_bytes"):
-            passes_for_memory_budget(hist, 1, 0, 1 << 20)
+            passes_for_memory_budget(hist, table_of(hist), 1, 1, 0, 1 << 20)
 
-    def test_negative_reserved_bytes_rejected(self):
+    def test_worst_tuples_per_task(self):
         hist = hist_of(np.full(256, 1000))
-        with pytest.raises(ValueError, match="reserved_bytes_per_task"):
-            passes_for_memory_budget(
-                hist, 1, 12, 1 << 20, reserved_bytes_per_task=-1
-            )
+        plan = plan_passes(hist, 3, 4, 1)
+        worst = max(spec.tuples for spec in plan.passes)
+        assert plan.worst_tuples_per_task == -(-worst // 4)
 
 
 class TestSpillSchedule:

@@ -20,10 +20,11 @@ def work_with_memory(P=4, T=8, S=1, tuples=10**9, reads=10**7):
 
 
 class TestEstimatedMemory:
+    """The projection's evaluation point: the model at the mean pass."""
+
     def test_components_add_up(self):
-        model = TimingModel(EDISON)
         w = work_with_memory()
-        est = model.estimated_memory_per_task(w)
+        est = w.mean_pass_memory().total
         tuples_per_task_pass = int(np.ceil(w.kmergen_tuples.sum() / (w.n_passes * w.n_tasks)))
         expected = (
             w.table_bytes
@@ -34,17 +35,16 @@ class TestEstimatedMemory:
         assert est == expected
 
     def test_more_passes_less_memory(self):
-        model = TimingModel(EDISON)
-        assert model.estimated_memory_per_task(
-            work_with_memory(S=8)
-        ) < model.estimated_memory_per_task(work_with_memory(S=1))
+        assert (
+            work_with_memory(S=8).mean_pass_memory().total
+            < work_with_memory(S=1).mean_pass_memory().total
+        )
 
     def test_k63_tuples_cost_more(self):
-        model = TimingModel(EDISON)
         w = work_with_memory()
         w20 = work_with_memory()
         w20.tuple_bytes = 20
-        assert model.estimated_memory_per_task(w20) > model.estimated_memory_per_task(w)
+        assert w20.mean_pass_memory().total > w.mean_pass_memory().total
 
 
 class TestMemoryPressureComm:

@@ -71,6 +71,25 @@ class TestIndexAndRun:
         assert "largest component" in out
         assert "projected step times" in out
 
+    def test_run_budget_too_small_is_one_line(self, files, capsys):
+        """A budget no pass count fits is a usage error, not a traceback."""
+        r1, r2 = files
+        rc = main(
+            [
+                "run",
+                "--r1", r1, "--r2", r2,
+                "--k", "27", "--m", "5",
+                "--tasks", "2", "--threads", "2", "--budget-mb", "0.01",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("metaprep run: no pass count up to 64 fits")
+        assert "alone take" in lines[0]
+
     def test_run_executor_flags_parsed(self):
         ns = build_parser().parse_args(
             ["run", "--r1", "x.fastq", "--executor", "process", "--workers", "3"]

@@ -57,9 +57,6 @@ def test_package_docstring(name):
 NO_CALLER_ALLOWED = {
     # the console-script entry point: invoked by name, imported by no one
     "repro.cli",
-    # the paper's section 3.7 worked example, pinned by
-    # tests/perf/test_costmodel.py; revisit with ROADMAP item 4b
-    "repro.perf.costmodel",
 }
 
 
