@@ -37,9 +37,7 @@ __version__ = "1.0.0"
 _LAZY = {
     "PipelineConfig": ("repro.core.config", "PipelineConfig"),
     "MetaPrep": ("repro.core.pipeline", "MetaPrep"),
-    "PipelineResult": ("repro.core.pipeline", "PipelineResult"),
     "build_dataset": ("repro.datasets.registry", "build_dataset"),
-    "DATASETS": ("repro.datasets.registry", "DATASETS"),
 }
 
 
@@ -56,11 +54,5 @@ def __getattr__(name: str) -> Any:
 def __dir__() -> "list[str]":
     return sorted(list(globals()) + list(_LAZY))
 
-__all__ = [
-    "MetaPrep",
-    "PipelineConfig",
-    "PipelineResult",
-    "build_dataset",
-    "DATASETS",
-    "__version__",
-]
+
+__all__ = ["MetaPrep", "PipelineConfig", "build_dataset", "__version__"]

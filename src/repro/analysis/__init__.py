@@ -21,21 +21,3 @@ non-zero on any unsuppressed finding.  The whole subsystem is
 stdlib-only (``ast`` + ``tokenize``) so the CI gate runs without the
 numeric stack.
 """
-
-from repro.analysis.findings import RULES, Finding
-from repro.analysis.project import Project, ProjectLayoutError, SourceModule
-from repro.analysis.runner import CHECKERS, CheckReport, run_checks
-from repro.analysis.suppress import is_suppressed, parse_suppressions
-
-__all__ = [
-    "CHECKERS",
-    "CheckReport",
-    "Finding",
-    "Project",
-    "ProjectLayoutError",
-    "RULES",
-    "SourceModule",
-    "is_suppressed",
-    "parse_suppressions",
-    "run_checks",
-]

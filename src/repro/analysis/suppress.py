@@ -80,21 +80,12 @@ def scan_suppression_comments(text: str) -> List[SuppressionComment]:
     return comments
 
 
-def parse_suppressions(text: str) -> Dict[int, FrozenSet[str]]:
-    """Map 1-based line number -> rule ids suppressed on that line.
-
-    The wildcard ``*`` suppresses every rule on the line.  Malformed or
-    absent suppression comments contribute nothing; a file that fails to
-    tokenize (which would also fail to parse) yields an empty map.
-    """
-    return suppression_map(scan_suppression_comments(text))
-
-
 def suppression_map(
     comments: List[SuppressionComment],
 ) -> Dict[int, FrozenSet[str]]:
-    """Fold already-scanned comments into :func:`parse_suppressions`'
-    line -> rule ids map (malformed comments contribute nothing)."""
+    """Map 1-based line number -> rule ids suppressed on that line, from
+    scanned comments.  The wildcard ``*`` suppresses every rule on the
+    line; malformed comments contribute nothing."""
     suppressions: Dict[int, FrozenSet[str]] = {}
     for comment in comments:
         if comment.malformed:

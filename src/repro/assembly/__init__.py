@@ -10,46 +10,3 @@ provides exactly that: canonical k-mer counting with a solidity filter,
 the bidirectional de Bruijn graph over (k-1)-mers, maximal non-branching
 path (unitig) compaction, and standard contig statistics.
 """
-
-from repro.assembly.graph import DeBruijnGraph, build_debruijn_graph
-from repro.assembly.unitigs import extract_unitigs
-from repro.assembly.cleaning import (
-    CleaningStats,
-    clean_graph,
-    pop_bubbles,
-    remove_tips,
-    unitig_chains,
-)
-from repro.assembly.evaluation import (
-    AssemblyEvaluator,
-    EvaluationReport,
-    evaluate_against_community,
-)
-from repro.assembly.stats import AssemblyStats, contig_stats, n_statistic
-from repro.assembly.assembler import (
-    AssemblyConfig,
-    AssemblyResult,
-    MiniAssembler,
-    assemble_reads,
-)
-
-__all__ = [
-    "DeBruijnGraph",
-    "build_debruijn_graph",
-    "extract_unitigs",
-    "AssemblyStats",
-    "contig_stats",
-    "n_statistic",
-    "AssemblyConfig",
-    "AssemblyResult",
-    "MiniAssembler",
-    "assemble_reads",
-    "CleaningStats",
-    "clean_graph",
-    "pop_bubbles",
-    "remove_tips",
-    "unitig_chains",
-    "AssemblyEvaluator",
-    "EvaluationReport",
-    "evaluate_against_community",
-]

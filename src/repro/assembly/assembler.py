@@ -55,6 +55,8 @@ class AssemblyConfig:
 
 @dataclass
 class AssemblyResult:
+    """Contigs of one assembly, their statistics, and its cost."""
+
     contigs: List[str]
     stats: AssemblyStats
     seconds: float
@@ -128,12 +130,3 @@ class MiniAssembler:
         for u in units:
             paths.extend(FastqUnit.wrap(u).files)
         return self.assemble_files(paths)
-
-
-def assemble_reads(
-    batch: ReadBatch, k: int = 21, min_count: int = 2, min_contig_length: int = 63
-) -> AssemblyResult:
-    """One-call convenience wrapper."""
-    return MiniAssembler(
-        AssemblyConfig(k=k, min_count=min_count, min_contig_length=min_contig_length)
-    ).assemble_batch(batch)

@@ -39,6 +39,8 @@ class Chain:
 
 @dataclass
 class CleaningStats:
+    """What :func:`clean_graph` removed, and in how many rounds."""
+
     tips_removed: int = 0
     bubbles_popped: int = 0
     edges_removed: int = 0

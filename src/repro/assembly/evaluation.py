@@ -32,6 +32,8 @@ from repro.util.validation import check_in_range
 
 @dataclass
 class ContigClassification:
+    """Contig indices by verdict against the community's genomes."""
+
     correct: List[int] = field(default_factory=list)
     misassembled: List[int] = field(default_factory=list)
     spurious: List[int] = field(default_factory=list)

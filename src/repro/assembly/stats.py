@@ -59,19 +59,3 @@ def contig_stats(contigs: Sequence[str]) -> AssemblyStats:
         n90=n_statistic(lengths, 0.9),
         mean_bp=total / len(lengths),
     )
-
-
-def combine_stats(parts: Sequence[AssemblyStats]) -> AssemblyStats:
-    """Aggregate statistics of independently assembled partitions.
-
-    N50/N90 cannot be combined exactly from summaries; this recomputes them
-    from the concatenated virtual length multiset encoded by each part's
-    (n_contigs, mean) — callers that need exact N50 should pass contig
-    lists to :func:`contig_stats` instead.  Used only for coarse roll-ups.
-    """
-    n = sum(p.n_contigs for p in parts)
-    total = sum(p.total_bp for p in parts)
-    mx = max((p.max_bp for p in parts), default=0)
-    n50 = max((p.n50 for p in parts), default=0)
-    n90 = min((p.n90 for p in parts if p.n_contigs), default=0)
-    return AssemblyStats(n, total, mx, n50, n90, total / n if n else 0.0)

@@ -9,17 +9,3 @@
   standing in for the NUMA-aware radix sort of Polychroniou & Ross
   (section 4.2.2's comparator).
 """
-
-from repro.baselines.kmc2 import Kmc2Counter, Kmc2Result
-from repro.baselines.ap_lb import APLBPartitioner, APLBResult, shiloach_vishkin
-from repro.baselines.numa_sort import comparator_sort_tuples, sort_throughput
-
-__all__ = [
-    "Kmc2Counter",
-    "Kmc2Result",
-    "APLBPartitioner",
-    "APLBResult",
-    "shiloach_vishkin",
-    "comparator_sort_tuples",
-    "sort_throughput",
-]

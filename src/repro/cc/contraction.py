@@ -91,22 +91,3 @@ def merge_component_arrays_contracted(
         stats.pairs_per_round.append(round_pairs)
 
     return forests[0].parent.copy(), stats
-
-
-def expected_contracted_bytes(
-    parents: Sequence[np.ndarray],
-) -> Tuple[int, int]:
-    """(contracted, baseline) wire bytes for the *first* round only —
-    a cheap predictor for whether contraction pays off, usable before
-    committing to either merge implementation."""
-    schedule = tree_merge_schedule(len(parents))
-    if not schedule:
-        return 0, 0
-    contracted = 0
-    baseline = 0
-    n = len(parents[0])
-    for sender, _ in schedule[0]:
-        idx, _vals = nontrivial_pairs(np.asarray(parents[sender]))
-        contracted += 8 * len(idx)
-        baseline += 4 * n
-    return contracted, baseline

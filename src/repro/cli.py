@@ -92,24 +92,30 @@ def cmd_run(args) -> int:
     n_passes = args.passes
     if n_passes is None and budget is None:
         n_passes = 1
-    config = PipelineConfig(
-        k=args.k,
-        m=args.m,
-        n_tasks=args.tasks,
-        n_threads=args.threads,
-        n_passes=n_passes,
-        memory_budget_per_task=budget,
-        n_chunks=args.chunks,
-        kmer_filter=FrequencyFilter.parse(args.filter),
-        machine=args.machine,
-        write_outputs=args.out is not None,
-        executor=args.executor,
-        max_workers=args.workers,
-        worker_addresses=tuple(args.worker or ()),
-        telemetry_dir=args.telemetry,
-        spill=args.spill,
-        spill_dir=args.spill_dir,
-    )
+    try:
+        # an option value the config rejects is a usage error, as is a
+        # budget no pass count fits: one line, exit status 2
+        config = PipelineConfig(
+            k=args.k,
+            m=args.m,
+            n_tasks=args.tasks,
+            n_threads=args.threads,
+            n_passes=n_passes,
+            memory_budget_per_task=budget,
+            n_chunks=args.chunks,
+            kmer_filter=FrequencyFilter.parse(args.filter),
+            machine=args.machine,
+            write_outputs=args.out is not None,
+            executor=args.executor,
+            max_workers=args.workers,
+            worker_addresses=tuple(args.worker or ()),
+            telemetry_dir=args.telemetry,
+            spill=args.spill,
+            spill_dir=args.spill_dir,
+        )
+    except ValueError as exc:
+        print(f"metaprep run: {exc}", file=sys.stderr)
+        return 2
     try:
         result = MetaPrep(config).run(_units_from_args(args), output_dir=args.out)
     except BudgetTooSmall as exc:

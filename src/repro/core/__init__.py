@@ -1,26 +1,1 @@
 """The METAPREP pipeline: configuration, driver, partition output, reports."""
-
-from repro.core.checkpoint import CheckpointStore, prune_checkpoints
-from repro.core.config import PipelineConfig
-from repro.core.pipeline import MetaPrep, PipelineResult
-from repro.core.partition import PartitionResult, write_partitions
-from repro.core.report import (
-    format_breakdown,
-    format_job_metrics,
-    format_job_table,
-    format_partition_summary,
-)
-
-__all__ = [
-    "CheckpointStore",
-    "prune_checkpoints",
-    "PipelineConfig",
-    "MetaPrep",
-    "PipelineResult",
-    "PartitionResult",
-    "write_partitions",
-    "format_breakdown",
-    "format_job_metrics",
-    "format_job_table",
-    "format_partition_summary",
-]

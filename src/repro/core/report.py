@@ -10,7 +10,7 @@ from typing import Dict, List, Sequence
 
 from repro.cc.components import ComponentSummary
 from repro.runtime.work import StepNames
-from repro.util.sizes import human_bytes, human_count
+from repro.util.sizes import human_count
 from repro.util.timers import TimeBreakdown
 
 
@@ -56,12 +56,6 @@ def format_partition_summary(summary: ComponentSummary) -> str:
         ["singleton components", human_count(summary.singleton_components)],
     ]
     return format_table(["metric", "value"], rows)
-
-
-def format_memory(label_to_bytes: Dict[str, int]) -> str:
-    rows = [[k, human_bytes(v)] for k, v in label_to_bytes.items()]
-    rows.append(["total", human_bytes(sum(label_to_bytes.values()))])
-    return format_table(["array", "memory"], rows)
 
 
 def format_gap_report(report) -> str:

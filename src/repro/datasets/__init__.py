@@ -18,28 +18,3 @@ exercises:
 
 Generation is deterministic given (dataset id, seed, scale).
 """
-
-from repro.datasets.genomes import Genome, synthesize_genome, SegmentLibrary
-from repro.datasets.community import CommunitySpec, SpeciesSpec, build_community
-from repro.datasets.reads import ReadSimulator, SimulatedPair
-from repro.datasets.registry import (
-    DATASETS,
-    DatasetSpec,
-    BuiltDataset,
-    build_dataset,
-)
-
-__all__ = [
-    "Genome",
-    "synthesize_genome",
-    "SegmentLibrary",
-    "CommunitySpec",
-    "SpeciesSpec",
-    "build_community",
-    "ReadSimulator",
-    "SimulatedPair",
-    "DATASETS",
-    "DatasetSpec",
-    "BuiltDataset",
-    "build_dataset",
-]

@@ -12,15 +12,6 @@ from repro.util.rng import rng_for
 from repro.util.validation import check_positive
 
 
-@dataclass(frozen=True)
-class SpeciesSpec:
-    """Per-species knobs (usually produced by :class:`CommunitySpec`)."""
-
-    name: str
-    genome_length: int
-    abundance: float
-
-
 @dataclass
 class CommunitySpec:
     """Parameters of a synthetic community."""

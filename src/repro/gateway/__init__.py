@@ -13,24 +13,3 @@ spool client's interface (:mod:`repro.gateway.client`).
 See DESIGN.md §12 for the architecture and tenancy semantics, and
 ``metaprep gateway --help`` for the CLI entry point.
 """
-
-from repro.gateway.app import GatewayApp, GatewayCounters
-from repro.gateway.client import GatewayClient, GatewayError
-from repro.gateway.http import BadRequest, ConnectionClosed, HttpRequest
-from repro.gateway.server import GatewayServer
-from repro.gateway.tenants import Tenant, TenantAuthError, TenantRegistry, TokenBucket
-
-__all__ = [
-    "GatewayApp",
-    "GatewayCounters",
-    "GatewayClient",
-    "GatewayError",
-    "GatewayServer",
-    "BadRequest",
-    "ConnectionClosed",
-    "HttpRequest",
-    "Tenant",
-    "TenantAuthError",
-    "TenantRegistry",
-    "TokenBucket",
-]

@@ -86,16 +86,3 @@ def histogram_batch(batch: ReadBatch, k: int, m: int) -> np.ndarray:
     valid = valid_windows(batch, k)
     bins = DoublingTables(batch.codes, m).canonical_prefixes(k, m, len(valid))
     return np.bincount(bins[valid], minlength=1 << (2 * m)).astype(np.uint32)
-
-
-def build_merhist(batches: "list[ReadBatch]", k: int, m: int) -> MerHist:
-    """Accumulate the global histogram over a sequence of read batches."""
-    n_bins = 1 << (2 * m)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for batch in batches:
-        counts += histogram_batch(batch, k, m)
-    if counts.max(initial=0) > np.iinfo(np.uint32).max:
-        raise OverflowError(
-            "a merHist bin exceeds uint32; increase m to spread bins"
-        )
-    return MerHist(k=k, m=m, counts=counts.astype(np.uint32))

@@ -16,7 +16,7 @@ the counts the real KmerGen produces.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -140,40 +140,3 @@ def recv_write_offsets(
     np.cumsum(by_task, axis=0, out=sender_splits[1:])
     totals = sender_splits[-1].copy()
     return offsets, sender_splits, totals
-
-
-def recv_counts_matrix(send_counts: np.ndarray) -> np.ndarray:
-    """Tuples task ``p`` receives from task ``p'``: ``(P, P)``.
-
-    ``recv[p, p'] = sum_t send[p', t, p]`` — computed on the receiving side
-    from the same table, "in advance using the FASTQPart table" (section
-    3.3), so no count exchange is needed at runtime.
-    """
-    return send_counts.sum(axis=1).T.copy()
-
-
-def thread_write_offsets(send_counts: np.ndarray) -> List[np.ndarray]:
-    """Per task, each thread's write offsets into the task's send buffer.
-
-    The buffer is laid out destination-major: all tuples for task 0 first,
-    then task 1, ...  Within a destination block, thread 0's tuples precede
-    thread 1's.  For task ``p`` the result is an ``(n_threads, n_tasks)``
-    offset array (plus the implied block ends), from "a prefix sum of this
-    array" as in section 3.2.2.
-
-    Returns a list of length ``n_tasks``; element ``p`` is an
-    ``(n_threads + 1, n_tasks)`` int64 array where ``[t, d]`` is thread
-    ``t``'s write offset for destination ``d`` and row ``n_threads`` holds
-    the block-end offsets.
-    """
-    n_tasks, n_threads, _ = send_counts.shape
-    result = []
-    for p in range(n_tasks):
-        counts = send_counts[p]  # (T, P): tuples thread t sends to task d
-        block_totals = counts.sum(axis=0)  # per destination
-        block_starts = np.zeros(n_tasks, dtype=np.int64)
-        np.cumsum(block_totals[:-1], out=block_starts[1:])
-        within = np.zeros((n_threads + 1, n_tasks), dtype=np.int64)
-        np.cumsum(counts, axis=0, out=within[1:])
-        result.append(within + block_starts[None, :])
-    return result

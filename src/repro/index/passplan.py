@@ -32,11 +32,6 @@ class BudgetTooSmall(ValueError):
     """No pass count up to :data:`MAX_PASSES` fits the per-task budget."""
 
 
-def _per_task(tuples: int, n_tasks: int) -> int:
-    """One task's share of a pass, ``ceil(tuples / P)``."""
-    return -(-tuples // n_tasks)
-
-
 def balanced_boundaries(
     counts: np.ndarray, n_parts: int, lo: int = 0, hi: int | None = None
 ) -> np.ndarray:
@@ -91,18 +86,26 @@ class PassSpec:
     thread_edges: np.ndarray
 
     def tuples_per_task(self, merhist: MerHist) -> np.ndarray:
+        """Tuples each task owns in this pass (its kmerIn block): ``(P,)``."""
         cum = merhist.cumulative()
         return cum[self.task_edges[1:]] - cum[self.task_edges[:-1]]
 
 
 @dataclass
 class PassPlan:
-    """The full multipass schedule for one (dataset, P, T, S) configuration."""
+    """The full multipass schedule for one (dataset, P, T, S) configuration.
+
+    ``worst_tuples_per_task`` is the largest owner block of any pass (the
+    max of :meth:`PassSpec.tuples_per_task`): where the pass planner and
+    the run report evaluate the section 3.7 memory model.  Tasks split a
+    pass at whole merHist bins, so it can exceed ``ceil(pass / P)``.
+    """
 
     n_tasks: int
     n_threads: int
     m: int
     passes: List[PassSpec] = field(default_factory=list)
+    worst_tuples_per_task: int = 0
 
     @property
     def n_passes(self) -> int:
@@ -111,13 +114,6 @@ class PassPlan:
     @property
     def total_tuples(self) -> int:
         return sum(p.tuples for p in self.passes)
-
-    @property
-    def worst_tuples_per_task(self) -> int:
-        """One task's share of the largest pass: where the pass planner
-        and the run report evaluate the section 3.7 memory model."""
-        worst = max((p.tuples for p in self.passes), default=0)
-        return _per_task(worst, self.n_tasks)
 
     def validate_disjoint(self, n_bins: int) -> None:
         """Passes must tile ``[0, 4^m)`` without gaps or overlap."""
@@ -151,6 +147,9 @@ def plan_passes(
     for s in range(n_passes):
         lo, hi = int(pass_edges[s]), int(pass_edges[s + 1])
         task_edges = balanced_boundaries(counts, n_tasks, lo, hi)
+        plan.worst_tuples_per_task = max(
+            plan.worst_tuples_per_task, int(np.diff(cum[task_edges]).max())
+        )
         thread_edges = np.empty((n_tasks, n_threads + 1), dtype=np.int64)
         for p in range(n_tasks):
             thread_edges[p] = balanced_boundaries(
@@ -182,9 +181,9 @@ def passes_for_memory_budget(
 
     The model (:func:`repro.runtime.work.task_memory`) counts the index
     tables, the T FASTQ chunk buffers, kmerOut + kmerIn and p + p', and is
-    evaluated at S's *worst* pass (max tuples over the balanced pass
-    split, :attr:`PassPlan.worst_tuples_per_task`), so a skewed histogram
-    is handled and the run's own report equals what was accepted here.
+    evaluated at S's largest owner block
+    (:attr:`PassPlan.worst_tuples_per_task`), so a skewed histogram is
+    handled and the run's own report equals what was accepted here.
 
     Raises ``ValueError`` for a non-positive budget or ``tuple_bytes``,
     and :class:`BudgetTooSmall` when no S up to :data:`MAX_PASSES` fits.
@@ -205,11 +204,10 @@ def passes_for_memory_budget(
             tuples_per_task_pass,
         ).total
 
-    cum = merhist.cumulative()
     needs = []
     for s in range(1, MAX_PASSES + 1):
-        worst = int(np.diff(cum[balanced_boundaries(merhist.counts, s)]).max())
-        needs.append(need(_per_task(worst, n_tasks)))
+        # the thread split does not move the task edges: one thread will do
+        needs.append(need(plan_passes(merhist, s, n_tasks, 1).worst_tuples_per_task))
         if needs[-1] <= memory_budget_per_task:
             return s
     raise BudgetTooSmall(

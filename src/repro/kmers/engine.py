@@ -232,9 +232,3 @@ def select_canonical_kmers(
     bins = tables.canonical_prefixes(k, m, len(valid))
     starts = np.flatnonzero(valid & (bins >= bin_lo) & (bins < bin_hi))
     return tables.tuples_at(batch, k, starts), bins[starts], int(np.count_nonzero(valid))
-
-
-def count_kmer_positions(batch: ReadBatch, k: int) -> int:
-    """Number of canonical k-mers :func:`enumerate_canonical_kmers` would
-    emit, without materializing them (used for capacity planning tests)."""
-    return int(np.count_nonzero(valid_windows(batch, k)))

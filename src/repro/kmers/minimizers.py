@@ -38,17 +38,6 @@ def _window_minimizers(batch: ReadBatch, k: int, m: int) -> tuple:
     return valid, mins.astype(np.uint64)
 
 
-def minimizer_of_each_kmer(batch: ReadBatch, k: int, m: int) -> np.ndarray:
-    """Minimizer (packed m-mer) of every *valid* k-mer of the batch.
-
-    Returned in the same deterministic order as
-    :func:`repro.kmers.engine.enumerate_canonical_kmers`, so the two line up
-    index-by-index.
-    """
-    valid, mins = _window_minimizers(batch, k, m)
-    return mins[valid]
-
-
 @dataclass
 class SuperKmers:
     """Super-k-mer segmentation of a read batch.

@@ -54,6 +54,7 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def measure_kmer_rate(n_bases: int = 300_000, k: int = 27, repeats: int = 3) -> float:
+    """Canonical k-mers enumerated per second (best of ``repeats``)."""
     rng = rng_for(101, "calibrate-kmer")
     codes = rng.integers(0, 4, size=n_bases, dtype=np.int64).astype(np.uint8)
     read_len = 100
@@ -69,6 +70,7 @@ def measure_kmer_rate(n_bases: int = 300_000, k: int = 27, repeats: int = 3) -> 
 
 
 def measure_sort_rate(n_tuples: int = 200_000, k: int = 27, repeats: int = 3) -> float:
+    """Tuple radix passes per second (tuples x passes, best of ``repeats``)."""
     # the synthetic keys fill a single uint64 limb, so the calibration
     # only models one-limb k-mers
     check_in_range("k", k, 1, MAX_K_ONE_LIMB)
@@ -81,6 +83,7 @@ def measure_sort_rate(n_tuples: int = 200_000, k: int = 27, repeats: int = 3) ->
 
 
 def measure_uf_rate(n_vertices: int = 50_000, n_edges: int = 100_000, repeats: int = 3) -> float:
+    """Union-find edges processed per second (best of ``repeats``)."""
     rng = rng_for(103, "calibrate-uf")
     us = rng.integers(0, n_vertices, size=n_edges)
     vs = rng.integers(0, n_vertices, size=n_edges)
@@ -93,6 +96,7 @@ def measure_uf_rate(n_vertices: int = 50_000, n_edges: int = 100_000, repeats: i
 
 
 def measure_merge_rate(n_vertices: int = 200_000, repeats: int = 3) -> float:
+    """Parent-array vertices absorbed per second (best of ``repeats``)."""
     rng = rng_for(104, "calibrate-merge")
     a = DisjointSetForest(n_vertices)
     b = DisjointSetForest(n_vertices)

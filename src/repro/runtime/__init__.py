@@ -19,84 +19,3 @@ physical machines with a deterministic simulation:
   decomposed work units on a real multiprocessing pool
   (``executor="process"``), bit-identical to the serial reference engine.
 """
-
-from repro.runtime.executor import (
-    ENGINES,
-    EXECUTOR_NAMES,
-    DistributedExecutor,
-    ExecutionBackend,
-    ExecutorError,
-    ProcessExecutor,
-    SerialExecutor,
-    available_cpu_count,
-    create_engine,
-)
-from repro.runtime.machines import MachineSpec, EDISON, GANGA, get_machine
-from repro.runtime.buffers import (
-    BlockDescriptor,
-    BufferPool,
-    HeapBufferPool,
-    SharedMemoryBufferPool,
-    TupleBlock,
-    attach_block,
-    open_block,
-)
-from repro.runtime.comm import (
-    AllToAllStats,
-    block_exchange_stats,
-    all_to_all_schedule,
-)
-from repro.runtime.transport import (
-    TRANSPORT_NAMES,
-    BlockTransport,
-    DiskBlockTransport,
-    PoolBlockTransport,
-    SocketBlockRef,
-    SocketBlockTransport,
-    TransportClosed,
-    TransportCorruption,
-    TransportError,
-    create_block_transport,
-)
-from repro.runtime.work import RunWork, StepNames
-from repro.runtime.timing import TimingModel, ProjectedTimes
-
-__all__ = [
-    "ENGINES",
-    "EXECUTOR_NAMES",
-    "DistributedExecutor",
-    "ExecutionBackend",
-    "ExecutorError",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "available_cpu_count",
-    "create_engine",
-    "TRANSPORT_NAMES",
-    "BlockTransport",
-    "DiskBlockTransport",
-    "PoolBlockTransport",
-    "SocketBlockRef",
-    "SocketBlockTransport",
-    "TransportClosed",
-    "TransportCorruption",
-    "TransportError",
-    "create_block_transport",
-    "MachineSpec",
-    "EDISON",
-    "GANGA",
-    "get_machine",
-    "BlockDescriptor",
-    "BufferPool",
-    "HeapBufferPool",
-    "SharedMemoryBufferPool",
-    "TupleBlock",
-    "attach_block",
-    "open_block",
-    "AllToAllStats",
-    "block_exchange_stats",
-    "all_to_all_schedule",
-    "RunWork",
-    "StepNames",
-    "TimingModel",
-    "ProjectedTimes",
-]

@@ -17,7 +17,7 @@ accounts bytes per stage for the timing model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -94,20 +94,3 @@ def block_exchange_stats(counts: np.ndarray, tuple_bytes: int) -> AllToAllStats:
         telemetry.add_counter("comm.bytes_moved", int(stats.bytes_matrix.sum()))
         telemetry.add_counter("comm.wire_bytes", stats.wire_bytes_total)
     return stats
-
-
-def broadcast(payload, n_tasks: int, nbytes_of: Callable[[object], int]) -> Tuple[List[object], int]:
-    """Rank-0 broadcast (used for the final global component list,
-    section 3.6).  Binomial-tree accounting: ceil(log2 P) rounds, each
-    round doubling the holder set; returns per-task copies and total wire
-    bytes."""
-    if n_tasks < 1:
-        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-    size = nbytes_of(payload)
-    holders = 1
-    wire = 0
-    while holders < n_tasks:
-        sending = min(holders, n_tasks - holders)
-        wire += sending * size
-        holders += sending
-    return [payload for _ in range(n_tasks)], wire

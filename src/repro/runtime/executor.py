@@ -46,16 +46,17 @@ rather than pickled into every job.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import telemetry
 from repro.util.logging import get_logger
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _LOG = get_logger("runtime.executor")
 
@@ -177,7 +178,9 @@ class ProcessExecutor(ExecutionBackend):
     calls — one pool serves every pass of a pipeline run.  The ``fork``
     start method is preferred when the platform offers it: workers then
     inherit the parent's module state directly and per-job pickling is
-    limited to the job payloads and results.
+    limited to the job payloads and results.  ``multiprocessing`` and
+    ``concurrent.futures`` are imported only where the pool is built, so
+    the other engines never load them.
     """
 
     name = "process"
@@ -190,16 +193,15 @@ class ProcessExecutor(ExecutionBackend):
         self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _context():
-        methods = mp.get_all_start_methods()
-        return mp.get_context("fork" if "fork" in methods else None)
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            import multiprocessing as mp
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = "fork" in mp.get_all_start_methods()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
-                mp_context=self._context(),
+                mp_context=mp.get_context("fork" if fork else None),
                 initializer=_install_shared,
                 initargs=(self._shared,),
             )
@@ -218,6 +220,8 @@ class ProcessExecutor(ExecutionBackend):
         if not jobs:
             return []
         pool = self._ensure_pool()
+        from concurrent.futures import BrokenExecutor
+
         try:
             # chunksize=1 keeps scheduling granular (jobs are coarse
             # units — whole FASTQ chunks or whole owner tasks); map

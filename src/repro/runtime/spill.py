@@ -381,12 +381,6 @@ def _resident_state() -> dict:
     return state
 
 
-def resident_tuple_bytes() -> int:
-    """Currently resident spilled tuple bytes on this thread (the value
-    the ``spill.tuple_bytes_resident`` gauge samples)."""
-    return _resident_state()["bytes"]
-
-
 def note_resident(nbytes: int, blocks: int, task: int = -1) -> None:
     """Adjust the residency ledger and sample the telemetry gauges.
 

@@ -375,10 +375,12 @@ _LOCAL_STORES: Dict[str, BlockStore] = {}
 
 
 def register_local_store(address: str, store: BlockStore) -> None:
+    """Serve ``address``'s blocks from ``store`` in this process."""
     _LOCAL_STORES[address] = store
 
 
 def unregister_local_store(address: str) -> None:
+    """Undo :func:`register_local_store` (a no-op if not registered)."""
     _LOCAL_STORES.pop(address, None)
 
 

@@ -68,8 +68,8 @@ def task_memory(
     """Paper section 3.7: ``4^(m+1)(C+1) + T s_c + 2 tuple_bytes M/(S P) + 8R``.
 
     The only copy of the formula.  ``tuples_per_task_pass`` is where it is
-    evaluated: the pass planner and the run report take the plan's worst
-    pass (:attr:`~repro.index.passplan.PassPlan.worst_tuples_per_task`),
+    evaluated: the pass planner and the run report take the plan's largest
+    owner block (:attr:`~repro.index.passplan.PassPlan.worst_tuples_per_task`),
     the timing projection the paper's mean pass ``M/(S P)``
     (:meth:`RunWork.mean_pass_memory`).
     """

@@ -87,10 +87,3 @@ def reverse_complement(seq: str) -> str:
     'NACGT'
     """
     return decode_sequence(complement_codes(encode_sequence(seq))[::-1])
-
-
-def is_valid_dna(seq: str) -> bool:
-    """True iff every character of ``seq`` is one of ``ACGTacgt``."""
-    if not seq:
-        return True
-    return bool((encode_sequence(seq) <= 3).all())

@@ -1,14 +1,10 @@
-"""FASTA reading/writing (contig output of the assembler substrate)."""
+"""FASTA writing (contig output of the assembler substrate)."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterator, List, Sequence, Tuple
-
-
-class FastaParseError(ValueError):
-    """Raised on malformed FASTA input."""
+from typing import Sequence, Tuple
 
 
 def write_fasta(
@@ -40,32 +36,3 @@ def write_contigs(path: str | os.PathLike, contigs: Sequence[str]) -> int:
             for i, c in enumerate(contigs)
         ],
     )
-
-
-def iter_fasta(path: str | os.PathLike) -> Iterator[Tuple[str, str]]:
-    """Stream ``(name, sequence)`` records from a FASTA file."""
-    name = None
-    chunks: List[str] = []
-    with open(path, "rt", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith(">"):
-                if name is not None:
-                    yield name, "".join(chunks)
-                name = line[1:]
-                chunks = []
-            else:
-                if name is None:
-                    raise FastaParseError(
-                        f"{path}:{lineno}: sequence before any '>' header"
-                    )
-                chunks.append(line)
-    if name is not None:
-        yield name, "".join(chunks)
-
-
-def read_fasta(path: str | os.PathLike) -> List[Tuple[str, str]]:
-    """Read an entire FASTA file into ``(name, sequence)`` records."""
-    return list(iter_fasta(path))

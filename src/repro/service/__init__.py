@@ -26,19 +26,3 @@ event log) rather than a network socket, so the whole service is
 dependency-free and the daemon can be killed and restarted at any point
 without losing queue state.
 """
-
-from repro.service.client import ServiceClient
-from repro.service.daemon import ServeDaemon
-from repro.service.jobs import JobState, PartitionJob
-from repro.service.queue import JobQueue, Scheduler
-from repro.service.store import ArtifactStore
-
-__all__ = [
-    "ArtifactStore",
-    "JobQueue",
-    "JobState",
-    "PartitionJob",
-    "Scheduler",
-    "ServeDaemon",
-    "ServiceClient",
-]

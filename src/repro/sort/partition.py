@@ -9,24 +9,11 @@ id of each tuple.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.kmers.engine import KmerTuples
-
-
-def partition_boundaries_equal(n_bins: int, n_parts: int) -> np.ndarray:
-    """Equal-width bin boundaries: ``n_parts + 1`` edges over ``[0, n_bins]``.
-
-    Histogram-balanced boundaries come from
-    :func:`repro.index.passplan.balanced_boundaries`; this uniform variant
-    is the fallback when no histogram is available.
-    """
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    edges = np.linspace(0, n_bins, n_parts + 1)
-    return np.ceil(edges).astype(np.int64)
 
 
 def _check_edges(
@@ -61,40 +48,6 @@ def _partition_order(
     return order, counts
 
 
-def range_partition(
-    tuples: KmerTuples,
-    m: int,
-    edges: np.ndarray,
-    span: Tuple[int, int] | None = None,
-) -> Tuple[List[KmerTuples], np.ndarray]:
-    """Split tuples into ``len(edges) - 1`` partitions by m-mer prefix bin.
-
-    ``edges`` must be non-decreasing and span ``span`` (default: the full
-    bin range ``[0, 4**m]``); every tuple's prefix bin must lie inside the
-    span.  Returns the partitions (order of tuples within a partition
-    preserved — the scatter is stable, as required for the radix sort's
-    stability guarantee to be meaningful end-to-end) and the per-partition
-    tuple counts.
-    """
-    edges = _check_edges(edges, m, span)
-    n_parts = len(edges) - 1
-    if len(tuples) == 0:
-        return (
-            [KmerTuples.empty(tuples.k) for _ in range(n_parts)],
-            np.zeros(n_parts, dtype=np.int64),
-        )
-
-    order, counts = _partition_order(tuples, m, edges)
-    gathered = tuples.take(order)
-    out: List[KmerTuples] = []
-    start = 0
-    for p in range(n_parts):
-        end = start + int(counts[p])
-        out.append(gathered.slice(start, end))
-        start = end
-    return out, counts
-
-
 def range_partition_block(
     block,
     length: int,
@@ -110,9 +63,8 @@ def range_partition_block(
     dataplane the scatter happens inside the destination segment — no
     per-partition copies leave the block.  After the call, partition
     ``t`` occupies ``block.view(starts[t], starts[t+1])`` where
-    ``starts`` is the exclusive cumsum of the returned counts.  Produces
-    exactly the same tuple order as :func:`range_partition` followed by
-    concatenation (same stable gather order).
+    ``starts`` is the exclusive cumsum of the returned counts.  Each
+    partition keeps its tuples in input order (the gather is stable).
     """
     edges = _check_edges(edges, m, span)
     n_parts = len(edges) - 1

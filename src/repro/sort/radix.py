@@ -11,11 +11,11 @@ significant digit first, each pass gathering the columns into fresh
 buffers (out-of-place).  The kernel that runs is
 ``np.argsort(digit, kind="stable")``: NumPy sorts ``uint8`` (and
 ``uint16``) keys with an O(n) radix/counting sort, so the per-pass cost
-model matches the paper's.  :func:`counting_sort_by_digit` spells the same
-pass out — 256 bucket counts, prefix sum, stable scatter — and is the
-paper-faithful reference; it is not on the run path, and
-``tests/sort/test_radix.py`` pins the production pass and the whole sort
-to it, permutation for permutation.
+model matches the paper's.  The paper-faithful pass — 256 bucket counts,
+prefix sum, stable scatter — is spelled out as the test reference in
+``tests/sort/reference_sort.py``, and ``tests/sort/test_radix.py`` pins
+the production pass and the whole sort to it, permutation for
+permutation.
 
 An adaptive optimization (on by default) skips passes whose digit is
 constant across the partition; this is exactly why multipass runs with
@@ -62,30 +62,6 @@ class RadixSortStats:
         self.passes_skipped += other.passes_skipped
         self.digits_histogrammed.extend(other.digits_histogrammed)
         return self
-
-
-def counting_sort_by_digit(digit: np.ndarray) -> np.ndarray:
-    """Stable permutation sorting one 8-bit digit column — the reference.
-
-    Explicit counting sort, structured exactly as the paper's per-pass
-    kernel: 256 bucket counts (:func:`np.bincount`), an exclusive prefix
-    sum fixing each bucket's output range, then a stable scatter filling
-    each occupied bucket's range with its members in input order.
-    Returns the gather permutation ``order`` such that ``digit[order]``
-    is sorted and equal digits keep their input order.
-
-    One whole-column scan per occupied bucket makes this O(256·n), so
-    it is the tests' reference, not the kernel :func:`radix_sort_tuples`
-    runs (see the module docstring).
-    """
-    digit = np.ascontiguousarray(digit, dtype=np.uint8)
-    counts = np.bincount(digit, minlength=RADIX_BUCKETS)
-    bounds = np.zeros(RADIX_BUCKETS + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    order = np.empty(len(digit), dtype=np.int64)
-    for b in np.flatnonzero(counts):
-        order[bounds[b] : bounds[b + 1]] = np.flatnonzero(digit == b)
-    return order
 
 
 def radix_sort_tuples(

@@ -27,6 +27,8 @@ from repro.util.validation import check_positive
 
 @dataclass
 class SamplingPartitionStats:
+    """Per-partition tuple counts of one sample-sort split."""
+
     n_tuples: int
     n_parts: int
     sample_size: int

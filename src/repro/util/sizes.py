@@ -5,19 +5,6 @@ from __future__ import annotations
 _BYTE_UNITS = ["B", "KB", "MB", "GB", "TB", "PB"]
 _COUNT_UNITS = ["", "K", "M", "B", "T"]
 
-_PARSE_UNITS = {
-    "b": 1,
-    "kb": 1024,
-    "k": 1024,
-    "mb": 1024**2,
-    "m": 1024**2,
-    "gb": 1024**3,
-    "g": 1024**3,
-    "tb": 1024**4,
-    "t": 1024**4,
-}
-
-
 def human_bytes(n: float) -> str:
     """Format a byte count.
 
@@ -55,22 +42,3 @@ def human_count(n: float) -> str:
             return f"{value:.2f}{unit}"
         value /= 1000.0
     raise AssertionError("unreachable")
-
-
-def parse_bytes(text: str) -> int:
-    """Parse sizes like ``"64GB"``, ``"512 mb"``, ``"1024"`` into bytes.
-
-    >>> parse_bytes("64GB") == 64 * 2**30
-    True
-    """
-    s = text.strip().lower().replace(" ", "")
-    idx = len(s)
-    while idx > 0 and not s[idx - 1].isdigit() and s[idx - 1] != ".":
-        idx -= 1
-    number, unit = s[:idx], s[idx:]
-    if not number:
-        raise ValueError(f"cannot parse size: {text!r}")
-    unit = unit or "b"
-    if unit not in _PARSE_UNITS:
-        raise ValueError(f"unknown size unit in {text!r}")
-    return int(float(number) * _PARSE_UNITS[unit])

@@ -2,14 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise ``ValueError(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise ValueError(message)
-
 
 def check_positive(name: str, value: float) -> None:
     """Check ``value > 0``."""
@@ -21,16 +13,3 @@ def check_in_range(name: str, value: float, lo: float, hi: float) -> None:
     """Check ``lo <= value <= hi`` (inclusive both ends)."""
     if not (lo <= value <= hi):
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
-
-
-def check_power_of_two(name: str, value: int) -> None:
-    """Check ``value`` is a positive power of two."""
-    if value < 1 or (value & (value - 1)) != 0:
-        raise ValueError(f"{name} must be a power of two, got {value}")
-
-
-def check_type(name: str, value: Any, expected: type) -> None:
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )

@@ -7,39 +7,44 @@ from repro.analysis.findings import RULES
 from repro.analysis.runner import run_checks
 from repro.analysis.suppress import (
     is_suppressed,
-    parse_suppressions,
     scan_suppression_comments,
+    suppression_map,
 )
+
+
+def suppressions_in(text):
+    """Line -> suppressed rule ids, the way ``Project`` builds them."""
+    return suppression_map(scan_suppression_comments(text))
 
 
 class TestSuppressionParsing:
     def test_single_rule(self):
-        sup = parse_suppressions("x = 1  # metaprep: ignore[MP203]\n")
+        sup = suppressions_in("x = 1  # metaprep: ignore[MP203]\n")
         assert is_suppressed(sup, 1, "MP203")
         assert not is_suppressed(sup, 1, "MP201")
         assert not is_suppressed(sup, 2, "MP203")
 
     def test_multiple_rules(self):
-        sup = parse_suppressions("x = 1  # metaprep: ignore[MP201, MP203]\n")
+        sup = suppressions_in("x = 1  # metaprep: ignore[MP201, MP203]\n")
         assert is_suppressed(sup, 1, "MP201")
         assert is_suppressed(sup, 1, "MP203")
 
     def test_wildcard(self):
-        sup = parse_suppressions("x = 1  # metaprep: ignore[*]\n")
+        sup = suppressions_in("x = 1  # metaprep: ignore[*]\n")
         for rule in RULES:
             assert is_suppressed(sup, 1, rule)
 
     def test_string_literal_does_not_count(self):
-        sup = parse_suppressions('x = "# metaprep: ignore[MP203]"\n')
+        sup = suppressions_in('x = "# metaprep: ignore[MP203]"\n')
         assert sup == {}
 
     def test_plain_comment_does_not_count(self):
-        assert parse_suppressions("x = 1  # a normal comment\n") == {}
+        assert suppressions_in("x = 1  # a normal comment\n") == {}
 
     def test_prose_mention_is_not_a_directive(self):
         # a comment *talking about* the marker mid-text is not a directive
         text = "x = 1  # findings silenced via `# metaprep: ignore[...]`\n"
-        assert parse_suppressions(text) == {}
+        assert suppressions_in(text) == {}
         assert scan_suppression_comments(text) == []
 
     def test_multiple_rules_deduplicated_and_sorted(self):
@@ -52,7 +57,7 @@ class TestSuppressionParsing:
         (comment,) = scan_suppression_comments("x = 1  # metaprep: ignore\n")
         assert comment.malformed
         assert comment.rules == ()
-        assert parse_suppressions("x = 1  # metaprep: ignore\n") == {}
+        assert suppressions_in("x = 1  # metaprep: ignore\n") == {}
 
     def test_malformed_empty_brackets(self):
         (comment,) = scan_suppression_comments("x = 1  # metaprep: ignore[]\n")
@@ -67,7 +72,7 @@ class TestSuppressionParsing:
         # suppression on a continuation line does not cover a finding
         # anchored at the statement's first line
         text = "value = max(\n    1,  # metaprep: ignore[MP203]\n    2,\n)\n"
-        sup = parse_suppressions(text)
+        sup = suppressions_in(text)
         assert is_suppressed(sup, 2, "MP203")
         assert not is_suppressed(sup, 1, "MP203")
 

@@ -1,13 +1,13 @@
 import pytest
 
-from repro.assembly.assembler import (
-    AssemblyConfig,
-    MiniAssembler,
-    assemble_reads,
-)
+from repro.assembly.assembler import AssemblyConfig, MiniAssembler
 from repro.seqio.alphabet import reverse_complement
 from repro.seqio.records import ReadBatch
 from repro.util.rng import rng_for
+
+
+def assemble(batch, **config):
+    return MiniAssembler(AssemblyConfig(**config)).assemble_batch(batch)
 
 
 def simulate_reads(genome, read_len=40, step=5):
@@ -24,7 +24,7 @@ class TestAssembleReads:
     def test_high_coverage_recovers_genome(self, genome):
         reads = simulate_reads(genome)
         batch = ReadBatch.from_sequences(reads * 2)  # coverage for min_count=2
-        result = assemble_reads(batch, k=20, min_count=2, min_contig_length=63)
+        result = assemble(batch, k=20, min_count=2, min_contig_length=63)
         assert result.stats.n_contigs == 1
         contig = result.contigs[0]
         assert contig in (genome, reverse_complement(genome))
@@ -36,7 +36,7 @@ class TestAssembleReads:
         bad = genome[100:140]
         bad = bad[:20] + ("A" if bad[20] != "A" else "C") + bad[21:]
         batch = ReadBatch.from_sequences(reads + [bad])
-        result = assemble_reads(batch, k=20, min_count=2, min_contig_length=63)
+        result = assemble(batch, k=20, min_count=2, min_contig_length=63)
         assert result.stats.n_contigs == 1  # the error k-mers are pruned
 
     def test_no_filter_error_breaks_assembly(self, genome):
@@ -44,20 +44,20 @@ class TestAssembleReads:
         bad = genome[100:140]
         bad = bad[:20] + ("A" if bad[20] != "A" else "C") + bad[21:]
         batch = ReadBatch.from_sequences(reads + [bad])
-        dirty = assemble_reads(batch, k=20, min_count=1, min_contig_length=0)
-        clean = assemble_reads(batch, k=20, min_count=2, min_contig_length=0)
+        dirty = assemble(batch, k=20, min_count=1, min_contig_length=0)
+        clean = assemble(batch, k=20, min_count=2, min_contig_length=0)
         assert dirty.stats.n_contigs > clean.stats.n_contigs
 
     def test_runtime_grows_with_input(self, genome):
         small = ReadBatch.from_sequences(simulate_reads(genome)[:20] * 2)
         big = ReadBatch.from_sequences(simulate_reads(genome) * 8)
-        rs = assemble_reads(small, k=16)
-        rb = assemble_reads(big, k=16)
+        rs = assemble(small, k=16)
+        rb = assemble(big, k=16)
         assert rb.n_reads > rs.n_reads
         assert rb.seconds >= 0 and rs.seconds >= 0
 
     def test_empty_input(self):
-        result = assemble_reads(ReadBatch.from_sequences(["ACG"]), k=16)
+        result = assemble(ReadBatch.from_sequences(["ACG"]), k=16)
         assert result.contigs == []
         assert result.stats.n_contigs == 0
 

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.assembly.stats import combine_stats, contig_stats, n_statistic
+from repro.assembly.stats import contig_stats, n_statistic
 
 
 class TestNStatistic:
@@ -52,12 +52,3 @@ class TestContigStats:
         assert row[0] == 1
         assert row[2] == 10
 
-
-class TestCombineStats:
-    def test_totals_add(self):
-        a = contig_stats(["A" * 100])
-        b = contig_stats(["C" * 60, "G" * 40])
-        c = combine_stats([a, b])
-        assert c.n_contigs == 3
-        assert c.total_bp == 200
-        assert c.max_bp == 100

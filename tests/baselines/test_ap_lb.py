@@ -48,7 +48,7 @@ class TestShiloachVishkin:
 
 class TestAPLBPartitioner:
     def test_matches_pipeline_partition(self, tiny_hg_batch):
-        from repro.cc.components import reference_components_networkx
+        from tests.cc.reference_dsf import reference_components_networkx
 
         result = APLBPartitioner(27).partition(tiny_hg_batch)
         ref = reference_components_networkx(tiny_hg_batch, 27)

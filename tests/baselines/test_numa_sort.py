@@ -4,7 +4,7 @@ from repro.baselines.numa_sort import comparator_sort_tuples, sort_throughput
 from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples
 from repro.sort.radix import radix_sort_tuples
-from repro.sort.validate import verify_sort
+from tests.sort.reference_sort import verify_sort
 
 
 def make_tuples(rng, n, k=27):

@@ -12,13 +12,25 @@ algorithm, not a simplification.
 
 :class:`repro.cc.dsf.DisjointSetForest` must leave exactly the roots and
 union count this per-edge loop does; the tests hold it to that.
+
+The second oracle, :func:`reference_components_networkx`, builds the read
+graph *explicitly* (what METAPREP avoids doing), so the tests can certify
+that the implicit pipeline — enumerate, sort, LocalCC, MergeCC, over any
+task/thread/pass decomposition — finds exactly the same partition of
+reads.  :func:`partition_as_frozensets` puts a pipeline's parent array in
+the oracle's canonical form.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
+
+from repro.cc.dsf import DisjointSetForest
+from repro.kmers.engine import enumerate_canonical_kmers
+from repro.kmers.filter import FrequencyFilter
+from repro.seqio.records import ReadBatch
 
 
 class ReferenceForest:
@@ -145,3 +157,49 @@ class ReferenceForest:
             e_in_u = np.asarray(nxt_u, dtype=np.int64)
             e_in_v = np.asarray(nxt_v, dtype=np.int64)
         return n_unions, find_steps, iterations
+
+
+def build_read_graph(batch: ReadBatch, k: int, kfilter: FrequencyFilter | None = None):
+    """Explicit read graph (a ``networkx.Graph``): vertices are global read
+    ids; an edge joins two reads sharing a canonical k-mer whose total
+    frequency passes ``kfilter``."""
+    import networkx as nx
+
+    tuples = enumerate_canonical_kmers(batch, k)
+    graph = nx.Graph()
+    graph.add_nodes_from(np.unique(batch.read_ids).tolist())
+    if len(tuples) == 0:
+        return graph
+    s = tuples.take(tuples.kmers.argsort())
+    bounds = s.kmers.run_boundaries()
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if kfilter is not None and not kfilter.accepts(hi - lo):
+            continue
+        members = np.unique(s.read_ids[lo:hi]).tolist()
+        graph.add_edges_from((members[0], other) for other in members[1:])
+    return graph
+
+
+def reference_components_networkx(
+    batch: ReadBatch, k: int, kfilter: FrequencyFilter | None = None
+) -> List[frozenset]:
+    """Connected components of the explicit read graph, as frozensets of
+    global read ids, sorted descending by size then by min id."""
+    import networkx as nx
+
+    graph = build_read_graph(batch, k, kfilter)
+    comps = [frozenset(int(v) for v in comp) for comp in nx.connected_components(graph)]
+    return sorted(comps, key=lambda c: (-len(c), min(c)))
+
+
+def partition_as_frozensets(parent: np.ndarray, active: np.ndarray) -> List[frozenset]:
+    """Partition induced by a parent array, restricted to ``active`` vertex
+    ids, in the same canonical order as :func:`reference_components_networkx`."""
+    forest = DisjointSetForest.from_parent_array(parent)
+    active = np.unique(np.asarray(active, dtype=np.int64))
+    roots = forest.find_many(active)
+    groups: Dict[int, List[int]] = {}
+    for vid, root in zip(active.tolist(), roots.tolist()):
+        groups.setdefault(root, []).append(vid)
+    comps = [frozenset(v) for v in groups.values()]
+    return sorted(comps, key=lambda c: (-len(c), min(c)))

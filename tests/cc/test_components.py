@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from repro.cc.components import (
-    build_read_graph,
-    compact_labels,
-    component_sizes,
-    partition_as_frozensets,
-    reference_components_networkx,
-    summarize_components,
-)
+from repro.cc.components import compact_labels, component_sizes, summarize_components
 from repro.cc.dsf import DisjointSetForest
 from repro.kmers.filter import FrequencyFilter
 from repro.seqio.records import ReadBatch
+from tests.cc.reference_dsf import (
+    build_read_graph,
+    partition_as_frozensets,
+    reference_components_networkx,
+)
 
 
 def forest_parent(n, edges):

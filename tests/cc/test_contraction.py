@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.cc.contraction import (
-    expected_contracted_bytes,
-    merge_component_arrays_contracted,
-    nontrivial_pairs,
-)
+from repro.cc.contraction import merge_component_arrays_contracted, nontrivial_pairs
 from repro.cc.dsf import DisjointSetForest
 from repro.cc.mergecc import merge_component_arrays
 
@@ -94,16 +90,3 @@ class TestContractedMerge:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             merge_component_arrays_contracted([])
-
-
-class TestPredictor:
-    def test_first_round_estimate(self, rng):
-        n = 200
-        edges = [tuple(e) for e in rng.integers(0, n, size=(50, 2))]
-        parents = forests_from_split_edges(n, edges, 4)
-        contracted, baseline = expected_contracted_bytes(parents)
-        assert baseline == 2 * 4 * n  # two first-round senders
-        assert 0 <= contracted <= 8 * n * 2
-
-    def test_single_task_zero(self):
-        assert expected_contracted_bytes([np.arange(5)]) == (0, 0)

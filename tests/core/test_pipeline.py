@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from repro.cc.components import (
-    partition_as_frozensets,
-    reference_components_networkx,
-)
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.kmers.filter import FrequencyFilter
 from repro.runtime.work import StepNames
+from tests.cc.reference_dsf import (
+    partition_as_frozensets,
+    reference_components_networkx,
+)
 
 
 def run(tiny_hg, **kwargs):

@@ -3,7 +3,6 @@ from repro.core.report import (
     format_breakdown,
     format_job_metrics,
     format_job_table,
-    format_memory,
     format_partition_summary,
     format_table,
 )
@@ -71,22 +70,6 @@ class TestFormatPartitionSummary:
         out = format_partition_summary(s)
         assert "95.0%" in out
         assert "components" in out
-
-
-class TestFormatMemory:
-    def test_totals(self):
-        out = format_memory({"kmerIn": 2**30, "kmerOut": 2**30})
-        assert "1.00 GB" in out
-        assert "2.00 GB" in out
-
-    def test_total_row_is_last(self):
-        out = format_memory({"fastqpart": 2048, "merhist": 1024})
-        last = out.splitlines()[-1]
-        assert last.startswith("total")
-        assert "3.00 KB" in last
-
-    def test_empty_mapping_still_totals(self):
-        assert format_memory({}).splitlines()[-1].startswith("total")
 
 
 class TestFormatJobTable:

@@ -7,7 +7,7 @@ from repro.index.fastqpart import (
     build_fastqpart,
     load_chunk_reads,
 )
-from repro.index.merhist import build_merhist
+from repro.index.merhist import histogram_batch
 from repro.seqio.fastq import write_fastq
 from repro.seqio.records import FastqRecord
 
@@ -93,10 +93,8 @@ class TestBuildPaired:
         k, m = 9, 4
         table = build_fastqpart([(p1, p2)], k=k, m=m, n_chunks=5)
         batches = [load_chunk_reads(table, c) for c in range(table.n_chunks)]
-        global_hist = build_merhist(batches, k, m)
-        assert np.array_equal(
-            table.global_histogram(), global_hist.counts.astype(np.int64)
-        )
+        global_hist = sum(histogram_batch(b, k, m).astype(np.int64) for b in batches)
+        assert np.array_equal(table.global_histogram(), global_hist)
 
     def test_mate_count_mismatch_rejected(self, tmp_path, paired_files):
         p1, p2, r1, _ = paired_files

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.index.merhist import MerHist, build_merhist, histogram_batch
+from repro.index.merhist import MerHist, histogram_batch
 from repro.seqio.records import ReadBatch
 from tests.kmers.reference_engine import enumerate_canonical_kmers
 
@@ -45,12 +45,11 @@ class TestHistogramBatch:
         assert len(hist) == 4**4
 
 
-class TestMerHist:
-    def test_build_accumulates(self, batch):
-        h1 = build_merhist([batch], 9, 4)
-        h2 = build_merhist([batch, batch], 9, 4)
-        assert np.array_equal(h2.counts, 2 * h1.counts.astype(np.int64))
+def merhist_of(batch, k, m):
+    return MerHist(k=k, m=m, counts=histogram_batch(batch, k, m).astype(np.uint32))
 
+
+class TestMerHist:
     def test_bin_count(self):
         h = MerHist(k=9, m=4, counts=np.zeros(256, dtype=np.uint32))
         assert h.n_bins == 256
@@ -65,14 +64,14 @@ class TestMerHist:
             MerHist(k=3, m=5, counts=np.zeros(4**5, dtype=np.uint32))
 
     def test_cumulative(self, batch):
-        h = build_merhist([batch], 9, 4)
+        h = merhist_of(batch, 9, 4)
         cum = h.cumulative()
         assert cum[0] == 0
         assert cum[-1] == h.total_tuples
         assert np.all(np.diff(cum) >= 0)
 
     def test_count_in_bin_range(self, batch):
-        h = build_merhist([batch], 9, 4)
+        h = merhist_of(batch, 9, 4)
         total = h.count_in_bin_range(0, h.n_bins)
         assert total == h.total_tuples
         mid = h.n_bins // 2
@@ -82,7 +81,7 @@ class TestMerHist:
         )
 
     def test_save_load_roundtrip(self, batch, tmp_path):
-        h = build_merhist([batch], 9, 4)
+        h = merhist_of(batch, 9, 4)
         path = tmp_path / "merhist.bin"
         h.save(path)
         back = MerHist.load(path)

@@ -4,9 +4,9 @@ import pytest
 from repro.index.fastqpart import build_fastqpart, load_chunk_reads
 from repro.index.offsets import (
     chunk_assignment,
-    recv_counts_matrix,
+    chunk_send_counts,
+    recv_write_offsets,
     send_counts_matrix,
-    thread_write_offsets,
 )
 from repro.index.passplan import balanced_boundaries
 from repro.kmers.engine import enumerate_canonical_kmers
@@ -98,53 +98,52 @@ class TestSendCounts:
             )
 
 
+def receive_layout(table, P, T):
+    """Send counts and the receive-side layout of one single-pass run."""
+    assignment = chunk_assignment(table.n_chunks, P, T)
+    edges = balanced_boundaries(table.global_histogram(), P)
+    per_chunk = chunk_send_counts(table, edges, P)
+    send = send_counts_matrix(table, assignment, edges, P, T)
+    return assignment, per_chunk, send, recv_write_offsets(per_chunk, assignment, P, T)
+
+
 class TestRecvCounts:
     def test_transpose_relation(self, table):
         P, T = 2, 2
-        assignment = chunk_assignment(table.n_chunks, P, T)
-        edges = balanced_boundaries(table.global_histogram(), P)
-        send = send_counts_matrix(table, assignment, edges, P, T)
-        recv = recv_counts_matrix(send)
+        _, _, send, (_, splits, _) = receive_layout(table, P, T)
+        recv = np.diff(splits, axis=0)  # recv[q, p]: tuples p gets from q
         for p in range(P):
             for q in range(P):
-                assert recv[p, q] == send[q, :, p].sum()
+                assert recv[q, p] == send[q, :, p].sum()
 
     def test_conservation(self, table):
         P, T = 4, 1
-        assignment = chunk_assignment(table.n_chunks, P, T)
-        edges = balanced_boundaries(table.global_histogram(), P)
-        send = send_counts_matrix(table, assignment, edges, P, T)
-        recv = recv_counts_matrix(send)
-        assert recv.sum() == send.sum()
+        _, _, send, (_, _, totals) = receive_layout(table, P, T)
+        assert totals.sum() == send.sum()
+        assert totals.tolist() == send.sum(axis=(0, 1)).tolist()
 
 
 class TestThreadWriteOffsets:
     def test_layout_destination_major_thread_minor(self, table):
+        """Each destination block holds source tasks in rank order and,
+        within one, each chunk's tuples at its own precomputed slice."""
         P, T = 2, 2
-        assignment = chunk_assignment(table.n_chunks, P, T)
-        edges = balanced_boundaries(table.global_histogram(), P)
-        send = send_counts_matrix(table, assignment, edges, P, T)
-        offsets = thread_write_offsets(send)
-        assert len(offsets) == P
-        for p in range(P):
-            off = offsets[p]
-            assert off.shape == (T + 1, P)
-            # block d starts where block d-1 ends
-            for d in range(1, P):
-                assert off[0, d] == off[T, d - 1]
-            # within a block, thread t's region is exactly its count
-            for d in range(P):
-                for t in range(T):
-                    assert off[t + 1, d] - off[t, d] == send[p, t, d]
-            # final end == total tuples of task p
-            assert off[T, P - 1] == send[p].sum()
+        assignment, per_chunk, _, (offsets, splits, totals) = receive_layout(table, P, T)
+        tasks = assignment // T
+        for d in range(P):
+            order = np.lexsort((np.arange(table.n_chunks), tasks))
+            ends = offsets[order, d] + per_chunk[order, d]
+            assert offsets[order[0], d] == 0
+            assert np.array_equal(offsets[order[1:], d], ends[:-1])
+            assert ends[-1] == totals[d]
+            for p in range(P):
+                mine = offsets[tasks == p, d]
+                if len(mine):
+                    assert mine.min() == splits[p, d]
 
     def test_offsets_start_at_zero(self, table):
         P, T = 2, 3
-        assignment = chunk_assignment(table.n_chunks, P, T)
-        edges = balanced_boundaries(table.global_histogram(), P)
-        offsets = thread_write_offsets(
-            send_counts_matrix(table, assignment, edges, P, T)
-        )
-        for p in range(P):
-            assert offsets[p][0, 0] == 0
+        assignment, _, _, (offsets, splits, _) = receive_layout(table, P, T)
+        first = np.flatnonzero(assignment // T == 0)[0]
+        assert offsets[first].tolist() == [0] * P
+        assert splits[0].tolist() == [0] * P

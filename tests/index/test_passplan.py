@@ -220,10 +220,26 @@ class TestPassesForMemoryBudget:
             passes_for_memory_budget(hist, table_of(hist), 1, 1, 0, 1 << 20)
 
     def test_worst_tuples_per_task(self):
+        """The largest owner block over all passes, not the worst pass's
+        even share: tasks split a pass at whole bins."""
         hist = hist_of(np.full(256, 1000))
         plan = plan_passes(hist, 3, 4, 1)
-        worst = max(spec.tuples for spec in plan.passes)
-        assert plan.worst_tuples_per_task == -(-worst // 4)
+        blocks = [spec.tuples_per_task(hist).max() for spec in plan.passes]
+        assert plan.worst_tuples_per_task == max(blocks) == 22_000
+        # the worst pass holds 86 bins; its even share would be 21,500
+        worst_pass = max(spec.tuples for spec in plan.passes)
+        assert -(-worst_pass // 4) == 21_500
+
+    def test_worst_tuples_per_task_heavy_bin(self):
+        """One heavy bin cannot be split: the task owning it holds far
+        more than half of its pass, and the model must charge that."""
+        counts = np.full(256, 10, dtype=np.uint32)
+        counts[40] = 10_000
+        hist = hist_of(counts)
+        plan = plan_passes(hist, 1, 2, 1)
+        (spec,) = plan.passes
+        assert plan.worst_tuples_per_task == spec.tuples_per_task(hist).max()
+        assert plan.worst_tuples_per_task >= 10_000 > -(-spec.tuples // 2)
 
 
 class TestSpillSchedule:

@@ -4,14 +4,14 @@ than the unit tests' HG fixture, exercising skewed abundances)."""
 import numpy as np
 import pytest
 
-from repro.cc.components import (
-    partition_as_frozensets,
-    reference_components_networkx,
-)
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.index.fastqpart import load_chunk_reads
 from repro.seqio.records import ReadBatch
+from tests.cc.reference_dsf import (
+    partition_as_frozensets,
+    reference_components_networkx,
+)
 
 
 @pytest.fixture(scope="module")

@@ -5,14 +5,14 @@ partition, matching both a 1x1x1 run and the explicit oracle."""
 import numpy as np
 import pytest
 
-from repro.cc.components import (
-    partition_as_frozensets,
-    reference_components_networkx,
-)
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.index.create import index_create
 from repro.kmers.filter import FrequencyFilter
+from tests.cc.reference_dsf import (
+    partition_as_frozensets,
+    reference_components_networkx,
+)
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.cc.components import (
-    partition_as_frozensets,
-    reference_components_networkx,
-)
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.seqio.fastq import read_fastq, write_fastq
 from repro.seqio.records import ReadBatch
+from tests.cc.reference_dsf import (
+    partition_as_frozensets,
+    reference_components_networkx,
+)
 
 
 @pytest.fixture(scope="module")

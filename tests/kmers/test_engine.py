@@ -7,7 +7,6 @@ from repro.index.merhist import histogram_batch
 from repro.kmers.codec import KmerCodec
 from repro.kmers.engine import (
     KmerTuples,
-    count_kmer_positions,
     enumerate_canonical_kmers,
     select_canonical_kmers,
 )
@@ -154,21 +153,6 @@ class TestKmerTuples:
         assert t.k == 27
 
 
-class TestCountKmerPositions:
-    @pytest.mark.parametrize("nprob", [0.0, 0.1])
-    def test_matches_enumeration(self, rng, nprob):
-        from tests.conftest import random_reads
-
-        seqs = random_reads(rng, 8, 30, n_prob=nprob)
-        batch = ReadBatch.from_sequences(seqs)
-        assert count_kmer_positions(batch, 7) == len(
-            enumerate_canonical_kmers(batch, 7)
-        )
-
-    def test_empty(self):
-        assert count_kmer_positions(ReadBatch.empty(), 5) == 0
-
-
 #: a read: runs of bases and of N's, from empty to longer than 2k
 _read = st.lists(
     st.one_of(st.text("ACGT", min_size=1, max_size=40), st.text("N", min_size=1, max_size=3)),
@@ -213,7 +197,7 @@ class TestWindowKernelAgainstOracle:
         in_range = (bins >= lo) & (bins < hi)
         assert_same_tuples(kept, want.take(np.flatnonzero(in_range)))
         assert np.array_equal(kept_bins, bins[in_range])
-        assert n_positions == len(want) == count_kmer_positions(batch, k)
+        assert n_positions == len(want)
         assert np.array_equal(
             histogram_batch(batch, k, m),
             np.bincount(bins, minlength=4**m),

@@ -87,7 +87,7 @@ def test_diginorm_never_increases_reads(seqs, coverage):
 )
 def test_filter_monotone_in_cutoff(seqs, k, base_cutoff):
     """A looser frequency filter never produces a finer partition."""
-    from repro.cc.components import reference_components_networkx
+    from tests.cc.reference_dsf import reference_components_networkx
 
     batch = ReadBatch.from_sequences(seqs)
     tight = reference_components_networkx(

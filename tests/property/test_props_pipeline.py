@@ -9,16 +9,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc.components import (
-    partition_as_frozensets,
-    reference_components_networkx,
-)
 from repro.cc.dsf import DisjointSetForest
 from repro.cc.localcc import local_connected_components
 from repro.kmers.engine import enumerate_canonical_kmers
 from repro.kmers.filter import FrequencyFilter
 from repro.seqio.records import ReadBatch
 from repro.sort.radix import radix_sort_tuples
+from tests.cc.reference_dsf import (
+    partition_as_frozensets,
+    reference_components_networkx,
+)
 
 reads_strategy = st.lists(
     st.text(alphabet="ACGTN", min_size=0, max_size=40),

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from repro.kmers.codec import KmerArray, KmerCodec
 from repro.kmers.engine import KmerTuples
-from repro.sort.partition import range_partition
+from repro.runtime.buffers import HeapBufferPool
+from repro.sort.partition import range_partition_block
 from repro.sort.radix import radix_sort_tuples
-from repro.sort.validate import is_sorted_kmers, verify_sort
+from repro.sort.validate import is_sorted_kmers
+from tests.sort.reference_sort import verify_sort
 
 
 def tuples_strategy(k):
@@ -86,8 +88,10 @@ def test_range_partition_then_sort_equals_global_sort(pairs, n_parts, m):
     from repro.index.passplan import balanced_boundaries
 
     edges = balanced_boundaries(counts, n_parts)
-    parts, _ = range_partition(tuples, m, edges)
-    sorted_parts = [radix_sort_tuples(p)[0] for p in parts]
+    block = HeapBufferPool().allocate(k, max(len(tuples), 1))
+    block.write(0, tuples)
+    starts = np.cumsum([0, *range_partition_block(block, len(tuples), m, edges)])
+    sorted_parts = [radix_sort_tuples(block.view(lo, hi))[0] for lo, hi in zip(starts, starts[1:])]
     nonempty = [p for p in sorted_parts if len(p)]
     if nonempty:
         merged = KmerTuples.concatenate(nonempty)

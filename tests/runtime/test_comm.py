@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.comm import (
-    all_to_all_schedule,
-    block_exchange_stats,
-    broadcast,
-)
+from repro.runtime.comm import all_to_all_schedule, block_exchange_stats
 
 
 class TestSchedule:
@@ -95,19 +91,3 @@ class TestCustomAllToAll:
             sum(nbytes[s, d] for d in range(p) if d != s) for s in range(p)
         ]
         assert stats.max_bytes_sent_by_task == max(per_task)
-
-
-class TestBroadcast:
-    def test_everyone_receives(self):
-        copies, wire = broadcast("payload", 5, nbytes_of=lambda s: len(s))
-        assert len(copies) == 5
-        assert all(c == "payload" for c in copies)
-
-    def test_binomial_tree_bytes(self):
-        # P=8: rounds send 1, 2, 4 copies -> 7 transmissions
-        _, wire = broadcast(b"x" * 10, 8, nbytes_of=len)
-        assert wire == 7 * 10
-
-    def test_single_task_no_wire(self):
-        _, wire = broadcast("x", 1, nbytes_of=len)
-        assert wire == 0

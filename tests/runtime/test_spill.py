@@ -19,10 +19,10 @@ from repro.runtime.spill import (
     SpillCorruption,
     SpillLayout,
     SpillTarget,
+    _resident_state,
     consume_spill,
     read_spill,
     resident_spill,
-    resident_tuple_bytes,
     sweep_stale_spill_dirs,
     write_spill,
 )
@@ -31,6 +31,12 @@ from repro.runtime.transport import (
     resolve_block,
     write_block_region,
 )
+
+
+def resident_bytes():
+    """Spilled tuple bytes resident on this thread (the ledger the
+    ``spill.tuple_bytes_resident`` gauge samples)."""
+    return _resident_state()["bytes"]
 
 
 def make_tuples(k, n, seed=0):
@@ -277,11 +283,11 @@ class TestResidency:
         path = tmp_path / "a.spill"
         write_spill(path, block)
         target = SpillTarget(str(path), 21, 64)
-        base = resident_tuple_bytes()
+        base = resident_bytes()
         with resident_spill(target) as got:
-            assert resident_tuple_bytes() == base + got.nbytes
+            assert resident_bytes() == base + got.nbytes
             assert np.array_equal(got.view(0, 64).read_ids, tuples.read_ids)
-        assert resident_tuple_bytes() == base
+        assert resident_bytes() == base
         assert path.exists()
         pool.release(block)
 

@@ -6,7 +6,6 @@ from repro.seqio.alphabet import (
     complement_codes,
     decode_sequence,
     encode_sequence,
-    is_valid_dna,
     reverse_complement,
 )
 
@@ -62,13 +61,3 @@ class TestReverseComplement:
     def test_involution(self):
         seq = "ACCGTTGAAACGT"
         assert reverse_complement(reverse_complement(seq)) == seq
-
-
-class TestIsValidDna:
-    def test_valid(self):
-        assert is_valid_dna("ACGTacgt")
-        assert is_valid_dna("")
-
-    @pytest.mark.parametrize("bad", ["ACGN", "X", "AC GT"])
-    def test_invalid(self, bad):
-        assert not is_valid_dna(bad)

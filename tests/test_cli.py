@@ -1,6 +1,24 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: what a serial, in-memory run must not import: the process pool, the
+#: test-only graph library, and the k-mer tools only other verbs use
+SERIAL_RUN_NEVER_IMPORTS = {
+    "multiprocessing",
+    "concurrent.futures",
+    "networkx",
+    "repro.kmers.counter",
+    "repro.kmers.minimizers",
+    "repro.kmers.normalization",
+    "repro.kmers.spectrum_analysis",
+    "repro.seqio.fasta",
+}
 
 
 class TestParser:
@@ -89,6 +107,52 @@ class TestIndexAndRun:
         assert len(lines) == 1
         assert lines[0].startswith("metaprep run: no pass count up to 64 fits")
         assert "alone take" in lines[0]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tasks", "0"], "n_tasks must be positive, got 0"),
+            (["--k", "70"], "k must be in [2, 63], got 70"),
+            (["--filter", "bogus"], "bogus"),
+        ],
+        ids=["tasks", "k", "filter"],
+    )
+    def test_run_config_error_is_one_line(self, files, capsys, flags, message):
+        """An option value the config rejects is a usage error, not a
+        traceback."""
+        r1, r2 = files
+        rc = main(["run", "--r1", r1, "--r2", r2, "--m", "5", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("metaprep run: ")
+        assert message in lines[0]
+
+    def test_serial_run_module_set(self, files, tmp_path):
+        """A serial, non-spill ``metaprep run`` in a fresh interpreter
+        loads neither the process pool nor any module it does not use."""
+        r1, r2 = files
+        script = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "rc = main(sys.argv[2:])\n"
+            "json.dump({'rc': rc, 'modules': sorted(sys.modules)}, open(sys.argv[1], 'w'))\n"
+        )
+        report = tmp_path / "modules.json"
+        args = ["run", "--r1", r1, "--r2", r2, "--k", "27", "--m", "5", "--passes", "2"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run(
+            [sys.executable, "-c", script, str(report), *args],
+            env=env,
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        loaded = json.loads(report.read_text())
+        assert loaded["rc"] == 0
+        assert "repro.core.pipeline" in loaded["modules"]
+        assert sorted(SERIAL_RUN_NEVER_IMPORTS & set(loaded["modules"])) == []
 
     def test_run_executor_flags_parsed(self):
         ns = build_parser().parse_args(

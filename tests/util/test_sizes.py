@@ -1,6 +1,6 @@
 import pytest
 
-from repro.util.sizes import human_bytes, human_count, parse_bytes
+from repro.util.sizes import human_bytes, human_count
 
 
 class TestHumanBytes:
@@ -40,26 +40,3 @@ class TestHumanCount:
         with pytest.raises(ValueError):
             human_count(-5)
 
-
-class TestParseBytes:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("1024", 1024),
-            ("64GB", 64 * 2**30),
-            ("64 gb", 64 * 2**30),
-            ("512 mb", 512 * 2**20),
-            ("1.5k", int(1.5 * 1024)),
-            ("10b", 10),
-        ],
-    )
-    def test_parsing(self, text, expected):
-        assert parse_bytes(text) == expected
-
-    def test_roundtrip_with_human(self):
-        assert parse_bytes("49 GB") == 49 * 2**30
-
-    @pytest.mark.parametrize("bad", ["", "GB", "12xyz", "1..2k"])
-    def test_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
-            parse_bytes(bad)

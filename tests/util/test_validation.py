@@ -1,21 +1,6 @@
 import pytest
 
-from repro.util.validation import (
-    check_in_range,
-    check_positive,
-    check_power_of_two,
-    check_type,
-    require,
-)
-
-
-class TestRequire:
-    def test_passes(self):
-        require(True, "never")
-
-    def test_raises_with_message(self):
-        with pytest.raises(ValueError, match="broken"):
-            require(False, "broken")
+from repro.util.validation import check_in_range, check_positive
 
 
 class TestCheckPositive:
@@ -39,22 +24,3 @@ class TestCheckInRange:
         with pytest.raises(ValueError):
             check_in_range("k", bad, 1, 63)
 
-
-class TestCheckPowerOfTwo:
-    @pytest.mark.parametrize("ok", [1, 2, 4, 1024])
-    def test_accepts(self, ok):
-        check_power_of_two("n", ok)
-
-    @pytest.mark.parametrize("bad", [0, 3, 6, -4])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            check_power_of_two("n", bad)
-
-
-class TestCheckType:
-    def test_accepts(self):
-        check_type("s", "abc", str)
-
-    def test_rejects(self):
-        with pytest.raises(TypeError, match="s must be str"):
-            check_type("s", 5, str)
