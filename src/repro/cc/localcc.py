@@ -114,11 +114,11 @@ def fold_block_partitions(
     forest: DisjointSetForest,
     kfilter: FrequencyFilter | None = None,
 ) -> Tuple[LocalCCStats, np.ndarray]:
-    """Fold the sorted partitions of a
+    """Fold the sorted thread ranges of a
     :class:`~repro.runtime.buffers.TupleBlock` into ``forest``.
 
-    ``counts`` are the per-thread partition lengths from the in-place
-    range partition; partition ``t`` is consumed as a zero-copy view
+    ``counts`` are the per-thread range lengths LocalSort read off the
+    sorted block; range ``t`` is consumed as a zero-copy view
     ``block.view(starts[t], starts[t+1])`` in thread-rank order — the
     deterministic union sequence the engines' bit-identity rests on.
     Returns the merged :class:`LocalCCStats` and the per-thread edge

@@ -38,7 +38,7 @@ import resource
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -98,7 +98,6 @@ from repro.runtime.machines import get_machine
 from repro.runtime.timing import ProjectedTimes, TimingModel
 from repro.runtime.work import RunWork, StepNames
 from repro.sort.radix import RadixSortStats, radix_passes_for, radix_sort_block
-from repro.sort.partition import range_partition_block
 from repro.util.logging import get_logger
 from repro.util.timers import TimeBreakdown
 
@@ -266,8 +265,8 @@ class _OwnerJob:
     #: the task's forest state; mutated in place by the serial engine,
     #: on a pickled copy (returned in the result) by the process engine
     parent: np.ndarray
+    #: the planner's ``T + 1`` m-mer prefix bin edges of the thread ranges
     thread_edges: np.ndarray
-    span: Tuple[int, int]
     #: the task's received-tuple block (sources in rank order — the
     #: deterministic receive-side layout of the zero-copy exchange)
     block: PlaneHandle
@@ -278,7 +277,7 @@ class _OwnerResult:
     task: int
     parent: np.ndarray
     n_received: int
-    #: per-thread partition sizes, threads in rank order
+    #: per-thread range sizes, threads in rank order
     part_lengths: np.ndarray
     #: per-thread LocalCC edge counts, threads in rank order
     edges_by_thread: np.ndarray
@@ -288,13 +287,13 @@ class _OwnerResult:
 
 
 def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
-    """Range-partition, sort, and fold one owner task's received block.
+    """Sort and fold one owner task's received block.
 
-    Every step operates in place over the block's backing: the stable
-    partition permutation, the per-thread radix sorts, and the LocalCC
-    folds all consume zero-copy views.  Threads run in rank order, so
-    the union sequence — and with it the resulting parent array — is
-    identical on every engine.
+    Both steps operate in place over the block's backing: one radix sort
+    of the whole block, whose sorted m-mer prefixes give the per-thread
+    ranges, then the LocalCC folds over zero-copy views of those ranges.
+    Threads fold in rank order, so the union sequence — and with it the
+    resulting parent array — is identical on every engine.
     """
     ctx: _WorkerContext = worker_shared()
     times = TimeBreakdown()
@@ -306,15 +305,9 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
     # handle is loaded as the job's one resident block and consumed
     with resolve_block(job.block) as block:
         with telemetry.span(StepNames.LOCALSORT, task=job.task, aux=job.pass_index, times=times):
-            counts = range_partition_block(
-                block, job.n_received, ctx.m, job.thread_edges, span=job.span
+            counts, sort_stats = radix_sort_block(
+                block, job.n_received, ctx.m, job.thread_edges
             )
-            sort_stats = RadixSortStats()
-            start = 0
-            for count in counts:
-                end = start + int(count)
-                sort_stats.merge(radix_sort_block(block, start, end))
-                start = end
 
         with telemetry.span(StepNames.LOCALCC, task=job.task, aux=job.pass_index, times=times):
             cc_stats, edges_by_thread = fold_block_partitions(
@@ -325,7 +318,7 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
         task=job.task,
         parent=forest.parent,
         n_received=job.n_received,
-        part_lengths=np.asarray(counts, dtype=np.int64),
+        part_lengths=counts,
         edges_by_thread=edges_by_thread,
         sort_stats=sort_stats,
         cc_stats=cc_stats,
@@ -825,10 +818,6 @@ class MetaPrep:
                         n_received=int(totals[d]),
                         parent=forests[d].parent,
                         thread_edges=spec.thread_edges[d],
-                        span=(
-                            int(spec.task_edges[d]),
-                            int(spec.task_edges[d + 1]),
-                        ),
                         block=handles[d],
                     )
                     for d in range(p_tasks)

@@ -8,7 +8,8 @@ task is known *before* KmerGen runs.  That predetermines
   threads append without synchronization),
 * the exact send/recv counts of the custom all-to-all (no handshake
   needed), and
-* per-thread sub-ranges for the LocalSort range partitioning.
+* per-thread sub-ranges of each task's k-mer range (LocalSort's thread
+  ranges).
 
 Everything here is exact, not an estimate — the tests assert equality with
 the counts the real KmerGen produces.

@@ -75,7 +75,7 @@ class PassSpec:
     * ``task_edges``: ``P + 1`` edges partitioning ``[bin_lo, bin_hi)`` into
       per-task k-mer ranges (ownership for the all-to-all).
     * ``thread_edges``: ``(P, T + 1)`` — task ``p``'s range subdivided for
-      its ``T`` threads (LocalSort range partitioning).
+      its ``T`` threads (LocalSort's thread ranges).
     """
 
     index: int

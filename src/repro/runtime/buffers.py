@@ -104,9 +104,9 @@ class TupleBlock:
     ``columns`` are parallel arrays over one contiguous buffer — plain
     heap ndarrays or views into a shared-memory segment — in
     :func:`tuple_columns` order.  Stage code reads and writes *views*
-    (:meth:`view`, :meth:`write`, :meth:`permute`); the buffer itself
-    moves between processes as a :class:`BlockDescriptor`, never as a
-    pickled payload.
+    (:meth:`view`, :meth:`write`) and LocalSort reorders ``columns`` in
+    place; the buffer itself moves between processes as a
+    :class:`BlockDescriptor`, never as a pickled payload.
     """
 
     __slots__ = ("k", "capacity", "columns", "segment", "_shm", "__weakref__")
@@ -201,18 +201,6 @@ class TupleBlock:
         for column, values in zip(self.columns, tuples.columns):
             column[at:end] = values
         return end
-
-    def permute(self, order: np.ndarray, length: int | None = None) -> None:
-        """Reorder the first ``length`` tuples in place by gather index
-        ``order`` (LocalSort's range-partition scatter, executed over the
-        shared backing)."""
-        length = self.capacity if length is None else length
-        if len(order) != length:
-            raise ValueError(
-                f"order has {len(order)} entries for length {length}"
-            )
-        for column in self.columns:
-            column[:length] = column[:length][order]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = f"shm:{self.segment}" if self.segment else "heap"

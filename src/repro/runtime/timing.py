@@ -178,7 +178,8 @@ class TimingModel:
                 comm += t_pass
         out.per_task[StepNames.KMERGEN_COMM] = comm
 
-        # --- LocalSort: range partitioning + radix passes.
+        # --- LocalSort: the paper's range partitioning + radix passes (the
+        # machines model the paper's algorithm, not the substrate's one sort).
         part = self._thread_parallel_time(
             work.partition_tuples,
             m.partition_rate,

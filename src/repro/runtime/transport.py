@@ -73,7 +73,6 @@ left open on a failure path.
 from __future__ import annotations
 
 import pickle
-import socket
 import struct
 import threading
 import time
@@ -81,7 +80,7 @@ import weakref
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,6 +108,9 @@ from repro.runtime.spill import (
     write_spill_region,
 )
 from repro.util.logging import get_logger
+
+if TYPE_CHECKING:  # annotations only; connect_with_retry imports it to dial
+    import socket
 
 _LOG = get_logger("runtime.transport")
 
@@ -237,6 +239,8 @@ def connect_with_retry(
     ``retries`` attempts total.  The returned socket must be closed by
     the caller (context-manage it).
     """
+    import socket
+
     host, port = parse_address(address)
     last: Exception | None = None
     for attempt in range(max(1, retries)):

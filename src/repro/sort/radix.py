@@ -6,32 +6,33 @@ sorting 8 bits per pass is faster than sorting a higher number of bits
 because accessing bucket counts of 256 buckets repeatedly has better
 temporal locality."
 
-This module keeps that structure: one stable pass per 8-bit digit, least
-significant digit first, each pass gathering the columns into fresh
-buffers (out-of-place).  The kernel that runs is
-``np.argsort(digit, kind="stable")``: NumPy sorts ``uint8`` (and
-``uint16``) keys with an O(n) radix/counting sort, so the per-pass cost
-model matches the paper's.  The paper-faithful pass — 256 bucket counts,
-prefix sum, stable scatter — is spelled out as the test reference in
-``tests/sort/reference_sort.py``, and ``tests/sort/test_radix.py`` pins
-the production pass and the whole sort to it, permutation for
-permutation.
+One stable pass per 8-bit digit, least significant first.  A pass gathers
+only its digit through the permutation composed so far and orders it with
+``np.argsort(digit, kind="stable")`` — an O(n) radix/counting sort for
+``uint8``/``uint16`` keys, so the per-pass cost model matches the paper's;
+the tuple columns are gathered once, by the final permutation.  The
+paper-faithful pass (256 bucket counts, prefix sum, stable scatter) is the
+test reference in ``tests/sort/reference_sort.py``, held equal to this one
+permutation for permutation.
 
-An adaptive optimization (on by default) skips passes whose digit is
-constant across the partition; this is exactly why multipass runs with
-narrow per-pass k-mer ranges sort slightly faster.  ``skip_constant=False``
-forces the paper's fixed 8/16-pass behaviour for benchmarking.
+LocalSort range-partitions a task's tuples into ``T`` thread ranges of
+m-mer prefix bins and sorts each range.  The prefix is the key's top
+``2m`` bits, so :func:`radix_sort_block` sorts the whole owner block once
+and reads the range lengths off the sorted prefixes.
+
+Passes whose digit is constant across the input are skipped (on by
+default; why narrow multipass k-mer ranges sort slightly faster).
+``skip_constant=False`` forces the paper's fixed 8/16 passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
-from repro.kmers.codec import LIMB_BITS, limb_count
+from repro.kmers.codec import LIMB_BITS, KmerArray, limb_count
 from repro.kmers.engine import KmerTuples
 
 RADIX_BITS = 8
@@ -53,15 +54,38 @@ class RadixSortStats:
     passes_executed: int = 0
     passes_skipped: int = 0
     bucket_bits: int = RADIX_BITS
-    digits_histogrammed: List[int] = field(default_factory=list)
 
     def merge(self, other: "RadixSortStats") -> "RadixSortStats":
         self.n_tuples += other.n_tuples
         self.passes_nominal += other.passes_nominal
         self.passes_executed += other.passes_executed
         self.passes_skipped += other.passes_skipped
-        self.digits_histogrammed.extend(other.digits_histogrammed)
         return self
+
+
+def _lsd_permutation(
+    kmers: KmerArray, stats: RadixSortStats, skip_constant: bool
+) -> np.ndarray | None:
+    """The stable LSD sort order of ``kmers``, counting passes into
+    ``stats``; ``None`` when no pass ran (the input order is the sort).
+    At most the permutation, one pass's order and their composition are
+    live: 24 bytes per tuple."""
+    digit_bits = stats.bucket_bits
+    digit_dtype = np.uint8 if digit_bits == 8 else np.uint16
+    perm = None
+    for digit_index in range(stats.passes_nominal if len(kmers) > 1 else 0):
+        digit = kmers.radix_digit(digit_index, digit_bits).astype(digit_dtype)
+        if skip_constant and digit[0] == digit[-1] and not np.any(digit != digit[0]):
+            continue
+        if perm is not None:
+            digit = digit[perm]
+        order = np.argsort(digit, kind="stable")
+        del digit
+        perm = order if perm is None else perm[order]
+        del order
+        stats.passes_executed += 1
+    stats.passes_skipped = stats.passes_nominal - stats.passes_executed
+    return perm
 
 
 def radix_sort_tuples(
@@ -82,47 +106,32 @@ def radix_sort_tuples(
     if digit_bits not in (8, 16):
         raise ValueError(f"digit_bits must be 8 or 16, got {digit_bits}")
     nominal = radix_passes_for(tuples.k, digit_bits)
-    stats = RadixSortStats(
-        n_tuples=len(tuples), passes_nominal=nominal, bucket_bits=digit_bits
-    )
-    if len(tuples) <= 1:
-        stats.passes_skipped = nominal
-        return tuples, stats
-
-    kmers, ids = tuples.kmers, tuples.read_ids
-    digit_dtype = np.uint8 if digit_bits == 8 else np.uint16
-    for digit_index in range(nominal):
-        digit = kmers.radix_digit(digit_index, digit_bits).astype(digit_dtype)
-        if skip_constant and digit[0] == digit[-1] and not np.any(digit != digit[0]):
-            stats.passes_skipped += 1
-            continue
-        order = np.argsort(digit, kind="stable")
-        kmers = kmers.take(order)
-        ids = ids[order]
-        stats.passes_executed += 1
-        stats.digits_histogrammed.append(digit_index)
-
-    return KmerTuples(kmers, ids), stats
+    stats = RadixSortStats(n_tuples=len(tuples), passes_nominal=nominal, bucket_bits=digit_bits)
+    perm = _lsd_permutation(tuples.kmers, stats, skip_constant)
+    return (tuples if perm is None else tuples.take(perm)), stats
 
 
-def radix_sort_block(block, lo: int, hi: int) -> RadixSortStats:
-    """Sort tuples ``[lo, hi)`` of a
-    :class:`~repro.runtime.buffers.TupleBlock` in place over its backing.
+def radix_sort_block(
+    block, length: int, m: int, thread_edges: np.ndarray
+) -> tuple[np.ndarray, RadixSortStats]:
+    """LocalSort: sort tuples ``[0, length)`` of a
+    :class:`~repro.runtime.buffers.TupleBlock` in place over its backing
+    (a shared segment stays the one the tuples were received into).
 
-    The LSD passes ping-pong through the usual out-of-place scratch
-    (bounded at one partition, per the paper's memory budget) and the
-    final order is written back into the block's columns — under the
-    shared-memory dataplane the sorted run therefore lands in the same
-    segment the tuples were received into, with no extra round trip.
-    Returns the per-invocation :class:`RadixSortStats`.
+    Returns the per-thread counts and the :class:`RadixSortStats`.  Thread
+    ``t``'s range, m-mer prefix bins ``[thread_edges[t], thread_edges[t+1])``,
+    then sits sorted at ``block.view(starts[t], starts[t+1])``, ``starts``
+    being the exclusive cumsum of the counts.
     """
-    part = block.view(lo, hi)
-    sorted_part, stats = radix_sort_tuples(part)
-    if stats.passes_executed:
-        block.write(lo, sorted_part)
+    stats = RadixSortStats(n_tuples=length, passes_nominal=radix_passes_for(block.k))
+    perm = _lsd_permutation(block.view(0, length).kmers, stats, skip_constant=True)
+    if perm is not None:
+        for column in block.columns:
+            column[:length] = column[:length][perm]
+        del perm
+    prefix = block.view(0, length).kmers.mmer_prefix(m)
+    counts = np.diff(np.searchsorted(prefix, np.asarray(thread_edges, dtype=np.uint64)))
     if telemetry.enabled():
         telemetry.add_counter("sort.radix_passes", stats.passes_executed)
-        telemetry.add_counter(
-            "sort.histogram_fills", stats.passes_executed * stats.n_tuples
-        )
-    return stats
+        telemetry.add_counter("sort.histogram_fills", stats.passes_executed * stats.n_tuples)
+    return counts, stats

@@ -1,6 +1,6 @@
 """Unit tests for the zero-copy columnar dataplane.
 
-Both backings get the same block-semantics battery (write/view/permute
+Both backings get the same block-semantics battery (write/view
 aliasing), the descriptor is pinned as a constant-size wire format, and
 the shared-memory pool's lifecycle guarantees — reuse, unlink-on-close,
 finalizer sweep — are asserted against ``/dev/shm`` directly.
@@ -73,24 +73,6 @@ class TestBlockSemantics:
         view = block.view(0, 5)
         view.read_ids[2] = 99
         assert block.view(2, 3).read_ids[0] == 99
-
-    def test_permute_matches_take(self, pool):
-        rng = np.random.default_rng(3)
-        tuples = random_tuples(rng, 33, 20)
-        block = pool.allocate(33, 20)
-        block.write(0, tuples)
-        order = rng.permutation(20)
-        block.permute(order, 20)
-        assert_tuples_equal(block.view(0, 20), tuples.take(order))
-
-    def test_permute_prefix_only(self, pool):
-        rng = np.random.default_rng(4)
-        tuples = random_tuples(rng, 21, 10)
-        block = pool.allocate(21, 10)
-        block.write(0, tuples)
-        block.permute(np.array([2, 0, 1]), 3)
-        assert_tuples_equal(block.view(0, 3), tuples.take([2, 0, 1]))
-        assert_tuples_equal(block.view(3, 10), tuples.take(range(3, 10)))
 
     def test_write_out_of_range_rejected(self, pool):
         rng = np.random.default_rng(5)

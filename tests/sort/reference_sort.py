@@ -4,9 +4,9 @@ oracles for the production kernels in :mod:`repro.sort`.
 * :func:`counting_sort_by_digit` — one LSD pass as the paper writes it
   (256 bucket counts, a prefix sum, a stable scatter); the production
   pass is NumPy's stable ``uint8`` argsort and must equal it.
-* :func:`range_partition` — LocalSort's range partitioning as one mask
-  per partition; :func:`repro.sort.partition.range_partition_block`
-  must leave each partition in exactly this order.
+* :func:`range_partition` — the paper's LocalSort range partitioning as
+  one mask per thread range; :func:`repro.sort.radix.radix_sort_block`
+  must leave exactly these ranges, each sorted, and return their sizes.
 * :func:`verify_sort` — a sorted permutation of the input, payloads
   included.
 """

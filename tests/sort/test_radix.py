@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.kmers.codec import KmerArray
 from repro.kmers.engine import KmerTuples, enumerate_canonical_kmers
-from repro.sort.radix import RADIX_BUCKETS, radix_passes_for, radix_sort_tuples
+from repro.runtime.buffers import HeapBufferPool
+from repro.sort.radix import RADIX_BUCKETS, radix_passes_for, radix_sort_block, radix_sort_tuples
 from repro.sort.validate import is_sorted_kmers
 from tests.sort.reference_sort import counting_sort_by_digit, verify_sort
 
@@ -151,3 +154,23 @@ class TestRadixSort:
         _, s2 = radix_sort_tuples(make_tuples(rng, 70, 27))
         total = s1.merge(s2)
         assert total.n_tuples == 120
+
+
+class TestRadixSortBlock:
+    @pytest.mark.parametrize("k", [27, 63])
+    def test_transient_peak_is_24_bytes_per_tuple(self, rng, k):
+        """Scratch of the block sort: the permutation, one pass's order
+        and their composition — 24 bytes per tuple, whatever the limb
+        count — plus 64 KiB of slack for NumPy's small temporaries."""
+        n = 100_000
+        block = HeapBufferPool().allocate(k, n)
+        block.write(0, make_tuples(rng, n, k))
+        edges = np.array([0, 60, 130, 256])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            radix_sort_block(block, n, 4, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 24 * n + 64 * 1024

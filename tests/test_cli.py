@@ -18,6 +18,8 @@ SERIAL_RUN_NEVER_IMPORTS = {
     "repro.kmers.normalization",
     "repro.kmers.spectrum_analysis",
     "repro.seqio.fasta",
+    "selectors",
+    "socket",
 }
 
 
