@@ -7,7 +7,6 @@ Subcommands::
     metaprep run     --r1 a_R1.fastq --r2 a_R2.fastq --out parts/ \
                      --k 27 --tasks 4 --threads 8 --passes 2
     metaprep assemble --fastq parts/lc_p0_t0.fastq     # MiniAssembler
-    metaprep check    --strict                         # static analysis gate
     metaprep trace   runs/tele/                        # inspect telemetry
     metaprep worker  --port 9201                       # distributed-engine daemon
 
@@ -271,58 +270,6 @@ def cmd_normalize(args) -> int:
     if args.out:
         write_fastq(args.out, list(kept))
         print(f"normalized reads written to {args.out}")
-    return 0
-
-
-def cmd_check(args) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from repro.analysis.findings import RULES
-    from repro.analysis.project import ProjectLayoutError
-    from repro.analysis.runner import run_checks
-
-    if args.list_rules:
-        for rule in sorted(RULES):
-            print(f"{rule}  {RULES[rule]}")
-        return 0
-
-    root = Path(args.root) if args.root else Path.cwd()
-    try:
-        report = run_checks(root)
-    except ProjectLayoutError as exc:
-        print(f"metaprep check: {exc}", file=sys.stderr)
-        return 2
-    except SyntaxError as exc:
-        print(f"metaprep check: cannot parse {exc.filename}: {exc}", file=sys.stderr)
-        return 2
-
-    if args.format == "json":
-        print(
-            _json.dumps(
-                {
-                    "root": str(report.root),
-                    "new": [f.as_dict() for f in report.new],
-                    "suppressed": [f.as_dict() for f in report.suppressed],
-                    "per_checker": report.per_checker,
-                    "files": report.files,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for finding in report.new:
-            print(finding.format())
-        counts = ", ".join(
-            f"{name}: {n}" for name, n in report.per_checker.items()
-        )
-        print(
-            f"metaprep check: {len(report.new)} new, "
-            f"{len(report.suppressed)} suppressed ({counts})"
-        )
-    if args.strict and not report.ok:
-        return 1
     return 0
 
 
@@ -604,26 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="Perfetto trace output path")
     _add_common(p)
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "check", help="run the invariant-checking static analysis suite"
-    )
-    p.add_argument(
-        "--root",
-        default=None,
-        help="repository root containing src/repro (default: cwd)",
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero when any new finding remains (the CI gate)",
-    )
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog"
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("serve", help="run the partition job service daemon")
     p.add_argument("--spool", required=True, help="service spool directory")

@@ -30,7 +30,8 @@ Tenancy semantics:
 * quota exhaustion and rate limiting answer 429 with a deterministic
   ``Retry-After``; queue saturation answers 503.
 
-Handler purity contract (enforced by ``metaprep check`` rule MP605):
+Handler purity contract (enforced by
+``tests/analysis/test_hazards.py::test_gateway_handlers_are_pure``):
 handlers keep all state on the app instance and never block the event
 loop — dataset hashing and artifact reads go through the loop's
 executor.
@@ -73,8 +74,9 @@ class GatewayCounters:
     """The gateway's four service counters.
 
     Kept as plain instance attributes (handlers mutate app state, never
-    module globals — MP605) and mirrored into the telemetry runtime so
-    an activated run records them alongside pipeline counters.
+    module globals: ``test_gateway_handlers_are_pure``) and mirrored into
+    the telemetry runtime so an activated run records them alongside
+    pipeline counters.
     """
 
     def __init__(self) -> None:

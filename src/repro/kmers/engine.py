@@ -92,7 +92,10 @@ class KmerTuples:
             raise ValueError(
                 f"dest contains values >= n_dest ({n_dest})"
             )
-        gathered = self.take(np.argsort(dest, kind="stable"))
+        # the narrowest unsigned key (uint8 for up to 256 tasks) puts the
+        # stable argsort on NumPy's radix path
+        key = dest.astype(np.min_scalar_type(n_dest - 1), copy=False)
+        gathered = self.take(np.argsort(key, kind="stable"))
         ends = np.cumsum(counts).tolist()
         parts = [gathered.slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
         return parts, counts

@@ -32,8 +32,9 @@ registry; an unregistered name raises at emission.
 All timestamps are ``time.perf_counter_ns()`` — CLOCK_MONOTONIC on
 Linux, which is comparable across processes on the same host (the
 driver/worker spans of one run share a timeline).  No wall-clock source
-is used anywhere in this package; ``metaprep check`` (MP201) enforces
-that, see :mod:`repro.analysis.checkers.determinism`.
+is used anywhere in this package;
+``tests/analysis/test_hazards.py::test_no_wall_clock_outside_the_service_layer``
+enforces that.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
-"""MP2xx determinism checker: trip and pass fixtures."""
+"""MP201–MP203 determinism hazards: trip and pass fixtures for
+:func:`tests.analysis.hazards.scan`."""
 
-from repro.analysis.checkers.determinism import check_determinism
+from tests.analysis.hazards import scan
 
 
 def rules(findings):
-    return sorted(f.rule for f in findings)
+    return sorted(rule for _, _, rule in findings)
 
 
 class TestMP201WallClock:
-    def test_time_time_trips_in_result_path(self, make_project):
-        project = make_project(
+    def test_time_time_trips_in_result_path(self):
+        findings = scan(
             {
                 "sort/local.py": """
                     import time
@@ -19,12 +20,10 @@ class TestMP201WallClock:
                 """
             }
         )
-        findings = check_determinism(project)
-        assert rules(findings) == ["MP201"]
-        assert "time.time" in findings[0].message
+        assert findings == [("sort/local.py", 5, "MP201")]
 
-    def test_datetime_now_trips(self, make_project):
-        project = make_project(
+    def test_datetime_now_trips(self):
+        findings = scan(
             {
                 "cc/merge.py": """
                     from datetime import datetime
@@ -34,10 +33,10 @@ class TestMP201WallClock:
                 """
             }
         )
-        assert rules(check_determinism(project)) == ["MP201"]
+        assert rules(findings) == ["MP201"]
 
-    def test_monotonic_clocks_allowed(self, make_project):
-        project = make_project(
+    def test_monotonic_clocks_allowed(self):
+        findings = scan(
             {
                 "sort/local.py": """
                     import time
@@ -48,11 +47,11 @@ class TestMP201WallClock:
                 """
             }
         )
-        assert check_determinism(project) == []
+        assert findings == []
 
-    def test_wall_clock_outside_result_scope_allowed(self, make_project):
+    def test_wall_clock_outside_result_scope_allowed(self):
         # job-record timestamps are the service layer's own contract
-        project = make_project(
+        findings = scan(
             {
                 "service/queue.py": """
                     import time
@@ -68,11 +67,11 @@ class TestMP201WallClock:
                 """,
             }
         )
-        assert check_determinism(project) == []
+        assert findings == []
 
-    def test_wall_clock_in_perf_trips(self, make_project):
+    def test_wall_clock_in_perf_trips(self):
         # every module outside service/ and gateway/ is in MP201's scope
-        project = make_project(
+        findings = scan(
             {
                 "perf/timer.py": """
                     import time
@@ -82,12 +81,12 @@ class TestMP201WallClock:
                 """
             }
         )
-        assert rules(check_determinism(project)) == ["MP201"]
+        assert rules(findings) == ["MP201"]
 
-    def test_wall_clock_in_helper_module_trips_at_the_read(self, make_project):
+    def test_wall_clock_in_helper_module_trips_at_the_read(self):
         # a result-path caller of a wall-clock helper is covered by the
         # helper's own finding: the read itself is in scope
-        project = make_project(
+        findings = scan(
             {
                 "util/stamp.py": """
                     import time
@@ -104,13 +103,10 @@ class TestMP201WallClock:
                 """,
             }
         )
-        findings = check_determinism(project)
-        assert [(f.rule, f.path) for f in findings] == [
-            ("MP201", "src/repro/util/stamp.py")
-        ]
+        assert findings == [("util/stamp.py", 5, "MP201")]
 
-    def test_monotonic_helper_module_passes(self, make_project):
-        project = make_project(
+    def test_monotonic_helper_module_passes(self):
+        findings = scan(
             {
                 "util/stamp.py": """
                     import time
@@ -127,12 +123,12 @@ class TestMP201WallClock:
                 """,
             }
         )
-        assert check_determinism(project) == []
+        assert findings == []
 
 
 class TestMP202RandomSources:
-    def test_unseeded_default_rng_trips_anywhere(self, make_project):
-        project = make_project(
+    def test_unseeded_default_rng_trips_anywhere(self):
+        findings = scan(
             {
                 "service/jitter.py": """
                     import numpy as np
@@ -142,12 +138,10 @@ class TestMP202RandomSources:
                 """
             }
         )
-        findings = check_determinism(project)
-        assert rules(findings) == ["MP202"]
-        assert "without a seed" in findings[0].message
+        assert findings == [("service/jitter.py", 5, "MP202")]
 
-    def test_seeded_default_rng_passes(self, make_project):
-        project = make_project(
+    def test_seeded_default_rng_passes(self):
+        findings = scan(
             {
                 "sort/sampling.py": """
                     import numpy as np
@@ -157,10 +151,10 @@ class TestMP202RandomSources:
                 """
             }
         )
-        assert check_determinism(project) == []
+        assert findings == []
 
-    def test_seed_none_keyword_trips(self, make_project):
-        project = make_project(
+    def test_seed_none_keyword_trips(self):
+        findings = scan(
             {
                 "sort/sampling.py": """
                     import numpy as np
@@ -170,10 +164,10 @@ class TestMP202RandomSources:
                 """
             }
         )
-        assert rules(check_determinism(project)) == ["MP202"]
+        assert rules(findings) == ["MP202"]
 
-    def test_numpy_module_global_api_trips(self, make_project):
-        project = make_project(
+    def test_numpy_module_global_api_trips(self):
+        findings = scan(
             {
                 "kmers/noise.py": """
                     import numpy as np
@@ -183,12 +177,10 @@ class TestMP202RandomSources:
                 """
             }
         )
-        findings = check_determinism(project)
-        assert rules(findings) == ["MP202"]
-        assert "module-global" in findings[0].message
+        assert findings == [("kmers/noise.py", 5, "MP202")]
 
-    def test_stdlib_random_module_trips(self, make_project):
-        project = make_project(
+    def test_stdlib_random_module_trips(self):
+        findings = scan(
             {
                 "util/pick.py": """
                     import random
@@ -198,10 +190,10 @@ class TestMP202RandomSources:
                 """
             }
         )
-        assert rules(check_determinism(project)) == ["MP202"]
+        assert rules(findings) == ["MP202"]
 
-    def test_seeded_stdlib_random_instance_passes(self, make_project):
-        project = make_project(
+    def test_seeded_stdlib_random_instance_passes(self):
+        findings = scan(
             {
                 "util/pick.py": """
                     import random
@@ -211,12 +203,12 @@ class TestMP202RandomSources:
                 """
             }
         )
-        assert check_determinism(project) == []
+        assert findings == []
 
 
 class TestMP203SetIteration:
-    def test_for_over_set_literal_trips(self, make_project):
-        project = make_project(
+    def test_for_over_set_literal_trips(self):
+        findings = scan(
             {
                 "index/build.py": """
                     def names():
@@ -227,12 +219,10 @@ class TestMP203SetIteration:
                 """
             }
         )
-        findings = check_determinism(project)
-        assert rules(findings) == ["MP203"]
-        assert "sorted" in findings[0].message
+        assert findings == [("index/build.py", 4, "MP203")]
 
-    def test_for_over_set_typed_local_trips(self, make_project):
-        project = make_project(
+    def test_for_over_set_typed_local_trips(self):
+        findings = scan(
             {
                 "index/build.py": """
                     def names(items):
@@ -241,10 +231,10 @@ class TestMP203SetIteration:
                 """
             }
         )
-        assert rules(check_determinism(project)) == ["MP203"]
+        assert rules(findings) == ["MP203"]
 
-    def test_sorted_set_passes(self, make_project):
-        project = make_project(
+    def test_sorted_set_passes(self):
+        findings = scan(
             {
                 "index/build.py": """
                     def names(items):
@@ -253,10 +243,10 @@ class TestMP203SetIteration:
                 """
             }
         )
-        assert check_determinism(project) == []
+        assert findings == []
 
-    def test_list_over_set_algebra_trips(self, make_project):
-        project = make_project(
+    def test_list_over_set_algebra_trips(self):
+        findings = scan(
             {
                 "cc/labels.py": """
                     def diff(a, b):
@@ -264,10 +254,10 @@ class TestMP203SetIteration:
                 """
             }
         )
-        assert rules(check_determinism(project)) == ["MP203"]
+        assert rules(findings) == ["MP203"]
 
-    def test_set_iteration_outside_result_scope_allowed(self, make_project):
-        project = make_project(
+    def test_set_iteration_outside_result_scope_allowed(self):
+        findings = scan(
             {
                 "service/store.py": """
                     def names(items):
@@ -276,15 +266,15 @@ class TestMP203SetIteration:
                 """
             }
         )
-        assert check_determinism(project) == []
+        assert findings == []
 
 
 class TestTelemetryScope:
     """telemetry/ is result-affecting for MP2xx, with monotonic clocks
-    explicitly allowlisted — the subsystem's whole point is timing."""
+    explicitly allowlisted: the subsystem's whole point is timing."""
 
-    def test_wall_clock_in_telemetry_trips(self, make_project):
-        project = make_project(
+    def test_wall_clock_in_telemetry_trips(self):
+        findings = scan(
             {
                 "telemetry/runtime.py": """
                     import time
@@ -294,11 +284,10 @@ class TestTelemetryScope:
                 """
             }
         )
-        findings = check_determinism(project)
         assert rules(findings) == ["MP201"]
 
-    def test_monotonic_clocks_in_telemetry_pass(self, make_project):
-        project = make_project(
+    def test_monotonic_clocks_in_telemetry_pass(self):
+        findings = scan(
             {
                 "telemetry/runtime.py": """
                     import time
@@ -311,19 +300,14 @@ class TestTelemetryScope:
                 """
             }
         )
-        assert check_determinism(project) == []
+        assert findings == []
 
     def test_allowlist_disjoint_from_wall_clock(self):
-        from repro.analysis.checkers.determinism import (
-            MONOTONIC_ALLOWED,
-            WALL_CLOCK,
-        )
+        from tests.analysis.hazards import MONOTONIC_ALLOWED, WALL_CLOCK
 
         assert not (MONOTONIC_ALLOWED & WALL_CLOCK)
 
     def test_telemetry_is_result_affecting_scope(self):
-        from repro.analysis.checkers.determinism import (
-            RESULT_AFFECTING_SCOPES,
-        )
+        from tests.analysis.hazards import RESULT_AFFECTING_SCOPES
 
         assert "telemetry/" in RESULT_AFFECTING_SCOPES

@@ -1,15 +1,16 @@
-"""MP605 — gateway handler-purity trip/pass fixtures."""
+"""MP605 gateway handler purity: trip and pass fixtures for
+:func:`tests.analysis.hazards.scan`."""
 
-from repro.analysis.checkers.gateway import check_gateway_purity
+from tests.analysis.hazards import scan
 
 
 def rules(findings):
-    return sorted(f.rule for f in findings)
+    return sorted(rule for _, _, rule in findings)
 
 
 class TestGlobalWrites:
-    def test_trip_handler_writes_module_global(self, make_project):
-        project = make_project(
+    def test_trip_handler_writes_module_global(self):
+        findings = scan(
             {
                 "gateway/app.py": """
                     JOBS = {}
@@ -20,12 +21,10 @@ class TestGlobalWrites:
                 """
             }
         )
-        findings = check_gateway_purity(project)
-        assert rules(findings) == ["MP605"]
-        assert "module globals" in findings[0].message
+        assert findings == [("gateway/app.py", 5, "MP605")]
 
-    def test_trip_handler_declares_global(self, make_project):
-        project = make_project(
+    def test_trip_handler_declares_global(self):
+        findings = scan(
             {
                 "gateway/app.py": """
                     counter = 0
@@ -37,11 +36,10 @@ class TestGlobalWrites:
                 """
             }
         )
-        findings = check_gateway_purity(project)
         assert "MP605" in rules(findings)
 
-    def test_trip_handler_mutates_module_container(self, make_project):
-        project = make_project(
+    def test_trip_handler_mutates_module_container(self):
+        findings = scan(
             {
                 "gateway/app.py": """
                     SEEN = []
@@ -52,10 +50,10 @@ class TestGlobalWrites:
                 """
             }
         )
-        assert rules(check_gateway_purity(project)) == ["MP605"]
+        assert rules(findings) == ["MP605"]
 
-    def test_pass_state_on_the_app_instance(self, make_project):
-        project = make_project(
+    def test_pass_state_on_the_app_instance(self):
+        findings = scan(
             {
                 "gateway/app.py": """
                     class App:
@@ -68,12 +66,12 @@ class TestGlobalWrites:
                 """
             }
         )
-        assert check_gateway_purity(project) == []
+        assert findings == []
 
-    def test_pass_sync_function_out_of_scope(self, make_project):
+    def test_pass_sync_function_out_of_scope(self):
         # only async handlers run on the event loop; a sync helper may
-        # keep a module-level cache (other rules police those)
-        project = make_project(
+        # keep a module-level cache
+        findings = scan(
             {
                 "gateway/app.py": """
                     CACHE = {}
@@ -83,12 +81,12 @@ class TestGlobalWrites:
                 """
             }
         )
-        assert check_gateway_purity(project) == []
+        assert findings == []
 
 
 class TestBlockingSleep:
-    def test_trip_time_sleep_in_handler(self, make_project):
-        project = make_project(
+    def test_trip_time_sleep_in_handler(self):
+        findings = scan(
             {
                 "gateway/server.py": """
                     import time
@@ -99,12 +97,10 @@ class TestBlockingSleep:
                 """
             }
         )
-        findings = check_gateway_purity(project)
-        assert rules(findings) == ["MP605"]
-        assert "event loop" in findings[0].message
+        assert findings == [("gateway/server.py", 5, "MP605")]
 
-    def test_trip_aliased_sleep(self, make_project):
-        project = make_project(
+    def test_trip_aliased_sleep(self):
+        findings = scan(
             {
                 "gateway/server.py": """
                     from time import sleep
@@ -114,10 +110,10 @@ class TestBlockingSleep:
                 """
             }
         )
-        assert rules(check_gateway_purity(project)) == ["MP605"]
+        assert rules(findings) == ["MP605"]
 
-    def test_pass_asyncio_sleep(self, make_project):
-        project = make_project(
+    def test_pass_asyncio_sleep(self):
+        findings = scan(
             {
                 "gateway/server.py": """
                     import asyncio
@@ -128,10 +124,10 @@ class TestBlockingSleep:
                 """
             }
         )
-        assert check_gateway_purity(project) == []
+        assert findings == []
 
-    def test_pass_sleep_in_sync_helper(self, make_project):
-        project = make_project(
+    def test_pass_sleep_in_sync_helper(self):
+        findings = scan(
             {
                 "gateway/client.py": """
                     import time
@@ -142,10 +138,10 @@ class TestBlockingSleep:
                 """
             }
         )
-        assert check_gateway_purity(project) == []
+        assert findings == []
 
-    def test_other_packages_out_of_scope(self, make_project):
-        project = make_project(
+    def test_other_packages_out_of_scope(self):
+        findings = scan(
             {
                 "runtime/worker.py": """
                     import time
@@ -158,4 +154,4 @@ class TestBlockingSleep:
                 """
             }
         )
-        assert check_gateway_purity(project) == []
+        assert findings == []

@@ -152,6 +152,24 @@ class TestKmerTuples:
         assert len(t) == 0
         assert t.k == 27
 
+    @pytest.mark.parametrize("n_dest", [1, 2, 256, 257])
+    def test_split_by_destination_matches_one_mask_per_destination(self, n_dest):
+        rng = np.random.default_rng(n_dest)
+        batch = ReadBatch.from_sequences(
+            ["".join(rng.choice(list("ACGT"), 60)) for _ in range(40)]
+        )
+        t = enumerate_canonical_kmers(batch, 15)
+        dest = rng.integers(0, n_dest, size=len(t))
+        parts, counts = t.split_by_destination(dest, n_dest)
+        assert len(parts) == n_dest
+        for d in range(n_dest):
+            want = t.take(np.flatnonzero(dest == d))
+            assert counts[d] == len(want)
+            assert_same_tuples(parts[d], want)
+
+        with pytest.raises(ValueError):
+            t.split_by_destination(np.full(len(t), n_dest), n_dest)
+
 
 #: a read: runs of bases and of N's, from empty to longer than 2k
 _read = st.lists(
