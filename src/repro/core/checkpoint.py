@@ -128,10 +128,6 @@ class Checkpoint:
     passes_done: int
     parents: List[np.ndarray]
 
-    @property
-    def complete(self) -> bool:
-        return self.passes_done >= self.n_passes_total
-
 
 class CheckpointStore:
     """Single-file checkpoint persistence under a directory."""
@@ -166,13 +162,19 @@ class CheckpointStore:
             self.path,
         )
 
-    def load(self, expect_fingerprint: str) -> Checkpoint:
+    def load(self, expect_fingerprint: str, n_passes: int) -> Checkpoint:
+        """The checkpoint of this run, planned at ``n_passes`` passes."""
         meta, arrays = read_table(self.path, expect_schema=_SCHEMA)
         if meta["fingerprint"] != expect_fingerprint:
             raise CheckpointMismatch(
                 f"{self.path}: checkpoint fingerprint {meta['fingerprint']} "
                 f"does not match this run ({expect_fingerprint}); delete the "
                 "checkpoint or rerun with the original configuration"
+            )
+        if int(meta["n_passes_total"]) != n_passes:
+            raise CheckpointMismatch(
+                f"checkpoint was taken at {meta['n_passes_total']} "
+                f"passes; this run plans {n_passes}"
             )
         parents = [
             arrays[f"parent_{p}"] for p in range(int(meta["n_tasks"]))

@@ -1,6 +1,19 @@
 """The METAPREP driver: IndexCreate -> S x (KmerGen -> Comm -> LocalSort ->
 LocalCC) -> MergeCC -> partitioned output.
 
+One run is six stage functions over one run state (``_Run``), which
+``_run`` calls in order:
+
+1. ``_index_stage`` — IndexCreate, or the prebuilt or cached tables;
+2. ``_plan_stage`` — pass count and ranges, chunk slots, spill schedule,
+   forests, and the resume point of an on-disk checkpoint;
+3. ``_passes_stage`` — per pass, ``_run_pass``: KmerGen -> exchange ->
+   LocalSort + LocalCC, checkpointed as each pass completes.  This stage
+   owns the one scope over the engine and the block planes;
+4. ``_merge_stage`` — MergeCC and the component labels;
+5. ``_write_stage`` — CC-I/O, the partitioned FASTQ files;
+6. ``_result_stage`` — the projection, telemetry export, ``PipelineResult``.
+
 The run is organized *exactly* as the paper's distributed execution — P
 tasks x T threads, chunk assignment and k-mer ranges from the index tables,
 the P-stage all-to-all, per-task forests merged over a binary tree.  The
@@ -38,7 +51,7 @@ import resource
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -49,12 +62,7 @@ from repro.cc.localcc import (
     map_ids_to_components,
 )
 from repro.cc.mergecc import MergeCCStats, merge_component_arrays, tree_merge_schedule
-from repro.core.checkpoint import (
-    Checkpoint,
-    CheckpointMismatch,
-    CheckpointStore,
-    config_fingerprint,
-)
+from repro.core.checkpoint import Checkpoint, CheckpointStore, config_fingerprint
 from repro.core.config import PipelineConfig
 from repro.core.partition import (
     PartitionResult,
@@ -109,21 +117,6 @@ class StaticCountMismatch(AssertionError):
     output — indicates index/table corruption or a k/m mismatch."""
 
 
-def _estimate_ccio_bytes(
-    table: FastqPartTable,
-    assignment: np.ndarray,
-    n_tasks: int,
-    n_threads: int,
-) -> np.ndarray:
-    """Estimated CC-I/O volume when outputs are not written (output FASTQ
-    ~ input FASTQ bytes).  All-zero for a zero-chunk table."""
-    est = np.zeros((n_tasks, n_threads), dtype=np.int64)
-    for c in range(table.n_chunks):
-        p, t = divmod(int(assignment[c]), n_threads)
-        est[p, t] += table.chunk_bytes(c)
-    return est
-
-
 # ----------------------------------------------------------------------
 # executor job payloads and worker functions
 #
@@ -141,6 +134,10 @@ def _estimate_ccio_bytes(
 # bytes whatever the tuple volume and whichever plane issued it (heap
 # block, shm descriptor, socket ref, spill file) — the zero-copy
 # exchange the paper's custom all-to-all corresponds to.
+#
+# Results carry no copy of their job: every engine returns them in
+# submission order (the determinism contract of repro.runtime.executor),
+# so each stage zips its results with its own job list.
 # ----------------------------------------------------------------------
 
 
@@ -174,8 +171,6 @@ class _ChunkJob:
     chunk: int
     #: owner slot (task rank) this chunk is assigned to — span attribution
     task: int
-    #: which of the S passes this job belongs to
-    pass_index: int
     bin_lo: int
     bin_hi: int
     task_edges: np.ndarray
@@ -189,7 +184,6 @@ class _ChunkJob:
 
 @dataclass
 class _ChunkResult:
-    chunk: int
     #: tuples actually written per destination (== expected, verified)
     counts: np.ndarray
     #: k-mer positions scanned (pre-range-filter), for work accounting
@@ -246,7 +240,6 @@ def _kmergen_chunk_task(job: _ChunkJob) -> _ChunkResult:
                 )
     _sample_peak_rss(job.task)
     return _ChunkResult(
-        chunk=job.chunk,
         counts=counts,
         n_positions=n_positions,
         times=times,
@@ -274,9 +267,7 @@ class _OwnerJob:
 
 @dataclass
 class _OwnerResult:
-    task: int
     parent: np.ndarray
-    n_received: int
     #: per-thread range sizes, threads in rank order
     part_lengths: np.ndarray
     #: per-thread LocalCC edge counts, threads in rank order
@@ -315,32 +306,13 @@ def _owner_sort_cc_task(job: _OwnerJob) -> _OwnerResult:
             )
     _sample_peak_rss(job.task)
     return _OwnerResult(
-        task=job.task,
         parent=forest.parent,
-        n_received=job.n_received,
         part_lengths=counts,
         edges_by_thread=edges_by_thread,
         sort_stats=sort_stats,
         cc_stats=cc_stats,
         times=times,
     )
-
-
-@dataclass
-class _RunState:
-    """What every pass of one run reads or advances."""
-
-    table: FastqPartTable
-    assignment: np.ndarray
-    #: per-task forests; owner results replace them pass by pass
-    forests: List[DisjointSetForest]
-    work: RunWork
-    executor: ExecutionBackend
-    #: measured seconds per step, summed over the workers that ran it
-    times: TimeBreakdown = field(default_factory=TimeBreakdown)
-    sort_stats: RadixSortStats = field(default_factory=RadixSortStats)
-    cc_stats: LocalCCStats = field(default_factory=LocalCCStats)
-    comm_stats: List[AllToAllStats] = field(default_factory=list)
 
 
 @dataclass
@@ -435,412 +407,434 @@ class MetaPrep:
         ``result.telemetry`` and, when a directory is set, is exported as
         Perfetto trace / metrics snapshot / Prometheus textfile.
         """
-        cfg = self.config
-        collector = None
-        if cfg.telemetry_enabled:
-            collector = TelemetryCollector()
-            telemetry.activate(collector)
+        run = _Run(
+            self.config, units, output_dir, index, checkpoint_dir,
+            artifact_store, events,
+        )
+        if run.cfg.telemetry_enabled:
+            run.collector = TelemetryCollector()
+            telemetry.activate(run.collector)
         try:
-            return self._run(
-                units,
-                output_dir,
-                index,
-                checkpoint_dir,
-                artifact_store,
-                events,
-                collector,
-            )
+            return _run(run)
         finally:
-            if collector is not None:
+            if run.collector is not None:
                 telemetry.deactivate()
 
-    def _run(
-        self,
-        units: Sequence,
-        output_dir,
-        index,
-        checkpoint_dir,
-        artifact_store,
-        events,
-        collector: TelemetryCollector | None,
-    ) -> PipelineResult:
-        cfg = self.config
 
-        def _emit(type_: str, **payload) -> None:
-            if events is not None:
-                events(dict(payload, type=type_))
+@dataclass
+class _Run:
+    """One run's state: the caller's arguments, then each stage's product,
+    which the stages after it read."""
 
-        index_cache_hit = None
-        if index is None:
-            if artifact_store is not None:
-                index, index_cache_hit = artifact_store.index_for(units, cfg)
-            else:
-                index = index_create(units, cfg.k, cfg.m, cfg.resolved_chunks())
-        merhist, table = index.merhist, index.fastqpart
-        _emit(
-            "index_ready",
-            cache_hit=index_cache_hit,
-            n_chunks=table.n_chunks,
-            n_reads=table.total_reads,
-        )
-        if merhist.k != cfg.k or merhist.m != cfg.m:
-            raise ValueError(
-                f"index built for k={merhist.k}, m={merhist.m}; "
-                f"config wants k={cfg.k}, m={cfg.m}"
-            )
-        n_reads = table.total_reads
-        p_tasks, t_threads = cfg.n_tasks, cfg.n_threads
+    cfg: PipelineConfig
+    units: Sequence
+    output_dir: str | os.PathLike | None
+    #: the caller's prebuilt tables until the index stage fills it
+    index: IndexCreateResult | None
+    checkpoint_dir: str | os.PathLike | None
+    artifact_store: object
+    events: Callable[[dict], None] | None
+    collector: TelemetryCollector | None = None
+    # plan stage
+    plan: PassPlan = field(init=False)
+    assignment: np.ndarray = field(init=False)
+    spill_flags: List[bool] = field(init=False)
+    work: RunWork = field(init=False)
+    #: per-task forests; owner results replace them pass by pass
+    forests: List[DisjointSetForest] = field(init=False)
+    store: CheckpointStore | None = None
+    fingerprint: str = ""
+    start_pass: int = 0
+    # passes stage
+    executor: ExecutionBackend = field(init=False)
+    #: measured seconds per step, summed over the workers that ran it
+    times: TimeBreakdown = field(default_factory=TimeBreakdown)
+    sort_stats: RadixSortStats = field(default_factory=RadixSortStats)
+    cc_stats: LocalCCStats = field(default_factory=LocalCCStats)
+    comm_stats: List[AllToAllStats] = field(default_factory=list)
+    # merge stage
+    merge_stats: MergeCCStats = field(init=False)
+    partition: PartitionResult = field(init=False)
 
-        if cfg.n_passes is not None:
-            n_passes = cfg.n_passes
+    @property
+    def table(self) -> FastqPartTable:
+        return self.index.fastqpart
+
+    def emit(self, type_: str, **payload) -> None:
+        if self.events is not None:
+            self.events(dict(payload, type=type_))
+
+
+def _run(run: _Run) -> PipelineResult:
+    _index_stage(run)
+    _plan_stage(run)
+    _passes_stage(run)
+    _merge_stage(run)
+    _write_stage(run)
+    return _result_stage(run)
+
+
+def _index_stage(run: _Run) -> None:
+    """IndexCreate, unless the caller or the artifact store has the tables."""
+    cfg = run.cfg
+    cache_hit = None
+    if run.index is None:
+        if run.artifact_store is not None:
+            run.index, cache_hit = run.artifact_store.index_for(run.units, cfg)
         else:
-            n_passes = passes_for_memory_budget(
-                merhist,
-                table,
-                p_tasks,
-                t_threads,
-                cfg.tuple_bytes,
-                cfg.memory_budget_per_task,
-            )
-        plan = plan_passes(merhist, n_passes, p_tasks, t_threads)
-        assignment = chunk_assignment(table.n_chunks, p_tasks, t_threads)
-        spill_flags = spill_schedule(
-            plan, cfg.tuple_bytes, cfg.memory_budget_per_task, cfg.spill
+            run.index = index_create(run.units, cfg.k, cfg.m, cfg.resolved_chunks())
+    run.emit(
+        "index_ready",
+        cache_hit=cache_hit,
+        n_chunks=run.table.n_chunks,
+        n_reads=run.table.total_reads,
+    )
+    merhist = run.index.merhist
+    if merhist.k != cfg.k or merhist.m != cfg.m:
+        raise ValueError(
+            f"index built for k={merhist.k}, m={merhist.m}; "
+            f"config wants k={cfg.k}, m={cfg.m}"
         )
-        if any(spill_flags):
-            _LOG.info(
-                "out-of-core: pass(es) %s run on the disk plane (mode=%s)",
-                [s for s, f in enumerate(spill_flags) if f],
-                cfg.spill,
-            )
 
-        work = RunWork(
-            n_tasks=p_tasks,
-            n_threads=t_threads,
-            n_passes=n_passes,
-            n_reads=n_reads,
-            k=cfg.k,
-            tuple_bytes=cfg.tuple_bytes,
+
+def _plan_stage(run: _Run) -> None:
+    """Pass count and ranges, chunk slots, spill schedule and the forests —
+    the forests and the first pass to run come from the checkpoint, if one
+    is on disk."""
+    cfg, table, merhist = run.cfg, run.table, run.index.merhist
+    p_tasks, t_threads = cfg.n_tasks, cfg.n_threads
+    n_passes = cfg.n_passes
+    if n_passes is None:
+        n_passes = passes_for_memory_budget(
+            merhist, table, p_tasks, t_threads,
+            cfg.tuple_bytes, cfg.memory_budget_per_task,
         )
-        work.fastq_chunk_bytes = table.peak_chunk_bytes
-        work.table_bytes = table.nbytes + merhist.nbytes
-        forests = [DisjointSetForest(n_reads) for _ in range(p_tasks)]
-
-        store = None
-        start_pass = 0
-        fingerprint = ""
-        if checkpoint_dir is not None:
-            store = CheckpointStore(checkpoint_dir)
-            fingerprint = config_fingerprint(
-                cfg, n_reads, merhist.total_tuples
-            )
-            if store.exists():
-                ckpt = store.load(fingerprint)
-                if ckpt.n_passes_total != n_passes:
-                    raise CheckpointMismatch(
-                        f"checkpoint was taken at {ckpt.n_passes_total} "
-                        f"passes; this run plans {n_passes}"
-                    )
-                forests = [
-                    DisjointSetForest.from_parent_array(p)
-                    for p in ckpt.parents
-                ]
-                start_pass = ckpt.passes_done
-                _LOG.info(
-                    "resuming from checkpoint: %d/%d passes done",
-                    start_pass,
-                    n_passes,
-                )
-
-        # Section 3.7 only changes *where* a pass's tuples live: the engine
-        # implies the in-memory plane, spilled passes take disk.  One scope
-        # owns all three and unwinds in reverse: the engine first (workers
-        # drop their block attachments when they exit), then the planes
-        # release everything they back — pooled segments are unlinked (the
-        # /dev/shm leak guarantee), remote worker stores are swept
-        # best-effort, the spill dir goes with everything still in it — so
-        # an aborted run leaves zero orphan segments, sockets, or spill files.
-        with ExitStack() as scope:
-            disk = (
-                scope.enter_context(DiskBlockTransport(cfg.spill_dir))
-                if any(spill_flags)
-                else None
-            )
-            executor = create_engine(
-                cfg.executor, cfg.max_workers, workers=cfg.worker_addresses
-            )
-            plane = scope.enter_context(create_block_transport(executor))
-            scope.enter_context(executor)
-            executor.set_shared(
-                _WorkerContext(
-                    table=table,
-                    k=cfg.k,
-                    m=cfg.m,
-                    n_tasks=p_tasks,
-                    n_threads=t_threads,
-                    kmer_filter=cfg.kmer_filter,
-                    telemetry=collector is not None,
-                )
-            )
-            run = _RunState(table, assignment, forests, work, executor)
-            for spec in plan.passes:
-                if spec.index < start_pass:
-                    continue
-                _emit(
-                    "pass_start", pass_index=spec.index, n_passes=n_passes
-                )
-                self._run_pass(run, spec, disk if spill_flags[spec.index] else plane)
-                if store is not None:
-                    store.save(
-                        Checkpoint(
-                            fingerprint=fingerprint,
-                            n_passes_total=n_passes,
-                            passes_done=spec.index + 1,
-                            parents=[f.parent for f in run.forests],
-                        )
-                    )
-                _emit(
-                    "pass_complete", pass_index=spec.index, n_passes=n_passes
-                )
-
-        # ---- MergeCC --------------------------------------------------
-        with telemetry.span(StepNames.MERGECC, task=0, times=run.times) as merge:
-            global_parent, merge_stats = merge_component_arrays(
-                [f.parent for f in run.forests]
-            )
-        # the tree merge is a collective: every task participates over
-        # the same interval, so each task row carries the span
-        for p in range(1, p_tasks):
-            telemetry.record_span(StepNames.MERGECC, merge.t0_ns, merge.t1_ns, task=p)
-        work.merge_rounds = tree_merge_schedule(p_tasks)
-        work.merge_bytes_per_send = 4 * n_reads
-        work.merge_entries_by_task = np.asarray(
-            [merge_stats.merges_by_task.get(p, 0) * n_reads for p in range(p_tasks)],
-            dtype=np.int64,
-        )
-        work.broadcast_bytes = 4 * n_reads if p_tasks > 1 else 0
-
-        # ---- partition + CC-I/O ----------------------------------------
-        partition = partition_from_parent(global_parent)
-        if cfg.write_outputs and output_dir is not None:
-            with telemetry.span(StepNames.CC_IO, times=run.times):
-                write_partitions(
-                    partition, table, assignment, p_tasks, t_threads, output_dir
-                )
-            work.ccio_bytes = partition.bytes_written.copy()
-        else:
-            work.ccio_bytes = _estimate_ccio_bytes(
-                table, assignment, p_tasks, t_threads
-            )
-
-        if store is not None:
-            store.clear()
-        _emit(
-            "run_complete",
-            n_components=partition.summary.n_components,
-            n_reads=n_reads,
-        )
-        projected = TimingModel(get_machine(cfg.machine)).project(work)
-        run_telemetry = None
-        if collector is not None:
-            run_telemetry = collector.finalize(
-                n_tasks=p_tasks, projected=projected
-            )
-            if cfg.telemetry_dir is not None:
-                from repro.telemetry.exporters import export_run_artifacts
-
-                artifacts = export_run_artifacts(
-                    run_telemetry, cfg.telemetry_dir
-                )
-                _LOG.info(
-                    "telemetry artifacts: %s",
-                    ", ".join(str(p) for p in artifacts.values()),
-                )
+    run.plan = plan_passes(merhist, n_passes, p_tasks, t_threads)
+    run.assignment = chunk_assignment(table.n_chunks, p_tasks, t_threads)
+    run.spill_flags = spill_schedule(
+        run.plan, cfg.tuple_bytes, cfg.memory_budget_per_task, cfg.spill
+    )
+    if any(run.spill_flags):
         _LOG.info(
-            "run complete: %d reads, %d tuples, %d components (LC %.1f%%), "
-            "projected %s %.2fs",
-            n_reads,
-            work.total_tuples,
-            partition.summary.n_components,
-            partition.summary.largest_component_percent,
-            cfg.machine,
-            projected.total_seconds,
+            "out-of-core: pass(es) %s run on the disk plane (mode=%s)",
+            [s for s, f in enumerate(run.spill_flags) if f],
+            cfg.spill,
         )
-        return PipelineResult(
-            config=cfg,
-            n_reads=n_reads,
-            partition=partition,
-            work=work,
-            projected=projected,
-            measured=run.times,
-            plan=plan,
-            index=index,
-            merge_stats=merge_stats,
-            sort_stats=run.sort_stats,
-            cc_stats=run.cc_stats,
-            comm_stats=run.comm_stats,
-            telemetry=run_telemetry,
-            spilled_passes=[s for s, f in enumerate(spill_flags) if f],
-        )
-
-    # ------------------------------------------------------------------
-    def _run_pass(
-        self, run: _RunState, spec: PassSpec, plane: BlockTransport
-    ) -> None:
-        cfg = self.config
-        p_tasks, t_threads = cfg.n_tasks, cfg.n_threads
-        table, assignment = run.table, run.assignment
-        forests, work, executor = run.forests, run.work, run.executor
-        is_first_pass = spec.index == 0
-        use_opt = cfg.localcc_opt and not is_first_pass
-
-        expected = send_counts_matrix(
-            table, assignment, spec.task_edges, p_tasks, t_threads, spec.bin_lo, spec.bin_hi
+    run.work = RunWork(
+        n_tasks=p_tasks,
+        n_threads=t_threads,
+        n_passes=n_passes,
+        n_reads=table.total_reads,
+        k=cfg.k,
+        tuple_bytes=cfg.tuple_bytes,
+    )
+    run.work.fastq_chunk_bytes = table.peak_chunk_bytes
+    run.work.table_bytes = table.nbytes + merhist.nbytes
+    run.forests = [DisjointSetForest(table.total_reads) for _ in range(p_tasks)]
+    if run.checkpoint_dir is None:
+        return
+    run.store = CheckpointStore(run.checkpoint_dir)
+    run.fingerprint = config_fingerprint(cfg, table.total_reads, merhist.total_tuples)
+    if run.store.exists():
+        ckpt = run.store.load(run.fingerprint, n_passes)
+        run.forests = [DisjointSetForest.from_parent_array(p) for p in ckpt.parents]
+        run.start_pass = ckpt.passes_done
+        _LOG.info(
+            "resuming from checkpoint: %d/%d passes done", run.start_pass, n_passes
         )
 
-        # ---- static block layout ----------------------------------------
-        # The index tables fix, before any k-mer is enumerated, exactly
-        # how many tuples each chunk contributes to each owner task and
-        # where in the owner's block they land (section 3.2.2/3.3).  One
-        # destination block per owner, sized to the pass; chunk writers
-        # never contend and never handshake.
-        per_chunk = chunk_send_counts(
-            table, spec.task_edges, p_tasks, spec.bin_lo, spec.bin_hi
-        )
-        offsets, sender_splits, totals = recv_write_offsets(
-            per_chunk, assignment, p_tasks, t_threads
-        )
-        # one published block per owner task, placed by the plane
-        # (resident pool block in-host, hosting worker's store under the
-        # socket plane — owner d's block lives where owner d's jobs run —
-        # a preallocated spill file under the disk plane)
-        handles = [
-            plane.publish(cfg.k, int(totals[d]), owner=d)
-            for d in range(p_tasks)
-        ]
 
-        try:
-            # ---- KmerGen (+ I/O) ---------------------------------------
-            # One job per chunk, dispatched through the executor; results
-            # come back in chunk order regardless of which worker ran
-            # them.  Payloads carry block handles, never tuples.
-            chunk_results = executor.map(
-                _kmergen_chunk_task,
-                [
-                    _ChunkJob(
-                        chunk=c,
-                        task=int(assignment[c]) // t_threads,
-                        pass_index=spec.index,
-                        bin_lo=spec.bin_lo,
-                        bin_hi=spec.bin_hi,
-                        task_edges=spec.task_edges,
-                        expected_counts=per_chunk[c],
-                        write_offsets=offsets[c],
-                        blocks=handles,
+def _passes_stage(run: _Run) -> None:
+    """Every pass the checkpoint does not cover, each checkpointed as it
+    completes, inside the one scope that owns the engine and the planes.
+
+    Section 3.7 only changes *where* a pass's tuples live: the engine
+    implies the in-memory plane, spilled passes take disk.  The scope
+    unwinds in reverse: the engine first (workers drop their block
+    attachments when they exit), then the planes release everything they
+    back — pooled segments are unlinked (the /dev/shm leak guarantee),
+    remote worker stores are swept best-effort, the spill dir goes with
+    everything still in it — so an aborted run leaves zero orphan
+    segments, sockets, or spill files.
+    """
+    cfg, n_passes = run.cfg, run.plan.n_passes
+    with ExitStack() as scope:
+        disk = (
+            scope.enter_context(DiskBlockTransport(cfg.spill_dir))
+            if any(run.spill_flags)
+            else None
+        )
+        run.executor = create_engine(
+            cfg.executor, cfg.max_workers, workers=cfg.worker_addresses
+        )
+        plane = scope.enter_context(create_block_transport(run.executor))
+        scope.enter_context(run.executor)
+        run.executor.set_shared(
+            _WorkerContext(
+                table=run.table,
+                k=cfg.k,
+                m=cfg.m,
+                n_tasks=cfg.n_tasks,
+                n_threads=cfg.n_threads,
+                kmer_filter=cfg.kmer_filter,
+                telemetry=run.collector is not None,
+            )
+        )
+        for spec in run.plan.passes[run.start_pass:]:
+            run.emit("pass_start", pass_index=spec.index, n_passes=n_passes)
+            _run_pass(run, spec, disk if run.spill_flags[spec.index] else plane)
+            if run.store is not None:
+                run.store.save(
+                    Checkpoint(
+                        fingerprint=run.fingerprint,
+                        n_passes_total=n_passes,
+                        passes_done=spec.index + 1,
+                        parents=[f.parent for f in run.forests],
                     )
-                    for c in range(table.n_chunks)
-                ],
-            )
-
-            actual_counts = np.zeros(
-                (p_tasks, t_threads, p_tasks), dtype=np.int64
-            )
-            for res in chunk_results:
-                c = res.chunk
-                p, t = divmod(int(assignment[c]), t_threads)
-                run.times.merge(res.times)
-                work.kmergen_io_bytes[p, t] += table.chunk_bytes(c)
-                work.fastq_parse_bytes[p, t] += table.chunk_bytes(c)
-                work.kmergen_positions_scanned[p, t] += res.n_positions
-                work.kmergen_tuples[p, t] += int(res.counts.sum())
-                actual_counts[p, t, :] += res.counts
-
-            if not np.array_equal(actual_counts, expected):
-                bad = np.argwhere(actual_counts != expected)[0]
-                p, t, d = (int(x) for x in bad)
-                raise StaticCountMismatch(
-                    f"pass {spec.index}: task {p} thread {t} -> task {d}: "
-                    f"produced {actual_counts[p, t, d]} tuples, index "
-                    f"predicted {expected[p, t, d]}"
                 )
+            run.emit("pass_complete", pass_index=spec.index, n_passes=n_passes)
 
-            if use_opt:
-                # LocalCC-Opt: rewrite read ids to component roots in
-                # place, one sender region at a time with that sender's
-                # forest — forest state never crosses the executor
-                # boundary, and the mapping equals the sequential
-                # chunk-by-chunk scan (find_many is pure, elementwise).
-                for d in range(p_tasks):
-                    with telemetry.span(
-                        StepNames.KMERGEN, task=d, aux=spec.index, times=run.times
-                    ):
-                        for p in range(p_tasks):
-                            lo_i = int(sender_splits[p, d])
-                            hi_i = int(sender_splits[p + 1, d])
-                            if hi_i <= lo_i:
-                                continue
-                            plane.map_ids(
-                                handles[d],
-                                lo_i,
-                                hi_i,
-                                partial(map_ids_to_components, forest=forests[p]),
-                            )
 
-            # ---- KmerGen-Comm ------------------------------------------
-            # The tuples already sit in their owners' blocks (the chunk
-            # writers' offset writes *are* the exchange); what remains of
-            # Comm is the byte accounting, reproduced exactly from the
-            # static counts.
-            with telemetry.span(StepNames.KMERGEN_COMM, aux=spec.index, times=run.times):
-                by_task = sender_splits[1:] - sender_splits[:-1]
-                stats = block_exchange_stats(by_task, cfg.tuple_bytes)
-            run.comm_stats.append(stats)
-            work.comm_bytes_matrix += stats.bytes_matrix
-            work.comm_stage_max_bytes.append(
-                list(stats.max_message_bytes_per_stage)
+def _merge_stage(run: _Run) -> None:
+    """MergeCC over the per-task forests, then the component labels."""
+    p_tasks, n_reads, work = run.cfg.n_tasks, run.table.total_reads, run.work
+    with telemetry.span(StepNames.MERGECC, task=0, times=run.times) as merge:
+        global_parent, run.merge_stats = merge_component_arrays(
+            [f.parent for f in run.forests]
+        )
+    # the tree merge is a collective: every task participates over
+    # the same interval, so each task row carries the span
+    for p in range(1, p_tasks):
+        telemetry.record_span(StepNames.MERGECC, merge.t0_ns, merge.t1_ns, task=p)
+    work.merge_rounds = tree_merge_schedule(p_tasks)
+    work.merge_bytes_per_send = 4 * n_reads
+    work.merge_entries_by_task = np.asarray(
+        [run.merge_stats.merges_by_task.get(p, 0) * n_reads for p in range(p_tasks)],
+        dtype=np.int64,
+    )
+    work.broadcast_bytes = 4 * n_reads if p_tasks > 1 else 0
+    run.partition = partition_from_parent(global_parent)
+
+
+def _write_stage(run: _Run) -> None:
+    """CC-I/O: the partitioned FASTQ files, or — when outputs are not
+    written — their volume estimated as the input's bytes per slot."""
+    cfg, table = run.cfg, run.table
+    p_tasks, t_threads = cfg.n_tasks, cfg.n_threads
+    if cfg.write_outputs and run.output_dir is not None:
+        with telemetry.span(StepNames.CC_IO, times=run.times):
+            write_partitions(
+                run.partition, table, run.assignment, p_tasks, t_threads, run.output_dir
             )
+        run.work.ccio_bytes = run.partition.bytes_written.copy()
+    else:
+        # float64 sums of byte counts are exact far beyond any input size
+        est = np.bincount(
+            run.assignment, weights=table.size1 + table.size2, minlength=p_tasks * t_threads
+        )
+        run.work.ccio_bytes = est.astype(np.int64).reshape(p_tasks, t_threads)
 
-            # stage barrier between the blocks' writers and consumers
-            # (the disk plane's fsync + rename; free on memory planes)
-            plane.seal(handles)
 
-            # ---- LocalSort + LocalCC per owner task ---------------------
-            # One job per destination task d; the serial engine mutates
-            # forests[d] in place, the process engine round-trips a
-            # pickled copy — either way res.parent is the post-pass
-            # forest state.
-            owner_results = executor.map(
-                _owner_sort_cc_task,
-                [
-                    _OwnerJob(
-                        task=d,
-                        pass_index=spec.index,
-                        n_received=int(totals[d]),
-                        parent=forests[d].parent,
-                        thread_edges=spec.thread_edges[d],
-                        block=handles[d],
+def _result_stage(run: _Run) -> PipelineResult:
+    """Clear the checkpoint, project the work, export telemetry."""
+    cfg, work, summary = run.cfg, run.work, run.partition.summary
+    if run.store is not None:
+        run.store.clear()
+    run.emit(
+        "run_complete",
+        n_components=summary.n_components,
+        n_reads=run.table.total_reads,
+    )
+    projected = TimingModel(get_machine(cfg.machine)).project(work)
+    run_telemetry = None
+    if run.collector is not None:
+        run_telemetry = run.collector.finalize(n_tasks=cfg.n_tasks, projected=projected)
+        if cfg.telemetry_dir is not None:
+            from repro.telemetry.exporters import export_run_artifacts
+
+            artifacts = export_run_artifacts(run_telemetry, cfg.telemetry_dir)
+            _LOG.info(
+                "telemetry artifacts: %s",
+                ", ".join(str(p) for p in artifacts.values()),
+            )
+    _LOG.info(
+        "run complete: %d reads, %d tuples, %d components (LC %.1f%%), "
+        "projected %s %.2fs",
+        run.table.total_reads,
+        work.total_tuples,
+        summary.n_components,
+        summary.largest_component_percent,
+        cfg.machine,
+        projected.total_seconds,
+    )
+    return PipelineResult(
+        config=cfg,
+        n_reads=run.table.total_reads,
+        partition=run.partition,
+        work=work,
+        projected=projected,
+        measured=run.times,
+        plan=run.plan,
+        index=run.index,
+        merge_stats=run.merge_stats,
+        sort_stats=run.sort_stats,
+        cc_stats=run.cc_stats,
+        comm_stats=run.comm_stats,
+        telemetry=run_telemetry,
+        spilled_passes=[s for s, f in enumerate(run.spill_flags) if f],
+    )
+
+
+# ----------------------------------------------------------------------
+# one pass: KmerGen -> exchange -> LocalSort + LocalCC
+# ----------------------------------------------------------------------
+
+
+def _run_pass(run: _Run, spec: PassSpec, plane: BlockTransport) -> None:
+    """One pass over one owner block per task, released however it ends.
+
+    The index tables fix, before any k-mer is enumerated, exactly how
+    many tuples each chunk contributes to each owner task and where in
+    the owner's block they land (section 3.2.2/3.3), so chunk writers
+    never contend and never handshake.  The plane places each block:
+    a resident pool block in-host, the hosting worker's store under the
+    socket plane (owner d's block lives where owner d's jobs run), a
+    preallocated spill file under the disk plane.
+    """
+    cfg = run.cfg
+    per_chunk = chunk_send_counts(
+        run.table, spec.task_edges, cfg.n_tasks, spec.bin_lo, spec.bin_hi
+    )
+    offsets, sender_splits, totals = recv_write_offsets(
+        per_chunk, run.assignment, cfg.n_tasks, cfg.n_threads
+    )
+    handles = [plane.publish(cfg.k, int(totals[d]), owner=d) for d in range(cfg.n_tasks)]
+    try:
+        _kmergen(run, spec, per_chunk, offsets, handles)
+        if cfg.localcc_opt and spec.index > 0:
+            _localcc_opt_ids(run, spec, plane, handles, sender_splits)
+        _exchange(run, spec, plane, handles, sender_splits)
+        _sort_cc(run, spec, handles, totals)
+    finally:
+        for handle in handles:
+            plane.release(handle)
+
+
+def _kmergen(
+    run: _Run, spec: PassSpec, per_chunk: np.ndarray, offsets: np.ndarray,
+    handles: List[PlaneHandle],
+) -> None:
+    """KmerGen (+ I/O): one job per chunk, results in chunk order whichever
+    worker ran them.  Payloads carry block handles, never tuples."""
+    cfg, table, assignment, work = run.cfg, run.table, run.assignment, run.work
+    p_tasks, t_threads = cfg.n_tasks, cfg.n_threads
+    jobs = [
+        _ChunkJob(
+            chunk=c,
+            task=int(assignment[c]) // t_threads,
+            bin_lo=spec.bin_lo,
+            bin_hi=spec.bin_hi,
+            task_edges=spec.task_edges,
+            expected_counts=per_chunk[c],
+            write_offsets=offsets[c],
+            blocks=handles,
+        )
+        for c in range(table.n_chunks)
+    ]
+    actual_counts = np.zeros((p_tasks, t_threads, p_tasks), dtype=np.int64)
+    results = run.executor.map(_kmergen_chunk_task, jobs)
+    for job, res in zip(jobs, results, strict=True):
+        p, t = divmod(int(assignment[job.chunk]), t_threads)
+        run.times.merge(res.times)
+        work.kmergen_io_bytes[p, t] += table.chunk_bytes(job.chunk)
+        work.fastq_parse_bytes[p, t] += table.chunk_bytes(job.chunk)
+        work.kmergen_positions_scanned[p, t] += res.n_positions
+        work.kmergen_tuples[p, t] += int(res.counts.sum())
+        actual_counts[p, t, :] += res.counts
+
+    # each job checked its own counts; the sum by slot also catches a
+    # result that came back against the wrong job
+    expected = send_counts_matrix(
+        table, assignment, spec.task_edges, p_tasks, t_threads, spec.bin_lo, spec.bin_hi
+    )
+    if not np.array_equal(actual_counts, expected):
+        p, t, d = (int(x) for x in np.argwhere(actual_counts != expected)[0])
+        raise StaticCountMismatch(
+            f"pass {spec.index}: task {p} thread {t} -> task {d}: "
+            f"produced {actual_counts[p, t, d]} tuples, index "
+            f"predicted {expected[p, t, d]}"
+        )
+
+
+def _localcc_opt_ids(
+    run: _Run, spec: PassSpec, plane: BlockTransport, handles: List[PlaneHandle],
+    sender_splits: np.ndarray,
+) -> None:
+    """LocalCC-Opt: rewrite read ids to component roots in place, one
+    sender region at a time with that sender's forest — forest state never
+    crosses the executor boundary, and the mapping equals the sequential
+    chunk-by-chunk scan (find_many is pure, elementwise)."""
+    p_tasks = run.cfg.n_tasks
+    for d in range(p_tasks):
+        with telemetry.span(StepNames.KMERGEN, task=d, aux=spec.index, times=run.times):
+            for p in range(p_tasks):
+                lo_i, hi_i = int(sender_splits[p, d]), int(sender_splits[p + 1, d])
+                if hi_i > lo_i:
+                    plane.map_ids(
+                        handles[d],
+                        lo_i,
+                        hi_i,
+                        partial(map_ids_to_components, forest=run.forests[p]),
                     )
-                    for d in range(p_tasks)
-                ],
-            )
-            nominal_passes = radix_passes_for(cfg.k)
-            for res in owner_results:
-                d = res.task
-                forests[d] = DisjointSetForest.wrap(res.parent)
-                run.times.merge(res.times)
-                # partition scatter work: each thread handles ~1/T of the
-                # stream
-                work.partition_tuples[d, :] += int(
-                    np.ceil(res.n_received / t_threads)
-                )
-                # timing model uses the paper's fixed pass count
-                work.sort_tuple_passes[d, :] += res.part_lengths * nominal_passes
-                if is_first_pass:
-                    work.cc_edges_first_pass[d, :] += res.edges_by_thread
-                else:
-                    work.cc_edges_later_passes[d, :] += res.edges_by_thread
-                run.sort_stats.merge(res.sort_stats)
-                run.cc_stats.merge(res.cc_stats)
-        finally:
-            for handle in handles:
-                plane.release(handle)
+
+
+def _exchange(
+    run: _Run, spec: PassSpec, plane: BlockTransport, handles: List[PlaneHandle],
+    sender_splits: np.ndarray,
+) -> None:
+    """KmerGen-Comm.  The tuples already sit in their owners' blocks (the
+    chunk writers' offset writes *are* the exchange); what remains is the
+    byte accounting, reproduced exactly from the static counts, and the
+    stage barrier between the blocks' writers and consumers (the disk
+    plane's fsync + rename; free on memory planes)."""
+    with telemetry.span(StepNames.KMERGEN_COMM, aux=spec.index, times=run.times):
+        by_task = sender_splits[1:] - sender_splits[:-1]
+        stats = block_exchange_stats(by_task, run.cfg.tuple_bytes)
+    run.comm_stats.append(stats)
+    run.work.comm_bytes_matrix += stats.bytes_matrix
+    run.work.comm_stage_max_bytes.append(list(stats.max_message_bytes_per_stage))
+    plane.seal(handles)
+
+
+def _sort_cc(
+    run: _Run, spec: PassSpec, handles: List[PlaneHandle], totals: np.ndarray
+) -> None:
+    """LocalSort + LocalCC: one job per owner task d.  The serial engine
+    mutates forests[d] in place, the others round-trip a pickled copy —
+    either way the result's parent is the post-pass forest state."""
+    cfg, work = run.cfg, run.work
+    jobs = [
+        _OwnerJob(
+            task=d,
+            pass_index=spec.index,
+            n_received=int(totals[d]),
+            parent=run.forests[d].parent,
+            thread_edges=spec.thread_edges[d],
+            block=handles[d],
+        )
+        for d in range(cfg.n_tasks)
+    ]
+    # the timing model uses the paper's fixed pass count
+    nominal_passes = radix_passes_for(cfg.k)
+    edges = work.cc_edges_first_pass if spec.index == 0 else work.cc_edges_later_passes
+    results = run.executor.map(_owner_sort_cc_task, jobs)
+    for job, res in zip(jobs, results, strict=True):
+        d = job.task
+        run.forests[d] = DisjointSetForest.wrap(res.parent)
+        run.times.merge(res.times)
+        # partition scatter work: each thread handles ~1/T of the stream
+        work.partition_tuples[d, :] += int(np.ceil(job.n_received / cfg.n_threads))
+        work.sort_tuple_passes[d, :] += res.part_lengths * nominal_passes
+        edges[d, :] += res.edges_by_thread
+        run.sort_stats.merge(res.sort_stats)
+        run.cc_stats.merge(res.cc_stats)

@@ -49,10 +49,6 @@ class Community:
     def n_species(self) -> int:
         return len(self.genomes)
 
-    @property
-    def total_genome_length(self) -> int:
-        return sum(len(g) for g in self.genomes)
-
     def expected_coverage(self, total_sequenced_bases: int) -> np.ndarray:
         """Per-species expected depth of coverage for a sequencing budget.
 

@@ -142,9 +142,6 @@ class JobQueue:
             if self.records[j].state == JobState.RUNNING
         ]
 
-    def unfinished(self) -> List[JobRecord]:
-        return [r for r in map(self.records.get, self._order) if not r.terminal]
-
     # ------------------------------------------------------------------
     def transition(
         self, record: JobRecord, new_state: str, type: str | None = None, **payload

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.checkpoint import (
     config_fingerprint,
     prune_checkpoints,
 )
+import repro.core.pipeline as pipeline_mod
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
 from repro.kmers.codec import KmerArray, limb_count
@@ -36,7 +38,7 @@ class TestStore:
         ckpt = self._checkpoint()
         ckpt.parents[0][3] = 7
         store.save(ckpt)
-        back = store.load("abc")
+        back = store.load("abc", 3)
         assert back.passes_done == 1
         assert back.n_passes_total == 3
         assert np.array_equal(back.parents[0], ckpt.parents[0])
@@ -46,7 +48,7 @@ class TestStore:
         store = CheckpointStore(tmp_path)
         store.save(self._checkpoint(fp="abc"))
         with pytest.raises(CheckpointMismatch, match="fingerprint"):
-            store.load("xyz")
+            store.load("xyz", 3)
 
     def test_clear(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -60,7 +62,7 @@ class TestStore:
         store = CheckpointStore(tmp_path)
         store.save(self._checkpoint(done=1))
         store.save(self._checkpoint(done=2))
-        assert store.load("abc").passes_done == 2
+        assert store.load("abc", 3).passes_done == 2
 
 
 class TestFingerprint:
@@ -85,13 +87,15 @@ class TestFingerprint:
 class TestPipelineResume:
     CFG = dict(k=27, m=5, n_tasks=2, n_threads=2, n_passes=3, write_outputs=False)
 
-    def test_interrupted_run_resumes_to_same_partition(self, tiny_hg, tmp_path):
+    def test_interrupted_run_resumes_to_same_partition(
+        self, tiny_hg, tmp_path, monkeypatch
+    ):
         reference = MetaPrep(PipelineConfig(**self.CFG)).run(tiny_hg.units)
 
         # interrupt after two passes by making pass 2 explode
         boom = RuntimeError("injected crash")
         runner = MetaPrep(PipelineConfig(**self.CFG))
-        original = runner._run_pass
+        original = pipeline_mod._run_pass
         calls = {"n": 0}
 
         def exploding(run, spec, plane):
@@ -100,7 +104,7 @@ class TestPipelineResume:
             calls["n"] += 1
             return original(run, spec, plane)
 
-        runner._run_pass = exploding
+        monkeypatch.setattr(pipeline_mod, "_run_pass", exploding)
         with pytest.raises(RuntimeError, match="injected"):
             runner.run(tiny_hg.units, checkpoint_dir=tmp_path)
         assert calls["n"] == 2
@@ -108,14 +112,13 @@ class TestPipelineResume:
 
         # resume: only the remaining pass runs
         resumed_runner = MetaPrep(PipelineConfig(**self.CFG))
-        resumed_original = resumed_runner._run_pass
         resumed_calls = []
 
         def counting(run, spec, plane):
             resumed_calls.append(spec.index)
-            return resumed_original(run, spec, plane)
+            return original(run, spec, plane)
 
-        resumed_runner._run_pass = counting
+        monkeypatch.setattr(pipeline_mod, "_run_pass", counting)
         result = resumed_runner.run(tiny_hg.units, checkpoint_dir=tmp_path)
         assert resumed_calls == [2]
         assert np.array_equal(
@@ -130,16 +133,16 @@ class TestPipelineResume:
         )
         assert not CheckpointStore(tmp_path).exists()
 
-    def test_config_change_rejected_on_resume(self, tiny_hg, tmp_path):
+    def test_config_change_rejected_on_resume(self, tiny_hg, tmp_path, monkeypatch):
         runner = MetaPrep(PipelineConfig(**self.CFG))
-        original = runner._run_pass
+        original = pipeline_mod._run_pass
 
         def exploding(run, spec, plane):
             if spec.index == 1:
                 raise RuntimeError("injected")
             return original(run, spec, plane)
 
-        runner._run_pass = exploding
+        monkeypatch.setattr(pipeline_mod, "_run_pass", exploding)
         with pytest.raises(RuntimeError):
             runner.run(tiny_hg.units, checkpoint_dir=tmp_path)
 
@@ -149,16 +152,16 @@ class TestPipelineResume:
                 tiny_hg.units, checkpoint_dir=tmp_path
             )
 
-    def test_pass_count_change_rejected(self, tiny_hg, tmp_path):
+    def test_pass_count_change_rejected(self, tiny_hg, tmp_path, monkeypatch):
         runner = MetaPrep(PipelineConfig(**self.CFG))
-        original = runner._run_pass
+        original = pipeline_mod._run_pass
 
         def exploding(run, spec, plane):
             if spec.index == 1:
                 raise RuntimeError("injected")
             return original(run, spec, plane)
 
-        runner._run_pass = exploding
+        monkeypatch.setattr(pipeline_mod, "_run_pass", exploding)
         with pytest.raises(RuntimeError):
             runner.run(tiny_hg.units, checkpoint_dir=tmp_path)
 
@@ -179,16 +182,16 @@ class TestExecutorResume:
         k=27, m=5, n_tasks=2, n_threads=2, n_passes=4, write_outputs=False
     )
 
-    def _interrupted_runner(self, executor, crash_pass):
+    def _interrupted_runner(self, monkeypatch, executor, crash_pass):
         runner = MetaPrep(PipelineConfig(executor=executor, **self.CFG))
-        original = runner._run_pass
+        original = pipeline_mod._run_pass
 
         def exploding(run, spec, plane):
             if spec.index == crash_pass:
                 raise RuntimeError("injected interruption")
             return original(run, spec, plane)
 
-        runner._run_pass = exploding
+        monkeypatch.setattr(pipeline_mod, "_run_pass", exploding)
         return runner
 
     @pytest.fixture(scope="class")
@@ -215,17 +218,20 @@ class TestExecutorResume:
         crash_pass,
         first_engine,
         resume_engine,
+        monkeypatch,
     ):
-        runner = self._interrupted_runner(first_engine, crash_pass)
+        runner = self._interrupted_runner(monkeypatch, first_engine, crash_pass)
         with pytest.raises(RuntimeError, match="injected interruption"):
             runner.run(tiny_hg.units, checkpoint_dir=tmp_path)
+        monkeypatch.undo()
         assert CheckpointStore(tmp_path).exists()
         assert CheckpointStore(tmp_path).load(
             config_fingerprint(
                 PipelineConfig(**self.CFG),
                 reference.n_reads,
                 reference.index.merhist.total_tuples,
-            )
+            ),
+            self.CFG["n_passes"],
         ).passes_done == crash_pass
 
         result = MetaPrep(
@@ -270,14 +276,14 @@ class TestAlgorithm1CheckpointResume:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(DisjointSetForest, "process_edges", algorithm1)
             runner = MetaPrep(PipelineConfig(**self.CFG))
-            original = runner._run_pass
+            original = pipeline_mod._run_pass
 
             def exploding(run, spec, plane):
                 if spec.index == 2:
                     raise RuntimeError("injected interruption")
                 return original(run, spec, plane)
 
-            runner._run_pass = exploding
+            m.setattr(pipeline_mod, "_run_pass", exploding)
             with pytest.raises(RuntimeError, match="injected interruption"):
                 runner.run(tiny_hg.units, checkpoint_dir=tmp_path / "ckpt")
         fingerprint = config_fingerprint(
@@ -285,7 +291,11 @@ class TestAlgorithm1CheckpointResume:
             reference.n_reads,
             reference.index.merhist.total_tuples,
         )
-        parents = CheckpointStore(tmp_path / "ckpt").load(fingerprint).parents
+        parents = (
+            CheckpointStore(tmp_path / "ckpt")
+            .load(fingerprint, self.CFG["n_passes"])
+            .parents
+        )
         assert any(not np.array_equal(p[p], p) for p in parents)
 
         MetaPrep(PipelineConfig(**self.CFG)).run(
@@ -295,6 +305,28 @@ class TestAlgorithm1CheckpointResume:
         )
         assert _hash_dir(tmp_path / "resumed") == _hash_dir(tmp_path / "ref")
 
+
+
+class TestCheckpointFileFixture:
+    """A checkpoint file the driver wrote at commit 128071d — tiny HG, k=27,
+    m=5, P=T=2, S=3, stopped after pass 2 — resumes to the uninterrupted
+    run's labels, running pass 2 only.  It pins the ``MPREPTAB``
+    checkpoint format and the fingerprint the file is keyed on."""
+
+    CFG = dict(k=27, m=5, n_tasks=2, n_threads=2, n_passes=3, write_outputs=False)
+    FIXTURE = Path(__file__).parent / "data" / "checkpoint_hg_k27_p2t2_s3_after2.bin"
+
+    def test_resumes_to_uninterrupted_labels(self, tiny_hg, tmp_path):
+        reference = MetaPrep(PipelineConfig(**self.CFG)).run(tiny_hg.units)
+        shutil.copy(self.FIXTURE, tmp_path / CheckpointStore.FILENAME)
+        events = []
+        result = MetaPrep(PipelineConfig(**self.CFG)).run(
+            tiny_hg.units, checkpoint_dir=tmp_path, events=events.append
+        )
+        assert [e["pass_index"] for e in events if e["type"] == "pass_start"] == [2]
+        assert np.array_equal(result.partition.labels, reference.partition.labels)
+        assert np.array_equal(result.partition.parent, reference.partition.parent)
+        assert not CheckpointStore(tmp_path).exists()
 
 def _filled_block(pool, k, n, seed=0):
     rng = np.random.default_rng(seed)
