@@ -20,9 +20,11 @@ CI driver for the ``gateway-smoke`` job (also runnable locally):
 
 3. asserts zero 5xx responses besides deliberate ``503`` backpressure,
    that all clients sharing a config saw the **same job id** and
-   **byte-identical** streamed artifacts, and that the coalesced
-   counter matches the follower count exactly,
-4. writes ``BENCH_gateway.json`` (request mix, latencies, counters).
+   **byte-identical** streamed artifacts, that the coalesced counter
+   matches the follower count exactly, and that no status poll a
+   submitter or canceller made after its job's ``202`` got a ``404``,
+4. writes ``BENCH_gateway.json`` (request mix, latencies, counters,
+   status polls per job).
 
 Environment knobs::
 
@@ -59,6 +61,9 @@ class Stats:
         self.ok = 0
         self.by_status: dict[int, int] = {}
         self.latencies: list[float] = []
+        self.jobs_polled = 0
+        self.polls = 0
+        self.unknown_job_polls = 0
 
     def hit(self, seconds: float) -> None:
         with self._lock:
@@ -68,6 +73,12 @@ class Stats:
     def error(self, status: int) -> None:
         with self._lock:
             self.by_status[status] = self.by_status.get(status, 0) + 1
+
+    def polled(self, polls: int, unknown: int) -> None:
+        with self._lock:
+            self.jobs_polled += 1
+            self.polls += polls
+            self.unknown_job_polls += unknown
 
     def unexpected_5xx(self) -> int:
         return sum(
@@ -127,6 +138,33 @@ def _submit_with_retry(stats: Stats, client, units, config) -> str:
             time.sleep(exc.retry_after or 0.05)
 
 
+def _wait(stats: Stats, client, job_id: str) -> dict:
+    """Poll a job the caller got a ``202`` for until it is terminal, on
+    the clients' backoff schedule.  A ``404`` here means the gateway
+    acknowledged a job it could not find: counted, then asserted zero."""
+    from repro.service.client import poll_schedule
+    from repro.service.jobs import JobState, JobStateError
+
+    deadline = time.monotonic() + WAIT_SECONDS
+    schedule = poll_schedule()
+    polls = unknown = 0
+    try:
+        while True:
+            polls += 1
+            try:
+                status = client.status(job_id)
+            except JobStateError:
+                unknown += 1
+            else:
+                if status["state"] in JobState.TERMINAL:
+                    return status
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"job {job_id} not terminal after {WAIT_SECONDS}s")
+            time.sleep(next(schedule))
+    finally:
+        stats.polled(polls, unknown)
+
+
 def main() -> int:
     from repro.datasets.registry import build_dataset
     from repro.gateway.client import GatewayClient
@@ -181,7 +219,7 @@ def main() -> int:
                 leader_done[k].set()
             with job_lock:
                 known_jobs.append(job_id)
-            status = client.wait(job_id, timeout=WAIT_SECONDS)
+            status = _wait(stats, client, job_id)
             assert status["state"] == "succeeded", status
             blob = b"".join(
                 _timed(stats, lambda: list(client.stream_result(job_id)))
@@ -218,7 +256,7 @@ def main() -> int:
         try:
             job_id = _submit_with_retry(stats, client, units, config)
             _timed(stats, lambda: client.cancel(job_id))
-            status = client.wait(job_id, timeout=WAIT_SECONDS)
+            status = _wait(stats, client, job_id)
             assert status["state"] in ("cancelled", "succeeded"), status
             return {"role": "canceller", "state": status["state"]}
         finally:
@@ -276,6 +314,14 @@ def main() -> int:
     print(f"gateway-smoke: {len(submits)} submitters coalesced onto "
           f"{len(CONFIG_KS)} jobs, streams byte-identical")
 
+    # --- a 202 means the job exists: no 404 on any later status poll --
+    assert stats.unknown_job_polls == 0, (
+        f"{stats.unknown_job_polls} status polls after a 202 got 404"
+    )
+    polls_per_job = stats.polls / max(stats.jobs_polled, 1)
+    print(f"gateway-smoke: {stats.jobs_polled} jobs waited on, "
+          f"{polls_per_job:.2f} status polls per job, none unknown")
+
     def counter(name: str) -> int:
         match = re.search(rf"^{name} (\d+)$", metrics_text, re.M)
         assert match, f"{name} missing from /metrics"
@@ -313,6 +359,9 @@ def main() -> int:
             "p99": round(pct(0.99), 5),
         },
         "streams_byte_identical": True,
+        "jobs_polled": stats.jobs_polled,
+        "polls_per_job": round(polls_per_job, 3),
+        "unknown_job_polls": stats.unknown_job_polls,
     }
     out = Path("BENCH_gateway.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -337,10 +337,7 @@ def cmd_gateway(args) -> int:
     )
     registry = TenantRegistry.load(args.tenants_file)
     app = GatewayApp(
-        args.spool,
-        registry=registry,
-        daemon=daemon,
-        max_queue_depth=args.max_queue_depth,
+        daemon, registry=registry, max_queue_depth=args.max_queue_depth
     )
     daemon.extra_counters = app.counters.snapshot
     server = GatewayServer(
@@ -573,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
         "running `metaprep worker` daemon; repeat once per worker",
     )
     p.add_argument("--poll", type=float, default=0.2,
-                   help="spool poll interval in seconds")
+                   help="spool poll interval in seconds (also the "
+                   "metrics-snapshot cadence)")
     p.add_argument("--once", action="store_true",
                    help="drain the current queue, then exit")
     p.add_argument("--drain-timeout", type=float, default=None,
@@ -627,7 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="override worker count for process-backend jobs")
     p.add_argument("--poll", type=float, default=0.05,
-                   help="spool poll interval of the embedded daemon")
+                   help="embedded daemon's pickup interval for spool drop "
+                   "files and its metrics-snapshot cadence (HTTP jobs are "
+                   "handed over at once)")
     p.add_argument("--store-budget-mb", type=float, default=None,
                    help="artifact store LRU size budget in MiB")
     _add_common(p)

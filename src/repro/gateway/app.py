@@ -1,13 +1,18 @@
-"""Gateway application: REST routes over the spool service protocol.
+"""Gateway application: REST routes in front of an embedded service daemon.
 
-The gateway never mutates queue state directly — it is a *client* of
-the same filesystem-spool protocol ``metaprep submit`` speaks (atomic
-drop files in, result documents and event-log replay out), so the
-daemon remains the sole queue writer and the gateway can restart, or
-run on a different node sharing the filesystem, without a recovery
-protocol of its own.  The only gateway-private state is the tenant
-ownership ledger, itself an append-only JSONL file under
-``<spool>/gateway/`` replayed at boot.
+The gateway hands every submission and cancel to its
+:class:`~repro.service.daemon.ServeDaemon` in-process
+(:meth:`~repro.service.daemon.ServeDaemon.submit` /
+:meth:`~repro.service.daemon.ServeDaemon.cancel`), and answers only once
+the daemon has logged the job's event: a status read after a ``202``
+always finds the job, and a job whose partition the artifact store
+already holds has succeeded by then.  The daemon stays the sole queue
+writer and its event log the durable record, so the gateway keeps no
+queue state of its own; status and results are read back from the
+spool (result documents, then an event-log replay).  The spool's
+drop-file protocol stays for ``metaprep submit`` / ``metaprep serve``.
+The only gateway-private state is the tenant ownership ledger, an
+append-only JSONL file under ``<spool>/gateway/`` replayed at boot.
 
 Routes::
 
@@ -33,8 +38,8 @@ Tenancy semantics:
 Handler purity contract (enforced by
 ``tests/analysis/test_hazards.py::test_gateway_handlers_are_pure``):
 handlers keep all state on the app instance and never block the event
-loop — dataset hashing and artifact reads go through the loop's
-executor.
+loop — dataset hashing, the hand-off to the daemon and artifact reads
+go through the loop's executor.
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ import asyncio
 import json
 import os
 import time
-from pathlib import Path
-from typing import AsyncIterator, Dict, Optional, Set, Tuple
+from typing import AsyncIterator, Dict, Optional, Tuple
 
 from repro import telemetry
 from repro.gateway.http import (
@@ -57,6 +61,7 @@ from repro.gateway.http import (
 from repro.gateway.tenants import Tenant, TenantAuthError, TenantRegistry
 from repro.service import store as store_mod
 from repro.service.client import ServiceClient
+from repro.service.daemon import ServeDaemon
 from repro.service.jobs import JobState, JobStateError, PartitionJob
 from repro.util.logging import get_logger
 
@@ -99,27 +104,27 @@ class GatewayCounters:
 
 
 class GatewayApp:
-    """Routes requests; owns tenancy state; speaks the spool protocol."""
+    """Routes requests; owns tenancy state; hands jobs to its daemon."""
 
     def __init__(
         self,
-        spool_dir: str | os.PathLike,
+        daemon: ServeDaemon,
         registry: TenantRegistry | None = None,
-        daemon=None,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
         clock=time.time,
     ) -> None:
-        self.spool_dir = Path(spool_dir)
+        #: the co-located daemon: queue writes go through its hand-off,
+        #: metrics are its live snapshot
+        self.daemon = daemon
+        self.spool_dir = daemon.spool_dir
         self.client = ServiceClient(self.spool_dir)
         self.registry = registry or TenantRegistry()
-        #: optional co-located ServeDaemon — used only for read-only
-        #: metrics snapshots, never for queue mutation
-        self.daemon = daemon
         self.max_queue_depth = max_queue_depth
         self.counters = GatewayCounters()
         self._clock = clock
-        #: job_id -> tenant names that may see it
-        self._owners: Dict[str, Set[str]] = {}
+        #: job_id -> tenant names that may see it (a tuple: one small
+        #: object per job, kept for every job the gateway has accepted)
+        self._owners: Dict[str, Tuple[str, ...]] = {}
         #: work fingerprint -> job_id (coalescing map)
         self._by_fingerprint: Dict[str, str] = {}
         #: job_id -> cached (terminal state, artifact bytes)
@@ -142,14 +147,19 @@ class GatewayApp:
                 entry = json.loads(line)
             except json.JSONDecodeError:
                 continue  # torn tail from a crashed append
-            self._owners.setdefault(entry["job_id"], set()).add(entry["tenant"])
+            self._add_owner(entry["job_id"], entry["tenant"])
             if entry.get("fingerprint"):
                 self._by_fingerprint[entry["fingerprint"]] = entry["job_id"]
+
+    def _add_owner(self, job_id: str, name: str) -> None:
+        owners = self._owners.get(job_id, ())
+        if name not in owners:
+            self._owners[job_id] = owners + (name,)
 
     def _record_owner(
         self, job_id: str, tenant: Tenant, fingerprint: str
     ) -> None:
-        self._owners.setdefault(job_id, set()).add(tenant.name)
+        self._add_owner(job_id, tenant.name)
         self._by_fingerprint[fingerprint] = job_id
         with open(self._acl_path, "a") as fh:
             fh.write(
@@ -208,13 +218,8 @@ class GatewayApp:
         return active, stored
 
     def _queue_depth(self) -> int:
-        if self.daemon is not None:
-            doc = self.daemon.metrics()
-            return int(doc["queue_depth"]) + int(doc["running"])
-        pending = len(
-            list((self.spool_dir / "submit").glob("*.json"))
-        )
-        return pending
+        doc = self.daemon.metrics()
+        return int(doc["queue_depth"]) + int(doc["running"])
 
     # ------------------------------------------------------------------
     # dispatch
@@ -340,7 +345,11 @@ class GatewayApp:
                 retry_after=1.0,
             )
 
-        await loop.run_in_executor(None, self.client.submit_job, job)
+        try:
+            await loop.run_in_executor(None, self.daemon.submit, job, fingerprint)
+        except Exception as exc:  # the daemon's failure, not the connection's
+            _LOG.exception("daemon did not accept job %s", job.job_id)
+            return await send_status(writer, 500, f"job not queued: {exc}")
         self._record_owner(job.job_id, tenant, fingerprint)
         await send_json(writer, 202, {"job_id": job.job_id, "coalesced": False})
         return 202
@@ -373,7 +382,11 @@ class GatewayApp:
         if not self._visible(tenant, job_id):
             return await send_status(writer, 404, f"unknown job {job_id}")
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.client.cancel, job_id)
+        try:
+            await loop.run_in_executor(None, self.daemon.cancel, job_id)
+        except Exception as exc:  # the daemon's failure, not the connection's
+            _LOG.exception("daemon did not cancel job %s", job_id)
+            return await send_status(writer, 500, f"job not cancelled: {exc}")
         await send_json(writer, 202, {"job_id": job_id, "cancel": "requested"})
         return 202
 
@@ -412,14 +425,13 @@ class GatewayApp:
 
         counters = dict(self.counters.snapshot())
         gauges: Dict[str, float] = {}
-        if self.daemon is not None:
-            doc = self.daemon.metrics()
-            for name, value in doc["store"].items():
-                counters[f"store.{name}"] = value
-            gauges["service.queue_depth"] = doc["queue_depth"]
-            gauges["service.running_jobs"] = doc["running"]
-            for state, n in doc["jobs_by_state"].items():
-                gauges[f"service.jobs_{state}"] = n
+        doc = self.daemon.metrics()
+        for name, value in doc["store"].items():
+            counters[f"store.{name}"] = value
+        gauges["service.queue_depth"] = doc["queue_depth"]
+        gauges["service.running_jobs"] = doc["running"]
+        for state, n in doc["jobs_by_state"].items():
+            gauges[f"service.jobs_{state}"] = n
         text = prometheus_textfile(counters, gauges)
         body = text.encode("utf-8")
         from repro.gateway.http import send_response

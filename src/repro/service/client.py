@@ -73,12 +73,6 @@ class ServiceClient:
             max_retries=max_retries,
             timeout_seconds=timeout_seconds,
         )
-        return self.submit_job(job)
-
-    def submit_job(self, job: PartitionJob) -> str:
-        """Drop an already-built job spec into the spool (the gateway's
-        submission path, which needs the job object for fingerprinting
-        before the drop)."""
         submit_dir = self.spool_dir / SUBMIT_DIR
         final = submit_dir / f"{job.submitted_at:017.6f}-{job.job_id}.json"
         tmp = submit_dir / f".{uuid.uuid4().hex}.part"

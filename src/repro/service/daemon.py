@@ -2,18 +2,27 @@
 
 The daemon owns one spool directory and drives the whole service loop:
 
-1. **Ingest** — pick up job files dropped into ``<spool>/submit/`` by
-   :class:`repro.service.client.ServiceClient` (atomic renames, so a
-   half-written submission is never visible) and enqueue them.
-2. **Schedule** — run up to ``max_concurrent`` jobs on worker threads,
-   each executing the real pipeline on the PR-1 executor layer with
-   per-job checkpointing, bounded retry with exponential backoff, and
-   cooperative timeout/cancellation at pass boundaries.
+1. **Ingest** — take submissions and cancels from two places: jobs
+   handed over in-process by :meth:`ServeDaemon.submit` and
+   :meth:`ServeDaemon.cancel` (the path of ``metaprep gateway``, which
+   embeds the daemon; each call returns once the daemon has logged the
+   job's event), and job files dropped into ``<spool>/submit/`` and flag
+   files in ``<spool>/cancel/`` by
+   :class:`repro.service.client.ServiceClient` (the path of ``metaprep
+   submit`` against ``metaprep serve``; atomic renames, so a
+   half-written submission is never visible).  Only the daemon's thread
+   touches the queue either way.
+2. **Schedule** — run up to ``max_concurrent`` jobs on long-lived job
+   threads, each executing the real pipeline on the PR-1 executor layer
+   with per-job checkpointing, bounded retry with exponential backoff,
+   and cooperative timeout/cancellation at pass boundaries.
 3. **Deduplicate** — before running, consult the content-addressed
    :class:`~repro.service.store.ArtifactStore`: an identical
    (dataset bytes, config) submission returns the cached partition with
-   no IndexCreate and no passes executed; on a miss, the IndexCreate
-   product itself is still cached and shared across configurations.
+   no IndexCreate and no passes executed (a handed-over one is settled
+   before :meth:`ServeDaemon.submit` returns, with no job thread); on a
+   miss, the IndexCreate product itself is still cached and shared
+   across configurations.
 4. **Publish** — write ``<spool>/results/<job_id>.json`` with the
    terminal state, per-job metrics (queue wait, cache hit/miss, per-step
    ``TimeBreakdown``), and the partition artifact location.
@@ -30,13 +39,16 @@ import json
 import os
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from pathlib import Path
-from typing import Dict
+from typing import Callable, Deque, Dict, Tuple
 
 from repro.core.checkpoint import prune_checkpoints
 from repro.core.pipeline import MetaPrep
 from repro.service import store as store_mod
-from repro.service.jobs import JobRecord, JobState
+from repro.service.jobs import JobRecord, JobState, PartitionJob
 from repro.service.queue import JobControl, JobQueue, RetryPolicy, Scheduler
 from repro.service.store import ArtifactStore
 from repro.util.logging import get_logger
@@ -84,6 +96,16 @@ class ServeDaemon:
         self.extra_counters = None
         self.queue = JobQueue(self.spool_dir)
         self._partition_keys: Dict[str, str] = {}  # job_id -> work key
+        #: calls handed over by other threads, run by the daemon loop
+        self._inbox: Deque[Tuple[Future, Callable, tuple]] = deque()
+        #: True while :meth:`serve_forever` runs, so a hand-off can tell
+        #: a busy loop from a stopped one
+        self._serving = False
+        #: the metrics snapshot is rewritten at most once per this many
+        #: seconds (the drive loop's poll interval), and when idle
+        self._metrics_interval = 0.2
+        self._metrics_stale = False
+        self._metrics_written = 0.0
         self.scheduler = Scheduler(
             self.queue,
             runner=self._execute,
@@ -100,7 +122,68 @@ class ServeDaemon:
         self.write_metrics()
 
     # ------------------------------------------------------------------
-    # spool protocol
+    # in-process hand-off (the gateway's path)
+    # ------------------------------------------------------------------
+    def submit(self, job: PartitionJob, partition_key: str | None = None) -> None:
+        """Queue a job from another thread; returns once its ``submitted``
+        event is logged, so a status read after this call finds it.
+
+        ``partition_key`` is the job's :func:`~repro.service.store.partition_key`
+        if the caller has already computed it (it does not depend on this
+        daemon's executor overrides), which saves hashing the dataset
+        again.  A job whose partition the store already holds has
+        succeeded when this returns.
+        """
+        self._on_loop(self._accept, job, partition_key)
+
+    def cancel(self, job_id: str) -> bool:
+        """Cancel a job from another thread; returns once a queued job's
+        ``cancelled`` event is logged (a running one stops at its next
+        pass boundary).  False if the job is unknown or already over."""
+        return self._on_loop(self._cancel, job_id)
+
+    def _on_loop(self, fn: Callable, *args):
+        """Run ``fn(*args)`` on the daemon loop's thread; its result or
+        its exception is the caller's."""
+        future: Future = Future()
+        self._inbox.append((future, fn, args))
+        self.scheduler.wake.set()
+        while True:
+            try:
+                return future.result(timeout=1.0)
+            except FutureTimeout:
+                if future.done():
+                    raise
+                if not self._serving:
+                    raise RuntimeError("the daemon loop is not running") from None
+
+    def _drain_inbox(self) -> bool:
+        changed = False
+        while self._inbox:
+            future, fn, args = self._inbox.popleft()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:  # noqa: BLE001 - raised in the caller
+                future.set_exception(exc)
+            changed = True
+        return changed
+
+    def _accept(self, job: PartitionJob, partition_key: str | None) -> None:
+        record = self.queue.submit(job)
+        if partition_key is not None:
+            self._partition_keys[job.job_id] = partition_key
+        key = self._partition_key_of(record)
+        entry = self.store.get(key) if self.store.has(key) else None
+        if entry is not None:
+            self.scheduler.run_inline(
+                record, lambda record_, _control: self._cache_hit(record_, key, entry)
+            )
+
+    def _cancel(self, job_id: str) -> bool:
+        return job_id in self.queue.records and self.queue.cancel(job_id)
+
+    # ------------------------------------------------------------------
+    # spool protocol (``metaprep submit`` / ``metaprep cancel``)
     # ------------------------------------------------------------------
     def _ingest(self) -> int:
         """Consume ``submit/`` drop files (named so sort order == FIFO)."""
@@ -116,7 +199,7 @@ class ServeDaemon:
                 path.rename(path.with_suffix(".rejected"))
                 continue
             if job.job_id not in self.queue.records:
-                self.queue.submit(job)
+                self._accept(job, None)
                 n += 1
             path.unlink()
         return n
@@ -136,6 +219,7 @@ class ServeDaemon:
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         tmp.write_text(json.dumps(record.status_dict(), sort_keys=True, indent=1))
         os.replace(tmp, path)
+        self._partition_keys.pop(record.job_id, None)
         if record.state == JobState.SUCCEEDED:
             prune_checkpoints(
                 self.spool_dir / CHECKPOINTS_DIR, keep_latest=self.keep_checkpoints
@@ -175,14 +259,7 @@ class ServeDaemon:
 
         entry = self.store.get(key)
         if entry is not None:
-            record.metrics.update(partition_cache="hit", artifact_key=key)
-            self.queue.progress(record, "cache_hit", artifact_key=key)
-            return dict(
-                entry.meta,
-                artifact_key=key,
-                artifact_path=str(entry.file("partition.bin")),
-                cache_hit=True,
-            )
+            return self._cache_hit(record, key, entry)
         record.metrics.update(partition_cache="miss", artifact_key=key)
 
         def sink(event: Dict) -> None:
@@ -227,16 +304,23 @@ class ServeDaemon:
             cache_hit=False,
         )
 
+    def _cache_hit(self, record: JobRecord, key: str, entry) -> Dict:
+        record.metrics.update(partition_cache="hit", artifact_key=key)
+        self.queue.progress(record, "cache_hit", artifact_key=key)
+        return dict(
+            entry.meta,
+            artifact_key=key,
+            artifact_path=str(entry.file("partition.bin")),
+            cache_hit=True,
+        )
+
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
     def metrics(self) -> Dict:
         """Live service metrics: job states, queue depth, store counters."""
-        by_state = {state: 0 for state in JobState.ALL}
-        for record in self.queue.records.values():
-            by_state[record.state] = by_state.get(record.state, 0) + 1
         return {
-            "jobs_by_state": by_state,
+            "jobs_by_state": self.queue.counts(),
             "queue_depth": len(self.queue.pending()),
             "running": len(self.scheduler.running),
             "store": self.store.stats.as_dict(),
@@ -277,24 +361,33 @@ class ServeDaemon:
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
         os.replace(tmp, path)
+        self._metrics_stale = False
+        self._metrics_written = time.monotonic()
         return path
+
+    def _flush_metrics(self) -> None:
+        if self._metrics_stale:
+            self.write_metrics()
 
     # ------------------------------------------------------------------
     # drive loops
     # ------------------------------------------------------------------
     def tick(self) -> bool:
-        """One service round: ingest, apply cancels, schedule.  Returns
-        True if anything changed."""
-        changed = self._ingest() > 0
+        """One service round: take hand-offs, ingest, apply cancels,
+        schedule.  Returns True if anything changed."""
+        changed = self._drain_inbox()
+        changed = self._ingest() > 0 or changed
         self._scan_cancels()
         changed = self.scheduler.tick() or changed
-        if changed:
-            self.write_metrics()
+        self._metrics_stale = self._metrics_stale or changed
+        if time.monotonic() - self._metrics_written >= self._metrics_interval:
+            self._flush_metrics()
         return changed
 
     def idle(self) -> bool:
         return (
-            not self.scheduler.running
+            not self._inbox
+            and not self.scheduler.running
             and not self.queue.pending()
             and not any((self.spool_dir / SUBMIT_DIR).glob("*.json"))
         )
@@ -304,10 +397,13 @@ class ServeDaemon:
     ) -> None:
         """Drain everything currently submitted (used by tests and
         ``metaprep serve --once``)."""
+        self._metrics_interval = poll_seconds
         start = time.monotonic()
         while True:
             self.tick()
             if self.idle():
+                self._flush_metrics()
+                self.scheduler.close()
                 return
             if timeout is not None and time.monotonic() - start > timeout:
                 raise TimeoutError(
@@ -320,11 +416,25 @@ class ServeDaemon:
         self,
         poll_seconds: float = 0.2,
         stop_event: threading.Event | None = None,
-    ) -> None:  # pragma: no cover - interactive loop; tested via run_until_idle
+    ) -> None:
+        """Tick until ``stop_event`` is set.  A hand-off or a finished job
+        wakes the loop at once; ``poll_seconds`` bounds only how late a
+        spool drop is picked up and how often the metrics snapshot is
+        rewritten."""
         _LOG.info("metaprep serve: watching %s", self.spool_dir)
-        while stop_event is None or not stop_event.is_set():
-            if not self.tick():
-                time.sleep(poll_seconds)
+        self._metrics_interval = poll_seconds
+        wake = self.scheduler.wake
+        self._serving = True
+        try:
+            while stop_event is None or not stop_event.is_set():
+                wake.clear()
+                if not self.tick() and not wake.wait(poll_seconds):
+                    self._flush_metrics()  # a quiet interval: publish
+        finally:
+            self._serving = False
+            while self._inbox:  # no caller waits forever on a stopped loop
+                future, _, _ = self._inbox.popleft()
+                future.set_exception(RuntimeError("the daemon loop stopped"))
 
     # ------------------------------------------------------------------
     # embedded mode (the gateway runs the daemon on a side thread)
@@ -333,7 +443,7 @@ class ServeDaemon:
         """Run :meth:`serve_forever` on a daemon thread until
         :meth:`stop_background`.  Used by ``metaprep gateway`` (and the
         gateway tests) to co-locate the scheduler with the HTTP front
-        end against one spool."""
+        end, which hands it jobs through :meth:`submit`."""
         if getattr(self, "_bg_thread", None) is not None:
             raise RuntimeError("daemon already running in background")
         self._bg_stop = threading.Event()
@@ -343,13 +453,18 @@ class ServeDaemon:
             name="serve-daemon",
             daemon=True,
         )
+        self._serving = True  # hand-offs made before the thread runs wait
         self._bg_thread.start()
 
     def stop_background(self, timeout: float = 30.0) -> None:
-        """Signal the background loop to stop and join it."""
+        """Stop the background loop and the job threads and join them; a
+        running job is left to finish first (within ``timeout``)."""
         thread = getattr(self, "_bg_thread", None)
         if thread is None:
             return
         self._bg_stop.set()
+        self.scheduler.wake.set()
         thread.join(timeout)
         self._bg_thread = None
+        self.scheduler.close(timeout)
+        self._flush_metrics()

@@ -10,20 +10,22 @@ Nothing is ever rewritten in place, so a daemon kill at any byte
 boundary loses at most a torn final line (ignored on replay).
 
 Scheduling model: :class:`Scheduler` runs up to ``max_concurrent`` jobs
-at once, each on its own thread driving the PR-1 executor layer
-underneath.  Failures are retried up to the job's ``max_retries`` with
-exponential backoff; timeouts and cancellations are cooperative — the
-running pipeline observes them at pass boundaries through its event
-sink (see :class:`JobControl`) — and are terminal, not retried.
+at once on as many long-lived job threads, each driving the PR-1
+executor layer underneath.  Failures are retried up to the job's
+``max_retries`` with exponential backoff; timeouts and cancellations are
+cooperative — the running pipeline observes them at pass boundaries
+through its event sink (see :class:`JobControl`) — and are terminal,
+not retried.
 """
 
 from __future__ import annotations
 
+import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 from repro.service.jobs import (
     JobCancelled,
@@ -94,14 +96,37 @@ def replay_records(events: EventLog) -> "Dict[str, JobRecord]":
     return records
 
 
+class FinishedJob(NamedTuple):
+    """What the queue keeps of a job once it is terminal.  Its full
+    status is in the event log (and the daemon's result document), so a
+    long-lived queue holds a few bytes per finished job, not its spec
+    and results."""
+
+    job_id: str
+    state: str
+
+    @property
+    def terminal(self) -> bool:
+        return True
+
+
 class JobQueue:
-    """The durable queue: records + FIFO order, persisted as events."""
+    """The durable queue: records + FIFO order, persisted as events.
+
+    ``records`` maps every job id to its :class:`JobRecord` while the job
+    is live and to a :class:`FinishedJob` once it is terminal.
+    """
 
     def __init__(self, spool_dir: str | Path) -> None:
         self.spool_dir = Path(spool_dir)
         self.events = EventLog(self.spool_dir / "events.jsonl")
-        self.records: Dict[str, JobRecord] = {}
-        self._order: List[str] = []  # submission order
+        self.records: Dict[str, Union[JobRecord, FinishedJob]] = {}
+        #: the jobs not yet terminal, in submission order: what
+        #: :meth:`pending`, :meth:`active` and :meth:`counts` walk, so
+        #: their cost follows the live jobs, not every job ever submitted
+        self._live: Dict[str, JobRecord] = {}
+        #: terminal state -> number of jobs that ended in it
+        self._settled: Dict[str, int] = dict.fromkeys(JobState.TERMINAL, 0)
 
     # ------------------------------------------------------------------
     def submit(self, job: PartitionJob) -> JobRecord:
@@ -109,7 +134,7 @@ class JobQueue:
             raise JobStateError(f"job {job.job_id} already submitted")
         record = JobRecord(job=job)
         self.records[job.job_id] = record
-        self._order.append(job.job_id)
+        self._live[job.job_id] = record
         self.events.append(
             JobEvent(
                 job_id=job.job_id,
@@ -121,26 +146,31 @@ class JobQueue:
         _LOG.info("job %s queued (%d unit(s))", job.job_id, len(job.units))
         return record
 
-    def get(self, job_id: str) -> JobRecord:
+    def get(self, job_id: str) -> Union[JobRecord, FinishedJob]:
         try:
             return self.records[job_id]
         except KeyError:
             raise JobStateError(f"unknown job {job_id}") from None
 
+    def _in_state(self, state: str) -> List[JobRecord]:
+        # list() copies the dict in one step, so a reader on another
+        # thread (the gateway's metrics) never iterates it mid-change
+        return [r for r in list(self._live.values()) if r.state == state]
+
     def pending(self) -> List[JobRecord]:
         """Queued records in submission order."""
-        return [
-            self.records[j]
-            for j in self._order
-            if self.records[j].state == JobState.QUEUED
-        ]
+        return self._in_state(JobState.QUEUED)
 
     def active(self) -> List[JobRecord]:
-        return [
-            self.records[j]
-            for j in self._order
-            if self.records[j].state == JobState.RUNNING
-        ]
+        return self._in_state(JobState.RUNNING)
+
+    def counts(self) -> Dict[str, int]:
+        """Number of jobs in each state."""
+        counts = dict.fromkeys(JobState.ALL, 0)
+        counts.update(self._settled)
+        for record in list(self._live.values()):
+            counts[record.state] += 1
+        return counts
 
     # ------------------------------------------------------------------
     def transition(
@@ -148,6 +178,10 @@ class JobQueue:
     ) -> None:
         """Validated state change, persisted before it is visible."""
         record.transition(new_state)
+        if record.terminal:
+            del self._live[record.job_id]
+            self.records[record.job_id] = FinishedJob(record.job_id, new_state)
+            self._settled[new_state] += 1
         self.events.append(
             JobEvent(
                 job_id=record.job_id,
@@ -192,25 +226,30 @@ class JobQueue:
         let the re-run resume mid-multipass.  Returns the number of
         demoted jobs.
         """
-        self.records = replay_records(self.events)
-        self._order = list(self.records)
-        recovered = 0
-        for record in self.records.values():
-            if record.state == JobState.RUNNING:
-                self.transition(
-                    record,
-                    JobState.QUEUED,
-                    type="recovered",
-                    reason="daemon restarted while job was running",
-                )
-                recovered += 1
+        self.records = {}
+        self._live = {}
+        self._settled = dict.fromkeys(JobState.TERMINAL, 0)
+        for job_id, record in replay_records(self.events).items():
+            if record.terminal:
+                self.records[job_id] = FinishedJob(job_id, record.state)
+                self._settled[record.state] += 1
+            else:
+                self.records[job_id] = self._live[job_id] = record
+        orphans = self.active()
+        for record in orphans:
+            self.transition(
+                record,
+                JobState.QUEUED,
+                type="recovered",
+                reason="daemon restarted while job was running",
+            )
         if self.records:
             _LOG.info(
                 "recovered queue: %d job(s), %d demoted from running",
                 len(self.records),
-                recovered,
+                len(orphans),
             )
-        return recovered
+        return len(orphans)
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +298,9 @@ class JobControl:
 class _Slot:
     record: JobRecord
     control: JobControl
-    thread: threading.Thread
     coalesce_key: str | None = None
     outcome: Dict = field(default_factory=dict)  # filled by the job thread
+    done: threading.Event = field(default_factory=threading.Event)
 
 
 #: runner signature: (job record, control) -> result payload dict
@@ -275,6 +314,14 @@ class Scheduler:
     mutations; job threads only execute the runner and park its outcome
     in their slot.  ``sleep``/``clock`` are injectable so retry/backoff
     logic is unit-testable without real waiting.
+
+    Job threads are long-lived: one is started the first time a job
+    finds every existing thread busy, so there are never more than
+    ``max_concurrent``, and :meth:`close` stops them.  Reusing them
+    keeps the process at a fixed set of per-thread malloc arenas
+    instead of adding one with every job.  A job thread sets
+    :attr:`wake` when it finishes, so a driver that waits on that event
+    reaps the job at once instead of at its next poll.
 
     ``coalesce`` (job record -> work key or None) enables in-flight
     deduplication: a pending job whose key matches a *running* job's is
@@ -304,7 +351,11 @@ class Scheduler:
         self.sleep = sleep
         self.on_terminal = on_terminal
         self.coalesce = coalesce
+        self.wake = threading.Event()
         self._slots: Dict[str, _Slot] = {}
+        self._threads: List[threading.Thread] = []
+        #: slots waiting for a job thread; ``None`` tells one thread to exit
+        self._work: "queue_mod.SimpleQueue[_Slot | None]" = queue_mod.SimpleQueue()
 
     # ------------------------------------------------------------------
     @property
@@ -344,41 +395,72 @@ class Scheduler:
             slot.coalesce_key == key for slot in self._slots.values()
         )
 
-    def _start(self, record: JobRecord) -> None:
+    def _begin(self, record: JobRecord) -> JobControl | None:
+        """Mark the next attempt of ``record`` started; None if it was
+        cancelled before it could start."""
         if record.metrics.get("cancel_requested"):
             self.queue.transition(record, JobState.CANCELLED, type="cancelled")
             self._finalize(record)
-            return
+            return None
         record.attempt += 1
         record.started_at = time.time()
         deadline = None
         if record.job.timeout_seconds is not None:
             deadline = self.clock() + record.job.timeout_seconds
-        control = JobControl(deadline=deadline, clock=self.clock)
         self.queue.transition(
             record,
             JobState.RUNNING,
             type="started",
             queue_wait_seconds=max(0.0, record.started_at - record.job.submitted_at),
         )
+        return JobControl(deadline=deadline, clock=self.clock)
+
+    def _start(self, record: JobRecord) -> None:
+        control = self._begin(record)
+        if control is None:
+            return
         slot = _Slot(
             record=record,
             control=control,
-            thread=None,  # type: ignore[arg-type]
             coalesce_key=self.coalesce(record) if self.coalesce else None,
         )
+        self._slots[record.job_id] = slot
+        if len(self._threads) < len(self._slots):
+            thread = threading.Thread(
+                target=self._job_thread,
+                name=f"metaprep-job-{len(self._threads)}",
+                daemon=True,
+            )
+            thread.start()
+            self._threads.append(thread)
+        self._work.put(slot)
 
-        def _run() -> None:
+    def _job_thread(self) -> None:
+        while True:
+            slot = self._work.get()
+            if slot is None:
+                return
             try:
-                slot.outcome["result"] = self.runner(record, control)
+                slot.outcome["result"] = self.runner(slot.record, slot.control)
             except BaseException as exc:  # noqa: BLE001 - forwarded to reap
                 slot.outcome["error"] = exc
+            slot.done.set()
+            self.wake.set()
 
-        slot.thread = threading.Thread(
-            target=_run, name=f"metaprep-job-{record.job_id}", daemon=True
-        )
-        slot.thread.start()
-        self._slots[record.job_id] = slot
+    def run_inline(self, record: JobRecord, runner: JobRunner) -> None:
+        """Run one attempt of a queued job on the calling thread, outside
+        the job slots, and settle it: for work that is already done, like
+        a store hit, where a thread hand-off would cost more than the
+        work.  The job's events are the same as through :meth:`tick`."""
+        control = self._begin(record)
+        if control is None:
+            return
+        slot = _Slot(record=record, control=control)
+        try:
+            slot.outcome["result"] = runner(record, control)
+        except Exception as exc:  # noqa: BLE001 - settled like a job thread's
+            slot.outcome["error"] = exc
+        self._settle(slot)
 
     def _reap(self) -> bool:
         changed = False
@@ -388,9 +470,8 @@ class Scheduler:
                 "cancel_requested"
             ):
                 slot.control.cancel_event.set()
-            if slot.thread.is_alive():
+            if not slot.done.is_set():
                 continue
-            slot.thread.join()
             del self._slots[job_id]
             self._settle(slot)
             changed = True
@@ -459,12 +540,22 @@ class Scheduler:
             self.on_terminal(record)
 
     # ------------------------------------------------------------------
+    def close(self, timeout: float | None = None) -> None:
+        """Stop the job threads, each after its current job; the next
+        job started starts a thread again."""
+        for _ in self._threads:
+            self._work.put(None)
+        for thread in self._threads:
+            thread.join(timeout)
+        self._threads = []
+
     def run_until_idle(self, poll_seconds: float = 0.02, timeout: float | None = None) -> None:
         """Drive ticks until no job is queued, backing off, or running."""
         start = self.clock()
         while True:
             self.tick()
             if not self._slots and not self.queue.pending():
+                self.close()
                 return
             if timeout is not None and self.clock() - start > timeout:
                 raise TimeoutError(

@@ -4,14 +4,17 @@ Two server fixtures with different lifetimes:
 
 * ``live`` (module scope) — gateway + background spool daemon against
   one spool; jobs really run the pipeline on the tiny HG analogue.
-* ``idle`` (function scope) — gateway with *no* daemon ticking, so
-  submissions stay queued forever: the fixture for admission-control
-  tests (quotas, rate limits, backpressure) and for handcrafted result
-  documents (large-artifact streaming) without pipeline runs.
+* ``idle`` (function scope) — gateway whose daemon accepts jobs but
+  never starts one (:func:`held_daemon`), so submissions stay queued
+  forever: the fixture for admission-control tests (quotas, rate
+  limits, backpressure) and for handcrafted result documents
+  (large-artifact streaming) without pipeline runs.
 """
 
 import json
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +38,15 @@ def two_tenant_registry(**overrides):
     return TenantRegistry(tenants)
 
 
+def held_daemon(spool):
+    """A running daemon whose scheduler never starts a job: handed-off
+    submissions are logged and then stay queued."""
+    daemon = ServeDaemon(spool)
+    daemon.scheduler.tick = lambda: False
+    daemon.start_background()
+    return daemon
+
+
 # ----------------------------------------------------------------------
 # fixtures
 # ----------------------------------------------------------------------
@@ -42,7 +54,7 @@ def two_tenant_registry(**overrides):
 def live(tmp_path_factory):
     spool = tmp_path_factory.mktemp("gateway-spool")
     daemon = ServeDaemon(spool)
-    app = GatewayApp(spool, registry=two_tenant_registry(), daemon=daemon)
+    app = GatewayApp(daemon, registry=two_tenant_registry())
     daemon.extra_counters = app.counters.snapshot
     server = GatewayServer(app)
     daemon.start_background()
@@ -55,14 +67,16 @@ def live(tmp_path_factory):
 @pytest.fixture()
 def idle(tmp_path):
     spool = tmp_path / "spool"
+    daemon = held_daemon(spool)
     app = GatewayApp(
-        spool,
+        daemon,
         registry=two_tenant_registry(max_queued_jobs=1, max_result_bytes=100),
     )
     server = GatewayServer(app, max_inflight=64)
     address = server.start()
-    yield {"spool": spool, "app": app, "address": address}
+    yield {"spool": spool, "app": app, "address": address, "daemon": daemon}
     server.stop()
+    daemon.stop_background()
 
 
 def client_of(env, token="tok-a"):
@@ -156,7 +170,99 @@ class TestEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# admission control (no daemon: jobs stay queued)
+# the in-process hand-off: a 202 means the job is logged
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def held_slot(tmp_path):
+    """Gateway over a one-slot daemon whose pipeline runs wait for
+    ``gate`` (set by default)."""
+    daemon = ServeDaemon(tmp_path / "spool", max_concurrent=1)
+    gate, entered = threading.Event(), threading.Event()
+    gate.set()
+    run = daemon.scheduler.runner
+
+    def gated(record, control):
+        entered.set()
+        assert gate.wait(60.0)
+        return run(record, control)
+
+    daemon.scheduler.runner = gated
+    app = GatewayApp(daemon, registry=two_tenant_registry())
+    server = GatewayServer(app)
+    daemon.start_background()
+    address = server.start()
+    yield {"address": address, "daemon": daemon, "app": app,
+           "gate": gate, "entered": entered}
+    gate.set()
+    server.stop()
+    daemon.stop_background()
+
+
+class TestHandoff:
+    def test_store_hit_post_is_succeeded_at_first_status(self, live, tiny_hg):
+        client = client_of(live)
+        config = dict(CFG, k=17, n_passes=1)  # distinct work from other tests
+        try:
+            first = client.submit(tiny_hg.units, config=config)
+            # a 202 means logged: the first status read finds the job (no 404)
+            assert client.status(first)["state"] in ("queued", "running", "succeeded")
+            assert client.wait(first, timeout=120)["state"] == "succeeded"
+            for _ in range(3):
+                job_id = client.submit(tiny_hg.units, config=config)
+                status = client.status(job_id)  # the first call, no sleep before it
+                assert status["state"] == "succeeded"
+                assert status["result"]["cache_hit"] is True
+        finally:
+            client.close()
+
+    def test_slow_miss_does_not_hold_up_posts_or_hits(self, held_slot, tiny_hg):
+        env = held_slot
+        client = client_of(env)
+        primed = dict(CFG, n_passes=1)
+        try:
+            job_id = client.submit(tiny_hg.units, config=primed)
+            assert client.wait(job_id, timeout=120)["state"] == "succeeded"
+
+            env["gate"].clear()
+            env["entered"].clear()
+            slow = client.submit(tiny_hg.units, config=dict(CFG, k=23))
+            assert env["entered"].wait(30.0)  # the slow miss holds the one slot
+            t0 = time.monotonic()
+            queued = client.submit(tiny_hg.units, config=dict(CFG, k=25))
+            assert time.monotonic() - t0 < 2.0
+            assert client.status(queued)["state"] == "queued"
+            hit = client.submit(tiny_hg.units, config=primed)
+            assert client.status(hit)["state"] == "succeeded"
+            assert client.status(slow)["state"] == "running"
+
+            env["gate"].set()
+            for job_id in (slow, queued):
+                assert client.wait(job_id, timeout=120)["state"] == "succeeded"
+        finally:
+            client.close()
+
+    def test_ingest_error_answers_an_error_without_hanging(
+        self, held_slot, tiny_hg, monkeypatch
+    ):
+        def disk_full(job):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(held_slot["daemon"].queue, "submit", disk_full)
+        client = GatewayClient(held_slot["address"], token="tok-a", timeout=10.0)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(GatewayError) as err:
+                client.submit(tiny_hg.units, config=CFG)
+            assert err.value.status == 500
+            assert time.monotonic() - t0 < 5.0
+            assert client.healthz() == {"status": "ok"}
+            assert client.list_jobs() == []  # nothing half-recorded
+        finally:
+            client.close()
+
+
+# ----------------------------------------------------------------------
+# admission control (a held daemon: jobs stay queued)
 # ----------------------------------------------------------------------
 class TestAdmission:
     def test_queued_job_quota_exhaustion_is_429(self, idle, tiny_hg):
@@ -197,7 +303,8 @@ class TestAdmission:
         registry = TenantRegistry(
             {"slow": Tenant(name="slow", token="tok-s", rate=0.5, burst=2)}
         )
-        app = GatewayApp(tmp_path / "spool", registry=registry)
+        daemon = held_daemon(tmp_path / "spool")
+        app = GatewayApp(daemon, registry=registry)
         server = GatewayServer(app)
         address = server.start()
         try:
@@ -211,10 +318,12 @@ class TestAdmission:
             assert err.value.retry_after == pytest.approx(2.0, abs=0.5)
         finally:
             server.stop()
+            daemon.stop_background()
 
     def test_saturated_queue_is_503(self, tmp_path, tiny_hg):
+        daemon = held_daemon(tmp_path / "spool")
         app = GatewayApp(
-            tmp_path / "spool", registry=two_tenant_registry(), max_queue_depth=0
+            daemon, registry=two_tenant_registry(), max_queue_depth=0
         )
         server = GatewayServer(app)
         address = server.start()
@@ -227,6 +336,7 @@ class TestAdmission:
             assert app.counters.rejected == 1
         finally:
             server.stop()
+            daemon.stop_background()
 
     def test_unknown_token_is_401(self, idle):
         with pytest.raises(GatewayError) as err:
@@ -320,6 +430,6 @@ class TestLargeStreaming:
     def test_acl_survives_gateway_restart(self, idle):
         # a second app over the same spool replays the ownership ledger
         reloaded = GatewayApp(
-            idle["spool"], registry=two_tenant_registry()
+            idle["daemon"], registry=two_tenant_registry()
         )
         assert reloaded._owners == idle["app"]._owners

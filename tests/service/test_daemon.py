@@ -9,6 +9,8 @@ runs the real pipeline on the tiny HG analogue through a real
 import json
 import multiprocessing as mp
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ import repro.core.pipeline as pipeline_mod
 import repro.index.create as create_mod
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import MetaPrep
+from repro.service import store as store_mod
 from repro.service.client import ServiceClient
-from repro.service.daemon import CHECKPOINTS_DIR, ServeDaemon
-from repro.service.jobs import JobState, PartitionJob
+from repro.service.daemon import CHECKPOINTS_DIR, METRICS_DIR, ServeDaemon
+from repro.service.jobs import JobRecord, JobState, PartitionJob
 from repro.service.queue import JobQueue, RetryPolicy
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
@@ -358,3 +361,244 @@ class TestServiceMetrics:
         ServeDaemon(spool).run_until_idle()
         names = sorted(p.name for p in (spool / METRICS_DIR).iterdir())
         assert names == ["metaprep.prom", "metrics.json"]  # no .tmp litter
+
+
+# ---- in-process hand-off (the gateway's path) --------------------------
+#: per-job event types as the spool path wrote them before the hand-off
+#: existed; both paths must keep writing exactly these
+MISS_EVENTS = ["submitted", "started", "index_ready", "pass_complete",
+               "pass_complete", "run_complete", "succeeded"]
+HIT_EVENTS = ["submitted", "started", "cache_hit", "succeeded"]
+RESULT_KEYS = ["attempt", "error", "finished_at", "job_id", "metrics",
+               "result", "started_at", "state", "submitted_at"]
+
+
+@pytest.fixture()
+def background():
+    """Start daemons on background loops; stop them all at teardown."""
+    started = []
+
+    def start(daemon, poll_seconds=0.05):
+        daemon.start_background(poll_seconds=poll_seconds)
+        started.append(daemon)
+        return daemon
+
+    yield start
+    for daemon in started:
+        daemon.stop_background()
+
+
+def fake_runner(threads):
+    def run(record, control):
+        threads.add(threading.current_thread())
+        return {}
+
+    return run
+
+
+class TestInProcessHandoff:
+    def test_hit_is_settled_before_submit_returns(
+        self, tiny_hg, tmp_path, background
+    ):
+        spool = tmp_path / "spool"
+        daemon = background(ServeDaemon(spool))
+        client = ServiceClient(spool)
+
+        miss = PartitionJob(units=tiny_hg.units, config=CFG)
+        daemon.submit(miss)
+        # acknowledged means logged: never "unknown job" after submit
+        assert client.status(miss.job_id)["state"] in (
+            JobState.QUEUED, JobState.RUNNING, JobState.SUCCEEDED
+        )
+        assert client.wait(miss.job_id, timeout=120)["state"] == JobState.SUCCEEDED
+
+        threads_before = set(threading.enumerate())
+        hit = PartitionJob(units=tiny_hg.units, config=CFG)
+        daemon.submit(hit)
+        status = client.status(hit.job_id)  # no wait, no sleep
+        assert status["state"] == JobState.SUCCEEDED
+        assert status["result"]["cache_hit"] is True
+        assert sorted(status) == RESULT_KEYS
+        assert set(threading.enumerate()) <= threads_before  # no job thread
+
+        assert [e.type for e in events_of(spool, miss.job_id)] == MISS_EVENTS
+        assert [e.type for e in events_of(spool, hit.job_id)] == HIT_EVENTS
+        labels_miss, _ = client.result(miss.job_id)
+        labels_hit, _ = client.result(hit.job_id)
+        assert np.array_equal(labels_miss, labels_hit)
+
+    def test_spool_hit_keeps_its_event_sequence(self, tiny_hg, tmp_path):
+        spool = tmp_path / "spool"
+        client = ServiceClient(spool)
+        first = client.submit(tiny_hg.units, config=CFG)
+        ServeDaemon(spool).run_until_idle()
+        second = client.submit(tiny_hg.units, config=CFG)
+        ServeDaemon(spool).run_until_idle()
+        assert [e.type for e in events_of(spool, first)] == MISS_EVENTS
+        assert [e.type for e in events_of(spool, second)] == HIT_EVENTS
+
+    def test_handed_off_key_is_the_daemons_key(
+        self, tiny_hg, tmp_path, background, monkeypatch
+    ):
+        # partition_key leaves executor knobs out, so the key a caller
+        # computes without the daemon's overrides is the daemon's key
+        daemon = ServeDaemon(tmp_path / "spool", executor="process", max_workers=2)
+        job = PartitionJob(units=tiny_hg.units, config=CFG)
+        key = store_mod.partition_key(job.pipeline_units(), job.pipeline_config())
+        assert daemon._partition_key_of(JobRecord(job=job)) == key
+
+        hashed = []
+        real = store_mod.dataset_fingerprint
+        monkeypatch.setattr(
+            store_mod, "dataset_fingerprint",
+            lambda units: hashed.append(units) or real(units),
+        )
+        daemon.scheduler.runner = fake_runner(set())
+        background(daemon)
+        handed = PartitionJob(units=tiny_hg.units, config=CFG)
+        daemon.submit(handed, partition_key=key)
+        ServiceClient(daemon.spool_dir).wait(handed.job_id, timeout=30)
+        assert hashed == []  # the dataset was not hashed a second time
+
+    def test_job_threads_reused_across_twenty_jobs(
+        self, tiny_hg, tmp_path, background
+    ):
+        threads = set()
+        daemon = ServeDaemon(tmp_path / "spool", max_concurrent=2)
+        daemon.scheduler.runner = fake_runner(threads)
+        background(daemon)
+        client = ServiceClient(daemon.spool_dir)
+        jobs = [PartitionJob(units=tiny_hg.units, config=CFG) for _ in range(20)]
+        for job in jobs:
+            daemon.submit(job)
+        for job in jobs:
+            assert client.wait(job.job_id, timeout=30)["state"] == JobState.SUCCEEDED
+        assert 1 <= len(threads) <= 2
+
+    def test_stop_background_is_prompt_and_leaves_no_thread(
+        self, tiny_hg, tmp_path
+    ):
+        threads = set()
+        daemon = ServeDaemon(tmp_path / "spool")
+        daemon.scheduler.runner = fake_runner(threads)
+        daemon.start_background(poll_seconds=2.0)
+        loop_thread = daemon._bg_thread
+        job = PartitionJob(units=tiny_hg.units, config=CFG)
+        daemon.submit(job)
+        ServiceClient(daemon.spool_dir).wait(job.job_id, timeout=30)
+        t0 = time.monotonic()
+        daemon.stop_background()
+        assert time.monotonic() - t0 < 0.5  # well inside one 2 s poll
+        assert threads and not loop_thread.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_ingest_error_reaches_the_caller(
+        self, tiny_hg, tmp_path, background, monkeypatch
+    ):
+        daemon = background(ServeDaemon(tmp_path / "spool"))
+        daemon.scheduler.runner = fake_runner(set())
+
+        def disk_full(job):
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(daemon.queue, "submit", disk_full)
+            with pytest.raises(OSError, match="no space"):
+                daemon.submit(PartitionJob(units=tiny_hg.units, config=CFG))
+        # the loop survived and takes the next job
+        job = PartitionJob(units=tiny_hg.units, config=CFG)
+        daemon.submit(job)
+        status = ServiceClient(daemon.spool_dir).wait(job.job_id, timeout=30)
+        assert status["state"] == JobState.SUCCEEDED
+
+    def test_handoff_without_a_loop_fails_instead_of_hanging(
+        self, tiny_hg, tmp_path
+    ):
+        daemon = ServeDaemon(tmp_path / "spool")
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="not running"):
+            daemon.submit(PartitionJob(units=tiny_hg.units, config=CFG))
+        assert time.monotonic() - t0 < 5.0
+
+    def test_metrics_snapshot_written_per_interval_and_at_stop(
+        self, tiny_hg, tmp_path
+    ):
+        daemon = ServeDaemon(tmp_path / "spool")
+        daemon.scheduler.runner = fake_runner(set())
+        writes = []
+        write = daemon.write_metrics
+        daemon.write_metrics = lambda: writes.append(1) or write()
+        daemon.start_background(poll_seconds=60.0)
+        try:
+            client = ServiceClient(daemon.spool_dir)
+            for _ in range(3):
+                job = PartitionJob(units=tiny_hg.units, config=CFG)
+                daemon.submit(job)
+                client.wait(job.job_id, timeout=30)
+            assert writes == []  # no rewrite inside one poll interval
+            assert daemon.metrics()["jobs_by_state"][JobState.SUCCEEDED] == 3
+        finally:
+            daemon.stop_background()
+        assert writes == [1]  # flushed once when the loop stopped
+        doc = json.loads(
+            (daemon.spool_dir / METRICS_DIR / "metrics.json").read_text()
+        )
+        assert doc["jobs_by_state"][JobState.SUCCEEDED] == 3
+
+
+class TestSpoolFromEarlierVersion:
+    def test_log_and_drop_files_written_before_the_handoff_recover(
+        self, tiny_hg, tmp_path
+    ):
+        """A spool in the exact on-disk format the spool-only daemon
+        wrote (spelled out here, not produced by the current code): one
+        job running at the crash, one queued, one finished, one still a
+        drop file.  The new daemon resumes it."""
+        spool = tmp_path / "spool"
+        for sub in ("submit", "cancel", "results", "checkpoints"):
+            (spool / sub).mkdir(parents=True)
+        units = [[os.path.abspath(f) for f in unit.files] for unit in tiny_hg.units]
+        cfg = dict(CFG, n_passes=1)
+
+        def spec(job_id, t):
+            return {"config": cfg, "job_id": job_id, "max_retries": 2,
+                    "submitted_at": t, "timeout_seconds": None, "units": units}
+
+        def line(job_id, type_, state, t, attempt=0, payload=None):
+            return json.dumps(
+                {"attempt": attempt, "job_id": job_id, "payload": payload or {},
+                 "state": state, "time": t, "type": type_},
+                sort_keys=True,
+            )
+
+        lines = [
+            line("j-00000000run1", "submitted", "queued", 1.0,
+                 payload={"job": spec("j-00000000run1", 1.0)}),
+            line("j-0000000done", "submitted", "queued", 2.0,
+                 payload={"job": spec("j-0000000done", 2.0)}),
+            line("j-00000000run1", "started", "running", 3.0, 1,
+                 {"queue_wait_seconds": 2.0}),
+            line("j-0000000done", "started", "running", 4.0, 1,
+                 {"queue_wait_seconds": 2.0}),
+            line("j-0000000done", "succeeded", "succeeded", 5.0, 1,
+                 {"result": {"cache_hit": False}, "metrics": {}}),
+            line("j-0000000wait", "submitted", "queued", 6.0,
+                 payload={"job": spec("j-0000000wait", 6.0)}),
+        ]
+        (spool / "events.jsonl").write_text("\n".join(lines) + "\n")
+        drop = spec("j-0000000drop", 7.0)
+        (spool / "submit" / f"{7.0:017.6f}-j-0000000drop.json").write_text(
+            json.dumps(drop, sort_keys=True)
+        )
+
+        daemon = ServeDaemon(spool)
+        assert daemon.queue.get("j-00000000run1").state == JobState.QUEUED
+        assert daemon.queue.get("j-0000000done").state == JobState.SUCCEEDED
+        daemon.run_until_idle()
+        client = ServiceClient(spool)
+        for job_id in ("j-00000000run1", "j-0000000wait", "j-0000000drop"):
+            assert client.status(job_id)["state"] == JobState.SUCCEEDED
+        assert [e.type for e in events_of(spool, "j-00000000run1")][:4] == [
+            "submitted", "started", "recovered", "started"
+        ]
+        assert len(events_of(spool, "j-0000000done")) == 3  # left alone

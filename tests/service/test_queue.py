@@ -133,6 +133,48 @@ class TestJobQueue:
         assert types[-1] == "recovered"
 
 
+    def test_pending_is_fifo_after_retries_and_recovery(self, tmp_path, fastq):
+        queue = JobQueue(tmp_path)
+        a, b, c, d = (queue.submit(make_job(fastq)) for _ in range(4))
+        order = [r.job_id for r in (a, b, c, d)]
+        # a fails and goes back to queued; c finishes; b is left running
+        for record in (a, b, c):
+            record.attempt = 1
+            queue.transition(record, JobState.RUNNING, type="started")
+        queue.transition(a, JobState.QUEUED, type="retry_scheduled")
+        queue.transition(c, JobState.SUCCEEDED, type="succeeded")
+        assert [r.job_id for r in queue.pending()] == [order[0], order[3]]
+        assert [r.job_id for r in queue.active()] == [order[1]]
+
+        fresh = JobQueue(tmp_path)  # restart: b is demoted back to queued
+        assert fresh.recover() == 1
+        assert [r.job_id for r in fresh.pending()] == [order[0], order[1], order[3]]
+
+    def test_finished_jobs_leave_the_live_set(self, tmp_path, fastq):
+        queue = JobQueue(tmp_path)
+        records = [queue.submit(make_job(fastq)) for _ in range(6)]
+        for record, end in zip(records[:4], (JobState.SUCCEEDED,) * 3 + (JobState.FAILED,)):
+            queue.transition(record, JobState.RUNNING, type="started")
+            queue.transition(record, end)
+        queue.cancel(records[4].job_id)
+        assert queue.counts() == {
+            JobState.QUEUED: 1, JobState.RUNNING: 0, JobState.SUCCEEDED: 3,
+            JobState.FAILED: 1, JobState.CANCELLED: 1,
+        }
+        # what pending() and counts() walk is the one live job
+        assert list(queue._live) == [records[5].job_id]
+        # every job keeps its id and state; a finished one keeps no spec
+        assert len(queue.records) == 6
+        finished = queue.get(records[0].job_id)
+        assert finished.state == JobState.SUCCEEDED and finished.terminal
+        assert not hasattr(finished, "job")
+        assert not queue.cancel(records[0].job_id)
+        fresh = JobQueue(tmp_path)
+        fresh.recover()
+        assert fresh.counts() == queue.counts()
+        assert list(fresh._live) == list(queue._live)
+
+
 class TestRetryPolicy:
     def test_exponential_backoff_with_cap(self):
         policy = RetryPolicy(base_delay=1.0, max_delay=5.0)
@@ -326,3 +368,42 @@ class TestScheduler:
         h.drain()
         assert all(r.state == JobState.SUCCEEDED
                    for r in h.queue.records.values())
+
+    def test_job_threads_are_reused(self, tmp_path, fastq):
+        threads = set()  # Thread objects, so a recycled ident cannot hide one
+
+        def runner(record, control):
+            threads.add(threading.current_thread())
+            return {}
+
+        h = SchedulerHarness(tmp_path, runner, max_concurrent=2)
+        for _ in range(20):
+            h.queue.submit(make_job(fastq))
+        h.drain()
+        assert len(h.terminal) == 20
+        assert 1 <= len(threads) <= 2
+        # drained: run_until_idle stopped the job threads
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_finished_job_sets_wake(self, tmp_path, fastq):
+        gate = threading.Event()
+        h = SchedulerHarness(tmp_path, lambda r, c: gate.wait(5.0) and {})
+        h.queue.submit(make_job(fastq))
+        h.scheduler.tick()
+        h.scheduler.wake.clear()
+        gate.set()
+        assert h.scheduler.wake.wait(5.0)
+        assert h.scheduler.tick() is True  # reaped without any poll sleep
+        h.scheduler.close(timeout=5.0)
+
+    def test_run_inline_writes_the_same_events(self, tmp_path, fastq):
+        h = SchedulerHarness(tmp_path, lambda r, c: {"threaded": True})
+        record = h.queue.submit(make_job(fastq))
+        h.scheduler.run_inline(record, lambda r, c: {"inline": True})
+        assert record.state == JobState.SUCCEEDED
+        assert record.result == {"inline": True}
+        assert h.terminal == [record]
+        assert h.scheduler.running == []
+        assert [e.type for e in h.queue.events.replay()] == [
+            "submitted", "started", "succeeded"
+        ]
